@@ -36,7 +36,7 @@ print()
 
 for t in (1, 2):
     flat = flatten(sub, iterate(sub, "A1", t))
-    print(f"flatten(sigma^{t}(A1)) = {format_symbols(flat.symbols[:60])}"
+    print(f"flatten(sigma^{t}(A1)) = {format_symbols(flat[:60])}"
           + (" ..." if len(flat) > 60 else ""))
 print()
 

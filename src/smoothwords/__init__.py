@@ -1,8 +1,8 @@
 """Smooth words over n-letter alphabets.
 
 Run-length coding and its derivative, cyclic-order pseudo-inverse
-expansions, constant-memory generation of generalized Kolakoski words
-(the fixpoints of run-length coding), the primitive block substitutions
+expansions, generation of generalized Kolakoski words (the fixpoints
+of run-length coding), the primitive block substitutions
 that fix them, and an empirical analysis suite for letter frequencies,
 recurrence, occurrence gaps and factor-set closure.
 """
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .expansion import (
     DEFAULT_BUDGET,
-    BaseTrack,
     CyclicOrder,
     expand_stream,
     phi_inverse_prefix,

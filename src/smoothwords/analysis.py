@@ -22,7 +22,12 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .expansion import CyclicOrder, phi_inverse_prefix, pseudo_inverse_with_base
+from .expansion import (
+    CyclicOrder,
+    phi_inverse_prefix,
+    pseudo_inverse,
+    pseudo_inverse_with_base,
+)
 from .factors import FactorIndex
 from .words import (
     Alphabet,
@@ -135,13 +140,10 @@ def is_well_proportioned_prefix(bases: Word) -> bool:
     """
     if bases.alphabet is None:
         raise ValueError("base word needs an alphabet")
-    letters = set(bases.alphabet.letters)
-    n = bases.alphabet.size
-    syms = bases.symbols
-    for i in range(0, len(syms) - n + 1, n):
-        if set(syms[i : i + n]) != letters:
-            return False
-    return True
+    letters = np.asarray(bases.alphabet.letters, dtype=np.int64)
+    arr = bases.to_array()
+    blocks = arr[: arr.size - arr.size % letters.size].reshape(-1, letters.size)
+    return bool((np.sort(blocks, axis=1) == letters).all())
 
 
 def exact_frequency_check(u: Word, v: Word) -> bool:
@@ -235,13 +237,17 @@ def recurrence_report(
 ) -> RecurrenceReport:
     """Check that early factors reappear somewhere in the prefix.
 
-    ``scan_len`` defaults to 1% of the word.
+    ``scan_len`` defaults to 1% of the word (at least ``l_max``); a
+    shorter one raises ``ValueError``, since it would scan no factor of
+    the longer lengths.
     """
     n = len(w)
     if n < 2 * l_max:
         raise ValueError("word too short for the requested l_max")
     if scan_len is None:
         scan_len = max(l_max, n // 100)
+    if scan_len < l_max:
+        raise ValueError(f"scan_len {scan_len} is shorter than l_max {l_max}")
     idx = index if index is not None else FactorIndex(w, l_max)
     rows: list[RecurrenceRow] = []
     for length in range(1, l_max + 1):
@@ -518,17 +524,22 @@ def phi_inverse_palindrome_check(order: CyclicOrder, k_max: int) -> bool:
     Only meaningful (and only accepted) for 2-letter alphabets of odd
     letters, where the expansion of a single letter is an odd palindrome
     and the pseudo-inverse preserves that shape.
+
+    Directive words grow by prepending a letter, which costs one
+    pseudo-inverse: the expansion of ``a·u`` is ``pseudo_inverse(a, ·)``
+    of the expansion of ``u``.
     """
     alphabet = order.alphabet
     if alphabet.size != 2 or any(a % 2 == 0 for a in alphabet):
         raise ValueError("check requires a 2-letter alphabet of odd letters")
     letters = alphabet.letters
-    stack: list[tuple[int, ...]] = [(a,) for a in letters]
+    stack = [(1, phi_inverse_prefix(Word((a,), alphabet), order)) for a in letters]
     while stack:
-        u = stack.pop()
-        expansion = phi_inverse_prefix(Word(u, alphabet), order)
+        length, expansion = stack.pop()
         if len(expansion) % 2 == 0 or not is_palindrome(expansion):
             return False
-        if len(u) < k_max:
-            stack.extend(u + (a,) for a in letters)
+        if length < k_max:
+            stack.extend(
+                (length + 1, pseudo_inverse(a, expansion, order)) for a in letters
+            )
     return True

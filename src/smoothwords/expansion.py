@@ -5,8 +5,9 @@ expansion: the pseudo-inverse of an exponent word ``u`` starting at
 letter ``α`` is ``α^u[1] s(α)^u[2] s²(α)^u[3] ...`` where ``s`` is the
 cyclic successor.  Chaining pseudo-inverses through a control word grows
 exponentially, so every materialising operation takes an output budget
-and fails cleanly past it; a run-level streaming expander covers the
-long-prefix cases with memory linear in chain depth.
+and fails cleanly past it.  Chains expand level by level in bounded
+chunks, so the streaming expander covers the long-prefix cases with
+memory linear in chain depth.
 
 Everything here is pure except :func:`expand_stream`'s returned
 iterator, which is a single-owner cursor.
@@ -20,12 +21,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ExpansionBudgetExceeded, InsufficientDepth
-from .words import Alphabet, Word, rle_encode
+from .words import Alphabet, Word, _run_arrays
 
 __all__ = [
     "DEFAULT_BUDGET",
     "CyclicOrder",
-    "BaseTrack",
     "pseudo_inverse",
     "pseudo_inverse_chain",
     "pseudo_inverse_with_base",
@@ -86,25 +86,6 @@ class CyclicOrder:
         return np.asarray(self.arrangement, dtype=np.int64)[idx]
 
 
-@dataclass
-class BaseTrack:
-    """A cursor walking a cyclic order; the per-level state of expansions."""
-
-    order: CyclicOrder
-    position: int = 0
-
-    @classmethod
-    def at(cls, order: CyclicOrder, letter: int) -> "BaseTrack":
-        return cls(order, order.position(letter))
-
-    @property
-    def letter(self) -> int:
-        return self.order.arrangement[self.position]
-
-    def step(self, k: int = 1) -> None:
-        self.position = (self.position + k) % self.order.size
-
-
 def _check_exponents(u: Word | np.ndarray) -> np.ndarray:
     arr = u.to_array() if isinstance(u, Word) else np.asarray(u, dtype=np.int64)
     if arr.size and int(arr.min()) < 1:
@@ -148,11 +129,19 @@ def pseudo_inverse_chain(
     ``chain(p, u)`` expands with the last letter of ``p`` first, so the
     composition law ``chain(p1+p2, u) = chain(p1, chain(p2, u))`` holds.
     """
-    letters = tuple(p.symbols if isinstance(p, Word) else p)
+    letters = tuple(p)
     if not letters:
         return u
-    arr = _materialise_runs(_chain_runs(letters, u, order), budget)
-    return Word.from_array(arr, order.alphabet, validate=False)
+    chunks: list[np.ndarray] = []
+    total = 0
+    for chunk in _chain_chunks(letters, u, order):
+        total += chunk.size
+        if total > budget:
+            raise ExpansionBudgetExceeded(
+                f"expansion exceeds budget of {budget} symbols"
+            )
+        chunks.append(chunk)
+    return Word.from_array(np.concatenate(chunks), order.alphabet, validate=False)
 
 
 def pseudo_inverse_with_base(u: Word, v: Word) -> Word:
@@ -172,74 +161,43 @@ def pseudo_inverse_with_base(u: Word, v: Word) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# streaming expansion
+# chunked expansion
 #
-# Words travel between levels as (letter, count) runs.  One level turns the
-# run (e, mult) — "mult consecutive exponents equal to e" — into mult output
-# runs of length e whose bases step through the cyclic order.  Memory is one
-# BaseTrack per chain level.
+# A chain level turns a stream of exponent chunks into a stream of letter
+# chunks of at most _CHUNK letters (one run longer than that is split),
+# carrying its position in the cyclic order from one chunk to the next.
+# Memory is one chunk per chain level.
+
+_CHUNK = 1 << 14
 
 
-def _runs_of(u: Word) -> Iterator[tuple[int, int]]:
-    rd = rle_encode(u)
-    yield from ((int(b), int(e)) for e, b in zip(rd.exponents, rd.bases))
+def _expand_chunks(
+    alpha: int, exponent_chunks: Iterator[np.ndarray], order: CyclicOrder
+) -> Iterator[np.ndarray]:
+    """Letters of ``pseudo_inverse(alpha, ·)`` over a chunked exponent word."""
+    for exps in exponent_chunks:
+        bases = order.letters_from(alpha, exps.size)
+        alpha = order.advance(alpha, exps.size)
+        if exps.sum() <= _CHUNK:
+            yield bases.repeat(exps)
+            continue
+        ends = exps.cumsum()
+        starts = ends - exps
+        for lo in range(0, int(ends[-1]), _CHUNK):
+            hi = lo + _CHUNK
+            # runs i..j-1 overlap the output slice [lo, hi); clip them to it
+            i, j = ends.searchsorted(lo, "right"), starts.searchsorted(hi)
+            counts = np.minimum(ends[i:j], hi) - np.maximum(starts[i:j], lo)
+            yield bases[i:j].repeat(counts)
 
 
-def _expand_level(
-    alpha: int, runs: Iterator[tuple[int, int]], order: CyclicOrder
-) -> Iterator[tuple[int, int]]:
-    track = BaseTrack.at(order, alpha)
-    for value, mult in runs:
-        if value < 1:
-            raise ValueError("exponents must be positive")
-        for _ in range(mult):
-            yield track.letter, value
-            track.step()
-
-
-def _chain_runs(
+def _chain_chunks(
     p: tuple[int, ...], u: Word, order: CyclicOrder
-) -> Iterator[tuple[int, int]]:
-    runs: Iterator[tuple[int, int]] = _runs_of(u)
+) -> Iterator[np.ndarray]:
+    chunks: Iterator[np.ndarray] = iter((_check_exponents(u),))
     for alpha in reversed(p):
-        order.position(alpha)
-        runs = _expand_level(alpha, runs, order)
-    return runs
-
-
-def _materialise_runs(
-    runs: Iterator[tuple[int, int]], budget: int
-) -> np.ndarray:
-    chunks: list[np.ndarray] = []
-    letters: list[int] = []
-    counts: list[int] = []
-    total = 0
-    for letter, count in runs:
-        letters.append(letter)
-        counts.append(count)
-        total += count
-        if total > budget:
-            raise ExpansionBudgetExceeded(
-                f"expansion exceeds budget of {budget} symbols"
-            )
-        if len(letters) >= 65536:
-            chunks.append(
-                np.repeat(
-                    np.array(letters, dtype=np.int64),
-                    np.array(counts, dtype=np.int64),
-                )
-            )
-            letters, counts = [], []
-    if letters:
-        chunks.append(
-            np.repeat(
-                np.array(letters, dtype=np.int64),
-                np.array(counts, dtype=np.int64),
-            )
-        )
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+        chunks = _expand_chunks(alpha, chunks, order)
+    return chunks
 
 
 def expand_stream(
@@ -247,19 +205,12 @@ def expand_stream(
 ) -> Iterator[int]:
     """Letters of ``pseudo_inverse_chain(p, u)`` on demand.
 
-    Never materialises intermediate words; state is a stack of one
-    cyclic-order cursor per chain level.  The iterator is a single-owner
-    cursor: do not share it between threads mid-iteration.
+    Never materialises intermediate words; state is one bounded chunk
+    and one cyclic-order position per chain level.  The iterator is a
+    single-owner cursor: do not share it between threads mid-iteration.
     """
-    letters = tuple(p.symbols if isinstance(p, Word) else p)
-    runs: Iterator[tuple[int, int]]
-    if letters:
-        runs = _chain_runs(letters, u, order)
-    else:
-        runs = ((int(s), 1) for s in u)
-    for letter, count in runs:
-        for _ in range(count):
-            yield letter
+    for chunk in _chain_chunks(tuple(p), u, order):
+        yield from chunk.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +231,11 @@ def phi_inverse_prefix(
     """
     if not u:
         raise ValueError("directive word must be nonempty")
-    for s in u:
-        order.position(s)
-    head, last = u.symbols[:-1], u.symbols[-1]
-    return pseudo_inverse_chain(
-        head, Word((last,), order.alphabet), order, budget=budget
-    )
+    arr = u.to_array()
+    if not order.alphabet.admits(arr):
+        raise ValueError("directive word has letters outside the cyclic order")
+    last = Word.from_array(arr[-1:], order.alphabet, validate=False)
+    return pseudo_inverse_chain(arr[:-1].tolist(), last, order, budget=budget)
 
 
 def phi_prefix(w: Word, order: CyclicOrder, m: int) -> Word:
@@ -310,12 +260,7 @@ def phi_prefix(w: Word, order: CyclicOrder, m: int) -> Word:
             )
         out.append(int(cur[0]))
         if depth < m - 1:
-            change = np.flatnonzero(cur[1:] != cur[:-1])
-            starts = np.concatenate((np.zeros(1, dtype=np.int64), change + 1))
-            bounds = np.concatenate(
-                (starts, np.array([cur.size], dtype=np.int64))
-            )
-            cur = np.diff(bounds)
+            cur, _ = _run_arrays(cur)
             if w.is_prefix:
                 cur = cur[:-1]  # the final run's true length is unknown
-    return Word(tuple(out), order.alphabet)
+    return Word(out, order.alphabet)

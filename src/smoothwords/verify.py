@@ -391,9 +391,9 @@ def _suite_roundtrip(rng: np.random.Generator) -> str | None:
     a123 = Alphabet((1, 2, 3))
     for _ in range(10**4):
         length = int(rng.integers(1, 40))
-        w = Word(tuple(rng.integers(1, 4, size=length).tolist()), a123)
+        w = Word(rng.integers(1, 4, size=length), a123)
         if rle_reconstruct(rle_encode(w)) != w:
-            return f"roundtrip fails on random word {w.symbols}"
+            return f"roundtrip fails on random word {tuple(w)}"
     return None
 
 
@@ -415,18 +415,16 @@ def _suite_splitting(rng: np.random.Generator) -> str | None:
         alpha = int(order.arrangement[rng.integers(0, n)])
         u_len = int(rng.integers(1, 12))
         v_len = int(rng.integers(1, 12))
-        u = Word(tuple(rng.integers(1, 6, size=u_len).tolist()))
-        v = Word(tuple(rng.integers(1, 6, size=v_len).tolist()))
-        uv = Word(u.symbols + v.symbols)
-        left = pseudo_inverse(alpha, uv, order)
+        u = Word(rng.integers(1, 6, size=u_len))
+        v = Word(rng.integers(1, 6, size=v_len))
+        left = pseudo_inverse(alpha, Word([*u, *v]), order)
         beta = order.advance(alpha, u_len % n)
         right = Word(
-            pseudo_inverse(alpha, u, order).symbols
-            + pseudo_inverse(beta, v, order).symbols
+            [*pseudo_inverse(alpha, u, order), *pseudo_inverse(beta, v, order)]
         )
         if left != right:
             return (
-                f"splitting fails: alpha={alpha}, u={u.symbols}, v={v.symbols}, "
+                f"splitting fails: alpha={alpha}, u={tuple(u)}, v={tuple(v)}, "
                 f"order={order.arrangement}"
             )
     return None
@@ -472,7 +470,7 @@ def _suite_prefix_monotone() -> str | None:
         if len(symbols) > 1:
             u = Word(symbols[:-1], alphabet)
             prev = phi_inverse_prefix(u, order)
-            if expanded.symbols[: len(prev)] != prev.symbols:
+            if expanded[: len(prev)] != prev:
                 return f"prefix monotonicity fails on {symbols}"
     return None
 

@@ -13,7 +13,8 @@ function, so they are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -38,10 +39,6 @@ __all__ = [
     "read_words",
     "write_words",
 ]
-
-# Vectorise membership checks / run scans above this size.
-_NUMPY_CUTOVER = 2048
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -89,6 +86,19 @@ class Alphabet:
         n = self.size
         return tuple((x - r) // n for x in self.letters)
 
+    @cached_property
+    def _membership(self) -> np.ndarray:
+        # slot a is True iff a is a letter; the extra final slot is False
+        table = np.zeros(self.largest + 2, dtype=bool)
+        table[list(self.letters)] = True
+        return table
+
+    def admits(self, arr: np.ndarray) -> bool:
+        """Whether every entry of an integer array is a letter."""
+        # clipping sends negatives to slot 0 and values past a_n to the
+        # final slot, both False
+        return bool(self._membership.take(arr, mode="clip").all())
+
     def __contains__(self, letter: int) -> bool:
         return letter in self.letters
 
@@ -99,9 +109,12 @@ class Alphabet:
         return iter(self.letters)
 
 
-@dataclass(frozen=True, eq=False)
 class Word:
     """A finite sequence of positive integer symbols.
+
+    The symbols live in one read-only int64 numpy array (``to_array``);
+    iteration and indexing return Python ints, and ``symbols`` is the
+    same sequence as a tuple, built on demand.
 
     ``alphabet`` is optional: exponent words (images of the run-length
     coding) carry arbitrary positive integers and no alphabet.  When an
@@ -110,32 +123,24 @@ class Word:
     ``is_prefix`` marks the word as a prefix of a longer (typically
     infinite) word, which makes the final run length a lower bound only.
     Operators that care (run-length coding, fixpoint checks) honour the
-    mark; it never affects equality.
+    mark; it never affects equality.  A slice that starts at 0 with step
+    1 is again a prefix and keeps the mark; every other slice is
+    unmarked.
 
     Equality and hashing compare symbols only.
     """
 
-    symbols: tuple[int, ...]
-    alphabet: Alphabet | None = None
-    is_prefix: bool = False
-    _array: np.ndarray | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
-
-    def __post_init__(self) -> None:
-        symbols = self.symbols
-        if not isinstance(symbols, tuple):
-            symbols = tuple(int(x) for x in symbols)
-            object.__setattr__(self, "symbols", symbols)
-        if self.alphabet is not None and symbols:
-            if len(symbols) >= _NUMPY_CUTOVER:
-                ok = bool(
-                    np.isin(self.to_array(), self.alphabet.letters).all()
-                )
-            else:
-                ok = all(s in self.alphabet for s in symbols)
-            if not ok:
-                raise ValueError("word contains symbols outside its alphabet")
+    def __init__(
+        self,
+        symbols: Iterable[int],
+        alphabet: Alphabet | None = None,
+        is_prefix: bool = False,
+    ) -> None:
+        if isinstance(symbols, np.ndarray):
+            arr = symbols.astype(np.int64)
+        else:
+            arr = np.fromiter(symbols, dtype=np.int64)
+        self._init(arr, alphabet, is_prefix, validate=True)
 
     @classmethod
     def from_array(
@@ -146,28 +151,48 @@ class Word:
         is_prefix: bool = False,
         validate: bool = True,
     ) -> "Word":
-        """Build a word from a numpy array, optionally skipping validation."""
+        """Wrap a numpy array without copying, optionally skipping validation.
+
+        The word keeps a read-only view of ``arr``; the caller must not
+        write to ``arr`` afterwards.
+        """
         w = cls.__new__(cls)
-        object.__setattr__(w, "symbols", tuple(arr.tolist()))
-        object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "is_prefix", is_prefix)
-        object.__setattr__(w, "_array", np.asarray(arr, dtype=np.int64))
-        if validate and alphabet is not None and len(w):
-            if not bool(np.isin(w._array, alphabet.letters).all()):
-                raise ValueError("word contains symbols outside its alphabet")
+        w._init(np.asarray(arr, dtype=np.int64), alphabet, is_prefix, validate)
         return w
 
+    def _init(
+        self,
+        arr: np.ndarray,
+        alphabet: Alphabet | None,
+        is_prefix: bool,
+        validate: bool,
+    ) -> None:
+        arr = arr.view()
+        arr.flags.writeable = False
+        if validate and alphabet is not None and not alphabet.admits(arr):
+            raise ValueError("word contains symbols outside its alphabet")
+        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "is_prefix", is_prefix)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        return (Word, (self._array, self.alphabet, self.is_prefix))
+
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        """The symbols as a tuple of Python ints."""
+        return tuple(self._array.tolist())
+
     def to_array(self) -> np.ndarray:
-        """The symbols as an int64 numpy array (cached)."""
-        if self._array is None:
-            object.__setattr__(
-                self, "_array", np.array(self.symbols, dtype=np.int64)
-            )
+        """The symbols as a read-only int64 numpy array."""
         return self._array
 
     def replace(self, **kwargs) -> "Word":
         fields = {
-            "symbols": self.symbols,
+            "symbols": self._array,
             "alphabet": self.alphabet,
             "is_prefix": self.is_prefix,
         }
@@ -175,32 +200,38 @@ class Word:
         return Word(**fields)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return self._array.size
 
     def __bool__(self) -> bool:
-        return bool(self.symbols)
+        return self._array.size > 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
+        return iter(self._array.tolist())
 
     def __getitem__(self, item):
-        got = self.symbols[item]
         if isinstance(item, slice):
-            return Word(got, self.alphabet)
-        return got
+            start, _, step = item.indices(self._array.size)
+            return Word.from_array(
+                self._array[item],
+                self.alphabet,
+                is_prefix=self.is_prefix and start == 0 and step == 1,
+                validate=False,
+            )
+        return int(self._array[item])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Word):
-            return self.symbols == other.symbols
+            # buffer equality: same shape and elements, cheap on short words
+            return self._array.data == other._array.data
         if isinstance(other, (tuple, list)):
-            return self.symbols == tuple(other)
+            return self._array.tolist() == list(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.symbols)
+        return hash(self._array.tobytes())
 
     def __repr__(self) -> str:
-        body = " ".join(map(str, self.symbols)) if self.symbols else "ε"
+        body = " ".join(map(str, self._array.tolist())) if self else "ε"
         return f"Word({body})"
 
 
@@ -226,7 +257,7 @@ class RunDecomposition:
 
     def runs(self) -> Iterator[tuple[int, int]]:
         """Yield (base, exponent) pairs in order."""
-        return zip(self.bases.symbols, self.exponents.symbols)
+        return zip(self.bases, self.exponents)
 
 
 class Permutation:
@@ -287,13 +318,12 @@ class Permutation:
 
 def _run_arrays(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lengths, letters) of the maximal runs of ``arr``."""
-    if arr.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    change = np.flatnonzero(arr[1:] != arr[:-1])
-    starts = np.concatenate((np.zeros(1, dtype=np.int64), change + 1))
-    bounds = np.concatenate((starts, np.array([arr.size], dtype=np.int64)))
-    return np.diff(bounds), arr[starts]
+    # edge[i]: a run starts at position i; edge[n] marks the end
+    edge = np.empty(arr.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(arr[1:], arr[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    return bounds[1:] - bounds[:-1], arr[bounds[:-1]]
 
 
 def rle_encode(w: Word) -> RunDecomposition:
@@ -353,9 +383,7 @@ def derivative(w: Word) -> Word:
     if int(lengths.max()) > a_n:
         raise NotDifferentiable(f"run longer than a_n={a_n}")
     interior = lengths[1:-1]
-    if interior.size and not bool(
-        np.isin(interior, w.alphabet.letters).all()
-    ):
+    if not w.alphabet.admits(interior):
         raise NotDifferentiable("interior run length outside the alphabet")
     lo = 1 if lengths[0] < a_n else 0
     hi = lengths.size - 1 if lengths[-1] < a_n else lengths.size
@@ -402,15 +430,16 @@ def is_smooth_finite(w: Word) -> bool:
 
 
 def reverse(w: Word) -> Word:
-    return Word(w.symbols[::-1], w.alphabet)
+    return Word.from_array(w.to_array()[::-1], w.alphabet, validate=False)
 
 
 def apply_permutation(w: Word, sigma: Permutation) -> Word:
-    return Word(tuple(sigma(s) for s in w.symbols), w.alphabet)
+    return Word([sigma(s) for s in w], w.alphabet)
 
 
 def is_palindrome(w: Word) -> bool:
-    return w.symbols == w.symbols[::-1]
+    arr = w.to_array()
+    return arr.data == arr[::-1].data
 
 
 # ---------------------------------------------------------------------------

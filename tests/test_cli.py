@@ -207,6 +207,30 @@ def test_recur_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("scan_len", ["-5", "0", "3"])
+def test_recur_rejects_scan_len_below_l_max(scan_len, capsys):
+    # such a scan would skip the longer lengths (or everything) and pass
+    code = main(
+        [
+            "recur",
+            "--base-period",
+            "1,2",
+            "--length",
+            "2000",
+            "--l-max",
+            "8",
+            "--scan-len",
+            scan_len,
+            "--expect",
+            "recurrent",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "shorter than l_max" in captured.err
+
+
 def test_closure_expectations(tmp_path, capsys):
     out = tmp_path / "closure.csv"
     even = [

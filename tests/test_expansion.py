@@ -23,6 +23,7 @@ from smoothwords import (
     pseudo_inverse_with_base,
     rle_encode,
 )
+from smoothwords.expansion import _CHUNK
 
 ORDER_243 = CyclicOrder.from_letters((2, 4, 3))
 ORDER_12 = CyclicOrder.from_letters((1, 2))
@@ -158,6 +159,87 @@ def test_stream_matches_materialised():
     chain = pseudo_inverse_chain((2, 3, 2), u, ORDER_243)
     assert list(expand_stream((2, 3, 2), u, ORDER_243)) == list(chain)
     assert list(expand_stream((), u, ORDER_243)) == list(u)
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the chunked expander against a level-wise oracle
+
+
+def levelwise_chain(p, u, order, limit):
+    """chain(p, u) by one np.repeat per level; None once a level passes limit."""
+    cycle = np.asarray(order.arrangement, dtype=np.int64)
+    cur = np.asarray(u, dtype=np.int64)
+    for alpha in reversed(p):
+        start = order.position(alpha)
+        cur = np.repeat(cycle[(start + np.arange(cur.size)) % order.size], cur)
+        if cur.size > limit:
+            return None  # levels never shrink, so the result is longer too
+    return cur
+
+
+@st.composite
+def same_remainder_orders(draw):
+    # drawn like smoothwords.verify._random_order: n letters n*q + r with
+    # distinct quotients q in 1..5, in a random cyclic arrangement
+    n = draw(st.integers(min_value=2, max_value=4))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    quotients = draw(
+        st.lists(st.integers(1, 5), min_size=n, max_size=n, unique=True)
+    )
+    arrangement = draw(st.permutations([n * q + r for q in quotients]))
+    return CyclicOrder.from_letters(arrangement)
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_remainder_orders(), st.data())
+def test_chain_and_stream_match_levelwise_oracle(order, data):
+    p = data.draw(
+        st.lists(st.sampled_from(order.arrangement), min_size=2, max_size=6)
+    )
+    u = Word(
+        data.draw(st.lists(st.integers(1, 30), min_size=0, max_size=12))
+    )
+    limit = 32 * _CHUNK
+    expected = levelwise_chain(p, u, order, limit)
+    if expected is None:
+        with pytest.raises(ExpansionBudgetExceeded):
+            pseudo_inverse_chain(p, u, order, budget=limit)
+        return
+    got = pseudo_inverse_chain(p, u, order, budget=expected.size)
+    assert np.array_equal(got.to_array(), expected)
+    assert got.alphabet == order.alphabet
+    streamed = np.fromiter(expand_stream(p, u, order), dtype=np.int64)
+    assert np.array_equal(streamed, expected)
+    if expected.size:
+        with pytest.raises(ExpansionBudgetExceeded):
+            pseudo_inverse_chain(p, u, order, budget=expected.size - 1)
+
+
+def test_chain_crosses_chunks_and_splits_long_runs():
+    # a single run longer than a chunk, and a deep chain over many chunks
+    cases = [
+        ((2,), (3 * _CHUNK + 5,), ORDER_12),
+        ((1, 3, 1), (_CHUNK - 1, 1, _CHUNK + 1), ORDER_13),
+        ((1, 2) * 12, (2, 2), ORDER_12),
+        ((2, 4, 3) * 3, (7, 1, 9), ORDER_243),
+    ]
+    for p, u, order in cases:
+        expected = levelwise_chain(p, u, order, 10**8)
+        assert expected.size > 2 * _CHUNK
+        got = pseudo_inverse_chain(p, Word(u), order)
+        assert np.array_equal(got.to_array(), expected)
+        streamed = np.fromiter(expand_stream(p, Word(u), order), dtype=np.int64)
+        assert np.array_equal(streamed, expected)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=2**40), max_size=40))
+def test_word_from_tuple_and_array_agree(xs):
+    from_tuple = Word(tuple(xs))
+    from_array = Word.from_array(np.array(xs, dtype=np.int64))
+    assert from_tuple == from_array
+    assert hash(from_tuple) == hash(from_array)
+    assert hash(Word(np.array(xs, dtype=np.int64))) == hash(from_tuple)
+    assert from_tuple == tuple(xs) and from_array.symbols == tuple(xs)
 
 
 def test_stream_is_lazy():
@@ -302,6 +384,17 @@ def test_phi_inverse_prefix_monotone():
         big = phi_inverse_prefix(u, ORDER_12)
         small = phi_inverse_prefix(Word(symbols[:-1], ORDER_12.alphabet), ORDER_12)
         assert big.symbols[: len(small)] == small.symbols
+
+
+def test_phi_inverse_prepend_identity_exhaustive():
+    # the palindrome check relies on phi_inverse(a·u) = pseudo_inverse(a, phi_inverse(u))
+    alphabet = ORDER_13.alphabet
+    for length in range(1, 8):
+        for symbols in itertools.product((1, 3), repeat=length):
+            parent = phi_inverse_prefix(Word(symbols, alphabet), ORDER_13)
+            for a in (1, 3):
+                child = phi_inverse_prefix(Word((a,) + symbols, alphabet), ORDER_13)
+                assert child == pseudo_inverse(a, parent, ORDER_13)
 
 
 def test_phi_prefix_on_kolakoski():

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,52 @@ def test_word_alphabet_membership():
         Word((1, 4), A12)
     # exponent words carry no alphabet and accept any positive letters
     assert len(Word((7, 100))) == 2
+
+
+def test_word_alphabet_membership_edges():
+    # the membership table has to reject values below, between and past
+    # the letters, on short and long words alike
+    for bad in (0, -1, 2, 4, 10**12):
+        for w in ((bad,), (1,) * 5000 + (bad,)):
+            with pytest.raises(ValueError):
+                Word(w, A13)
+            with pytest.raises(ValueError):
+                Word.from_array(np.array(w), A13)
+    assert len(Word((3, 1) * 5000, A13)) == 10**4
+
+
+def test_word_is_one_read_only_array():
+    source = np.array([1, 2, 2], dtype=np.int64)
+    w = Word(source, A12)
+    source[0] = 2  # the constructor copies
+    assert w == (1, 2, 2)
+    arr = w.to_array()
+    assert arr.dtype == np.int64 and not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 2
+    assert type(w[0]) is int and all(type(x) is int for x in w)
+    assert w.symbols == (1, 2, 2) and w[-1] == 2
+    with pytest.raises(AttributeError):
+        w.is_prefix = True
+
+
+def test_prefix_slice_keeps_mark():
+    w = Word((1, 2, 2, 1, 1), A12, is_prefix=True)
+    for head in (w[:3], w[0:3], w[:], w[-5:], w[:99], w[:0]):
+        assert head.is_prefix
+        assert head.alphabet == A12
+    assert w[:3] == (1, 2, 2)
+    # an unmarked word's prefixes stay unmarked
+    assert not Word((1, 2, 2), A12)[:2].is_prefix
+
+
+def test_other_slices_are_unmarked():
+    w = Word((1, 2, 2, 1, 1), A12, is_prefix=True)
+    for part in (w[1:], w[-2:], w[::2], w[0:4:2], w[::-1]):
+        assert not part.is_prefix
+    assert w[1:] == (2, 2, 1, 1)
+    assert w[::2] == (1, 2, 1)
+    assert w[::-1] == (1, 1, 2, 2, 1)
 
 
 # ---------------------------------------------------------------------------
