@@ -2,9 +2,9 @@
 
 For every base sequence with distinct adjacent letters there is exactly
 one word that equals its own run-length sequence.  The generator reads
-its own output, so a prefix of any length comes out of constant
-bookkeeping plus the letters themselves; the streaming variant keeps
-only the letters between the read and write pointers.
+its run lengths from an independent copy of itself, one level deeper,
+so a cursor over the word keeps one bounded chunk per level and the
+number of levels grows with the logarithm of the letters taken.
 """
 
 import time
@@ -47,15 +47,18 @@ print(f"10^6 letters generated in {generated*1e3:.0f} ms, "
       f"fixpoint verified ({ok}) in {checked*1e3:.0f} ms")
 print()
 
-# -- the lazy stream agrees letter for letter and tracks its memory -----------
+# -- the cursor continues where it stopped, with logarithmic state ------------
 
 stream = kolakoski_stream(spec)
-prefix = stream.take(10**5)
-print("stream equals prefix:", prefix == big[:10**5])
+head = stream.take(10**5)
+rest = stream.take(9 * 10**5)
+print("two takes equal the prefix:", head == big[:10**5] and rest == big[10**5:])
 print(
-    f"pointer gap high-water mark: {stream.max_gap} letters "
-    f"({stream.max_gap / 10**5:.2%} of the output)"
+    f"{stream.position} letters from {stream.levels} levels, "
+    f"at most {stream.peak_buffered} letters buffered "
+    f"({stream.peak_buffered / stream.position:.2%} of the output)"
 )
+print()
 
 # -- any admissible base sequence works, preperiods included -------------------
 

@@ -2,7 +2,8 @@
 
 Run-length coding and its derivative, cyclic-order pseudo-inverse
 expansions, generation of generalized Kolakoski words (the fixpoints
-of run-length coding), the primitive block substitutions
+of run-length coding) by a chunked cursor whose memory grows with the
+logarithm of the letters taken, the primitive block substitutions
 that fix them, and an empirical analysis suite for letter frequencies,
 recurrence, occurrence gaps and factor-set closure.
 """

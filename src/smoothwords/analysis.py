@@ -29,6 +29,7 @@ from .expansion import (
     pseudo_inverse_with_base,
 )
 from .factors import FactorIndex
+from .kolakoski import KolakoskiStream
 from .words import (
     Alphabet,
     Permutation,
@@ -59,6 +60,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # letter frequencies
+
+_FREQ_STEP = 1 << 20  # letters counted per bincount
 
 
 @dataclass(frozen=True)
@@ -99,26 +102,39 @@ class FrequencyReport:
 
 
 def letter_frequencies(
-    stream: Word | Iterable[int],
+    stream: Word | KolakoskiStream | Iterable[int],
     samples: Sequence[int],
     alphabet: Alphabet,
 ) -> FrequencyReport:
-    """Exact letter counts of a stream's prefixes at the sampled lengths."""
+    """Exact letter counts of a stream's prefixes at the sampled lengths.
+
+    A :class:`KolakoskiStream` is read on from its position in bounded takes.
+    """
     if not samples or min(samples) < 1:
         raise ValueError("samples must be positive")
-    need = max(samples)
+    ks = sorted(set(int(s) for s in samples))
+    arr = None
     if isinstance(stream, Word):
         arr = stream.to_array()
-        if arr.size < need:
-            raise ValueError("stream exhausted before the largest sample")
-    else:
-        arr = np.fromiter(stream, dtype=np.int64, count=need)
-        if arr.size < need:
-            raise ValueError("stream exhausted before the largest sample")
+    elif not isinstance(stream, KolakoskiStream):
+        arr = np.fromiter(stream, dtype=np.int64, count=ks[-1])
+    if arr is not None and arr.size < ks[-1]:
+        raise ValueError("stream exhausted before the largest sample")
     n = alphabet.size
+    counts = np.zeros(alphabet.largest + 1, dtype=np.int64)
+    done = 0
     rows = []
-    for k in sorted(set(int(s) for s in samples)):
-        counts = np.bincount(arr[:k], minlength=alphabet.largest + 1)
+    for k in ks:
+        while done < k:
+            step = min(k - done, _FREQ_STEP)
+            block = (
+                stream.take(step).to_array()
+                if arr is None
+                else arr[done : done + step]
+            )
+            # letters past the largest are dropped here and caught below
+            counts += np.bincount(block, minlength=counts.size)[: counts.size]
+            done += step
         total = 0
         for letter in alphabet:
             c = int(counts[letter])
@@ -129,7 +145,7 @@ def letter_frequencies(
             )
         if total != k:
             raise ValueError("stream contains letters outside the alphabet")
-    return FrequencyReport(alphabet, tuple(sorted(set(samples))), rows)
+    return FrequencyReport(alphabet, tuple(ks), rows)
 
 
 def is_well_proportioned_prefix(bases: Word) -> bool:
@@ -253,11 +269,10 @@ def recurrence_report(
     for length in range(1, l_max + 1):
         groups = idx.groups(length)
         chosen = idx.groups_starting_in(length, 0, scan_len - length + 1)
-        length_rows = []
         for g in chosen:
             first = int(groups.first[g])
             second = int(groups.second[g])
-            length_rows.append(
+            rows.append(
                 RecurrenceRow(
                     length,
                     idx.factor_at(first, length),
@@ -265,8 +280,6 @@ def recurrence_report(
                     second + 1 if second >= 0 else None,
                 )
             )
-        length_rows.sort(key=lambda r: r.factor)
-        rows.extend(length_rows)
     return RecurrenceReport(n, l_max, scan_len, rows)
 
 
@@ -315,7 +328,7 @@ def max_gap_report(
     rows: list[GapRow] = []
     for length in range(1, l_max + 1):
         groups = idx.groups(length)
-        length_rows = [
+        rows.extend(
             GapRow(
                 length,
                 idx.factor_of_group(length, g),
@@ -323,9 +336,7 @@ def max_gap_report(
                 int(groups.max_gap[g]),
             )
             for g in range(groups.group_count)
-        ]
-        length_rows.sort(key=lambda r: r.factor)
-        rows.extend(length_rows)
+        )
     return GapReport(n, l_max, rows)
 
 
@@ -374,7 +385,6 @@ def gap_stability_check(w: Word, l_max: int) -> GapStability:
             a, b = int(gh.max_gap[g]), full_gap[factor]
             if a != b:
                 mismatches.append((length, factor, a, b))
-    mismatches.sort(key=lambda m: (m[0], m[1]))
     return GapStability(half, n, l_max, compared, mismatches)
 
 
@@ -432,17 +442,14 @@ def closure_check(
         ids = idx.ids(length)
         window = ids[lo : min(hi, idx.starts(length))]
         uniq, first_rel = np.unique(window, return_index=True)
-        length_misses = []
         for g, rel in zip(uniq, first_rel):
             pos = lo + int(rel)
             factor = idx.factor_at(pos, length)
             image = transform(factor)
             if image not in fset:
-                length_misses.append(
+                misses.append(
                     ClosureWitness(label, factor, image, False, pos + 1, None)
                 )
-        length_misses.sort(key=lambda m: m.factor)
-        misses.extend(length_misses)
     return misses
 
 

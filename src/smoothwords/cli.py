@@ -126,14 +126,14 @@ def _sink(args) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-def _emit_word(args, word: Word) -> None:
+def _emit_word(args, word: Word, **extra) -> None:
     if len(word) > STDOUT_SYMBOL_LIMIT and not getattr(args, "output", None):
         raise _UsageError(
             f"{len(word)} symbols exceed the stdout limit of "
             f"{STDOUT_SYMBOL_LIMIT}; pass --output FILE"
         )
     with _sink(args) as out:
-        print(_config_line(args), file=out)
+        print(_config_line(args, **extra), file=out)
         print(format_symbols(word), file=out)
 
 
@@ -155,25 +155,10 @@ def cmd_generate(args) -> int:
         fallback=_letters(args.base_period or "")
         + _letters(args.base_preperiod or ""),
     )
-    spec = _base_spec(args, alphabet)
-    if args.stats:
-        stream = kolakoski_stream(spec)
-        word = stream.take(args.length)
-        gap_note = {
-            "max_gap": stream.max_gap,
-            "gap_ratio": round(stream.max_gap / max(args.length, 1), 6),
-        }
-    else:
-        word = kolakoski_prefix(spec, args.length)
-        gap_note = {}
-    if len(word) > STDOUT_SYMBOL_LIMIT and not args.output:
-        raise _UsageError(
-            f"{len(word)} symbols exceed the stdout limit of "
-            f"{STDOUT_SYMBOL_LIMIT}; pass --output FILE"
-        )
-    with _sink(args) as out:
-        print(_config_line(args, **gap_note), file=out)
-        print(format_symbols(word), file=out)
+    stream = kolakoski_stream(_base_spec(args, alphabet))
+    word = stream.take(args.length)
+    stats = {"levels": stream.levels, "peak_buffered": stream.peak_buffered}
+    _emit_word(args, word, **(stats if args.stats else {}))
     return 0
 
 
@@ -219,15 +204,19 @@ def cmd_phi_inverse(args) -> int:
 def cmd_freq(args) -> int:
     alphabet = _alphabet(args, fallback=_letters(args.base_period or ""))
     if args.input:
-        word = _read_word(args, alphabet)
+        source = _read_word(args, alphabet)
+        length = len(source)
     else:
-        word = kolakoski_prefix(_base_spec(args, alphabet), args.length)
+        source = kolakoski_stream(_base_spec(args, alphabet))
+        length = args.length
     samples = (
         [int(s) for s in args.samples.split(",")]
         if args.samples
-        else [len(word)]
+        else [length]
     )
-    report = analysis.letter_frequencies(word, samples, alphabet)
+    if max(samples) > length:
+        raise _UsageError(f"sample {max(samples)} exceeds the length {length}")
+    report = analysis.letter_frequencies(source, samples, alphabet)
     with _sink(args) as out:
         print(_config_line(args), file=out)
         report.to_csv(out)
@@ -413,7 +402,9 @@ def build_parser() -> _Parser:
     p.add_argument("--base-preperiod", default="")
     p.add_argument("--base-period", required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--stats", action="store_true", help="report pointer-gap stats")
+    p.add_argument(
+        "--stats", action="store_true", help="report level depth and peak buffer"
+    )
     p.add_argument("--output")
     p.set_defaults(func=cmd_generate)
 

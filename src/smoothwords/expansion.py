@@ -165,38 +165,45 @@ def pseudo_inverse_with_base(u: Word, v: Word) -> Word:
 #
 # A chain level turns a stream of exponent chunks into a stream of letter
 # chunks of at most _CHUNK letters (one run longer than that is split),
-# carrying its position in the cyclic order from one chunk to the next.
-# Memory is one chunk per chain level.
+# carrying its position in the cycle of run letters from one chunk to the
+# next.  Memory is one chunk per chain level.  The Kolakoski generator
+# expands its levels with the same function, its cycle being the period.
 
 _CHUNK = 1 << 14
 
 
 def _expand_chunks(
-    alpha: int, exponent_chunks: Iterator[np.ndarray], order: CyclicOrder
+    cycle: np.ndarray, start: int, exponent_chunks: Iterable[np.ndarray]
 ) -> Iterator[np.ndarray]:
-    """Letters of ``pseudo_inverse(alpha, ·)`` over a chunked exponent word."""
+    """Runs ``cycle[start]^e1 cycle[start+1]^e2 ...`` (indices wrap) in chunks."""
+    ring = cycle  # the cycle repeated; bases are one slice of it
     for exps in exponent_chunks:
-        bases = order.letters_from(alpha, exps.size)
-        alpha = order.advance(alpha, exps.size)
+        if start + exps.size > ring.size:
+            ring = np.tile(cycle, exps.size // cycle.size + 2)
+        bases = ring[start : start + exps.size]
+        start = (start + exps.size) % cycle.size
         if exps.sum() <= _CHUNK:
             yield bases.repeat(exps)
             continue
         ends = exps.cumsum()
-        starts = ends - exps
-        for lo in range(0, int(ends[-1]), _CHUNK):
-            hi = lo + _CHUNK
-            # runs i..j-1 overlap the output slice [lo, hi); clip them to it
-            i, j = ends.searchsorted(lo, "right"), starts.searchsorted(hi)
-            counts = np.minimum(ends[i:j], hi) - np.maximum(starts[i:j], lo)
-            yield bases[i:j].repeat(counts)
+        total = int(ends[-1])
+        for lo in range(0, total, _CHUNK):
+            hi = min(lo + _CHUNK, total)
+            # runs i..j overlap the output slice [lo, hi); clip the outer two
+            i, j = ends.searchsorted(lo, "right"), ends.searchsorted(hi)
+            counts = exps[i : j + 1].copy()
+            counts[0] -= lo - (ends[i] - exps[i])
+            counts[-1] -= ends[j] - hi
+            yield bases[i : j + 1].repeat(counts)
 
 
 def _chain_chunks(
     p: tuple[int, ...], u: Word, order: CyclicOrder
 ) -> Iterator[np.ndarray]:
+    cycle = np.asarray(order.arrangement, dtype=np.int64)
     chunks: Iterator[np.ndarray] = iter((_check_exponents(u),))
     for alpha in reversed(p):
-        chunks = _expand_chunks(alpha, chunks, order)
+        chunks = _expand_chunks(cycle, order.position(alpha), chunks)
     return chunks
 
 

@@ -2,12 +2,13 @@
 
 For every base sequence ``u`` with no two equal adjacent letters there
 is exactly one word equal to its own run-length sequence whose j-th run
-uses letter ``u_j``.  The generator below reads its own output: run j
-is ``u_j`` repeated ``w[j]`` times.  The only subtlety is the head of
-the word, where a run contains the very position that defines its
+uses letter ``u_j``: run j is ``u_j`` repeated ``w[j]`` times.  At the
+head of the word a run can contain the very position that defines its
 length; there the length must equal the run's own letter (the first
 letter of run j is at position j in that case), which also seeds
-``w[1] = u_1``.
+``w[1] = u_1``.  Past the head the generator reads the run lengths from
+an independent copy of itself (J. Nilsson, J. Integer Sequences 15,
+2012), so its memory grows with the logarithm of the letters generated.
 
 Base sequences are restricted to the eventually periodic ones
 (preperiod + period), which covers every word exercised here.
@@ -15,12 +16,13 @@ Base sequences are restricted to the eventually periodic ones
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
+from .expansion import _expand_chunks
 from .words import Alphabet, Word, _run_arrays
 
 __all__ = [
@@ -74,43 +76,100 @@ class BaseSequenceSpec:
             return self.preperiod[j]
         return self.period[(j - len(self.preperiod)) % len(self.period)]
 
-    def base_slice(self, j0: int, j1: int) -> np.ndarray:
-        """Letters for run indices ``j0..j1`` inclusive (1-based)."""
-        idx = np.arange(j0 - 1, j1)
-        out = np.empty(idx.size, dtype=np.int64)
-        pre = np.asarray(self.preperiod, dtype=np.int64)
-        per = np.asarray(self.period, dtype=np.int64)
-        in_pre = idx < pre.size
-        if pre.size:
-            out[in_pre] = pre[idx[in_pre]]
-        rest = idx[~in_pre] - pre.size
-        out[~in_pre] = per[rest % per.size]
-        return out
+
+# Runs each level takes from the self-reading loop (more for a longer
+# preperiod).  Past run 2 a run starts after the letter holding its length,
+# so a copy skipped to the head never reads ahead; a longer head saves levels.
+_HEAD = 64
 
 
-def _prefix_array(spec: BaseSequenceSpec, m: int) -> np.ndarray:
-    out = np.empty(m, dtype=np.int64)
-    written = 0
-    run = 1  # 1-based index of the next run to expand
-    while written < m:
-        if run > written:
-            # self-referential head: this run contains the position that
-            # defines its own length, so the length is the run's letter
-            letter = spec.base_letter(run)
-            take = min(letter, m - written)
-            out[written : written + take] = letter
-            written += take
-            run += 1
-        else:
-            hi = written  # runs run..hi have known lengths in out already
-            lengths = out[run - 1 : hi]
-            letters = spec.base_slice(run, hi)
-            expanded = np.repeat(letters, lengths)
-            take = min(expanded.size, m - written)
-            out[written : written + take] = expanded[:take]
-            written += take
-            run = hi + 1
-    return out
+class KolakoskiStream:
+    """Lazy chunked cursor over a run-length fixpoint.
+
+    Each level emits its first ``H`` runs from a self-reading loop and
+    every later run over the period, with lengths read from the next
+    level: a copy of the word skipped to letter ``H``.  Levels start when
+    first read, so ``m`` letters with mean run length r take about
+    log_r(m/H) levels of one chunk (at most ``expansion._CHUNK`` letters)
+    each.  ``levels`` counts them; ``peak_buffered`` sums each level's
+    largest chunk.  Single-owner mutable state: one thread at a time.
+    """
+
+    def __init__(self, spec: BaseSequenceSpec) -> None:
+        self.spec = spec
+        self.position = 0  # letters taken so far
+        head = max(_HEAD, len(spec.preperiod))
+        bases = [spec.base_letter(j) for j in range(1, head + 1)]
+        lengths: list[int] = []
+        for j, letter in enumerate(bases):
+            # a run that starts at position j contains the letter that
+            # defines its own length, so that length is the run's letter;
+            # capping a run at ``head`` letters keeps lengths[:head] exact
+            run = letter if j == len(lengths) else lengths[j]
+            lengths.extend([letter] * min(run, head))
+        self._peaks: list[int] = []
+        # the levels hold no reference to the cursor, so dropping it frees
+        # their chunks at once instead of at the next cycle collection
+        self._chunks = _level(
+            np.array([bases, lengths[:head]], dtype=np.int64),
+            np.asarray(spec.period, dtype=np.int64),
+            (head - len(spec.preperiod)) % len(spec.period),
+            0,
+            self._peaks,
+        )
+        self._pending = np.empty(0, dtype=np.int64)
+
+    @property
+    def levels(self) -> int:
+        return len(self._peaks)
+
+    @property
+    def peak_buffered(self) -> int:
+        return sum(self._peaks)
+
+    def take(self, m: int) -> Word:
+        """The next ``m`` letters; prefix-marked when they start the word."""
+        if m < 1:
+            raise ValueError("m must be positive")
+        out = np.empty(m, dtype=np.int64)
+        filled = 0
+        while filled < m:
+            if not self._pending.size:
+                self._pending = next(self._chunks)
+            n = min(m - filled, self._pending.size)
+            out[filled : filled + n] = self._pending[:n]
+            self._pending = self._pending[n:]
+            filled += n
+        is_prefix = self.position == 0
+        self.position += m
+        return Word.from_array(
+            out, self.spec.alphabet, is_prefix=is_prefix, validate=False
+        )
+
+
+def _level(
+    head: np.ndarray, period: np.ndarray, start: int, skip: int, peaks: list[int]
+) -> Iterator[np.ndarray]:
+    """The word from letter ``skip`` on, in chunks; its largest joins ``peaks``.
+
+    ``head`` holds the first runs' letters and lengths; later runs walk
+    ``period`` from ``start`` with lengths read from a deeper copy.
+    """
+    depth = len(peaks)
+    peaks.append(0)
+    bases, lengths = head
+    tail = _expand_chunks(period, start, _level(head, period, start, bases.size, peaks))
+    for chunk in chain(_expand_chunks(bases, 0, (lengths,)), tail):
+        if skip:
+            chunk, skip = chunk[skip:], max(skip - chunk.size, 0)
+        if chunk.size:
+            peaks[depth] = max(peaks[depth], chunk.size)
+            yield chunk
+
+
+def kolakoski_stream(spec: BaseSequenceSpec) -> KolakoskiStream:
+    """A fresh lazy cursor over ``spec``."""
+    return KolakoskiStream(spec)
 
 
 def kolakoski_prefix(spec: BaseSequenceSpec, m: int) -> Word:
@@ -119,78 +178,7 @@ def kolakoski_prefix(spec: BaseSequenceSpec, m: int) -> Word:
     The result is prefix-marked: its final run may continue beyond the
     requested length.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    return Word.from_array(
-        _prefix_array(spec, m), spec.alphabet, is_prefix=True, validate=False
-    )
-
-
-@dataclass
-class KolakoskiStream:
-    """Lazy letter stream of a run-length fixpoint.
-
-    A two-pointer self-reading cursor: ``write_count`` letters have been
-    emitted, ``read_index`` is the run whose length is consumed next,
-    and ``buffer`` holds exactly the emitted letters not yet consumed.
-    The pointer gap (buffer length) is the stream's whole memory beyond
-    O(1) state; ``max_gap`` records its high-water mark.
-
-    Single-owner mutable state: one thread at a time.
-    """
-
-    spec: BaseSequenceSpec
-    write_count: int = 0
-    read_index: int = 1
-    pending_letter: int = 0
-    pending_count: int = 0
-    buffer: deque = field(default_factory=deque)
-    max_gap: int = 0
-    _swallow_next: bool = field(default=False, repr=False)
-
-    def __iter__(self) -> Iterator[int]:
-        return self
-
-    def __next__(self) -> int:
-        if self.pending_count == 0:
-            self._start_run()
-        self.pending_count -= 1
-        letter = self.pending_letter
-        self.write_count += 1
-        if self._swallow_next:
-            # this letter sits at the position the current run's length
-            # was read from; it is already consumed
-            self._swallow_next = False
-        else:
-            self.buffer.append(letter)
-        gap = len(self.buffer)
-        if gap > self.max_gap:
-            self.max_gap = gap
-        return letter
-
-    def _start_run(self) -> None:
-        j = self.read_index
-        letter = self.spec.base_letter(j)
-        if j > self.write_count:
-            length = letter
-            self._swallow_next = True
-        else:
-            length = self.buffer.popleft()
-        self.pending_letter = letter
-        self.pending_count = length
-        self.read_index += 1
-
-    def take(self, m: int) -> Word:
-        """Collect the next ``m`` letters as a prefix-marked word."""
-        out = np.fromiter(self, dtype=np.int64, count=m)
-        return Word.from_array(
-            out, self.spec.alphabet, is_prefix=True, validate=False
-        )
-
-
-def kolakoski_stream(spec: BaseSequenceSpec) -> KolakoskiStream:
-    """A fresh lazy stream over ``spec``; equals ``kolakoski_prefix`` pullwise."""
-    return KolakoskiStream(spec)
+    return KolakoskiStream(spec).take(m)
 
 
 def verify_fixpoint_prefix(w: Word) -> bool:

@@ -352,12 +352,12 @@ def build_sigma_even_n(alphabet: Alphabet, order: CyclicOrder) -> Substitution:
     # reorder rules so A's come before B's in a fixed symbol order
     ordered = {f"A{i}": rules[f"A{i}"] for i in range(1, n + 1)}
     ordered.update({f"B{i}": rules[f"B{i}"] for i in range(1, m + 1)})
-    sub = Substitution(
-        ordered, _block_table(block_pairs), alphabet, order=order, seed=""
+    # the seed's block starts the fixpoint word: A1 = c_1^n, or B1 =
+    # c_1^r c_2^r when q_1 = 0 (A1's rule then opens with B1)
+    seed = "A1" if qs[0] else "B1"
+    return Substitution(
+        ordered, _block_table(block_pairs), alphabet, order=order, seed=seed
     )
-    if not sub.seed:
-        raise ValueError("no prolongable symbol; construction failed")
-    return sub
 
 
 def build_substitution(alphabet: Alphabet, order: CyclicOrder) -> Substitution:

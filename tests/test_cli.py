@@ -36,7 +36,9 @@ def test_generate_stats_line(capsys):
     )
     out = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert "max_gap=" in out[0]
+    stats = dict(f.split("=") for f in out[0].split() if "=" in f)
+    assert int(stats["levels"]) >= 1
+    assert int(stats["peak_buffered"]) > 0
 
 
 def test_expand_worked_example(capsys):
@@ -169,6 +171,14 @@ def test_freq_csv_and_tolerance(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+def test_freq_sample_beyond_length(capsys):
+    code = main(
+        ["freq", "--base-period", "1,2", "--length", "100", "--samples", "101"]
+    )
+    assert code == 1
+    assert "exceeds the length" in capsys.readouterr().err
 
 
 def test_recur_exit_codes(tmp_path, capsys):

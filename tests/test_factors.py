@@ -46,6 +46,24 @@ def test_index_matches_naive_on_smooth_prefix():
             assert groups.max_gap[g] == ref.max_gap(factor)
 
 
+def test_groups_are_in_lexicographic_factor_order():
+    # reports list rows in group order and rely on it being sorted
+    rng = np.random.default_rng(1)
+    words = [
+        kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 3000),
+        kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2, 3)), (3, 1, 2)), 3000),
+        rng.integers(1, 4, size=800),
+        rng.integers(1, 10, size=500),
+    ]
+    for w in words:
+        idx = FactorIndex(w, 13)
+        ref = NaiveFactorScan(w, 13)
+        for length in range(1, 14):
+            count = idx.groups(length).group_count
+            factors = [idx.factor_of_group(length, g) for g in range(count)]
+            assert factors == sorted(ref.factor_set(length))
+
+
 def test_factor_count_never_exceeds_window():
     w = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 5000)
     idx = FactorIndex(w, 10)

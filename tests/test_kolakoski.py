@@ -1,6 +1,9 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from smoothwords import (
     Alphabet,
@@ -12,6 +15,8 @@ from smoothwords import (
     rle_encode,
     verify_fixpoint_prefix,
 )
+from smoothwords.expansion import _CHUNK
+from smoothwords.kolakoski import _HEAD
 
 A12 = Alphabet((1, 2))
 A123 = Alphabet((1, 2, 3))
@@ -73,13 +78,88 @@ def test_stream_equals_prefix():
 
 
 def test_stream_state_invariants():
-    spec = BaseSequenceSpec(A12, (1, 2))
+    # levels grow as log_r(m/H) in the mean run length r, and each level
+    # holds at most one chunk
+    for alphabet, period, preperiod in [
+        (A12, (1, 2), ()),
+        (A123, (1, 2, 3), (2,)),
+        (A123, (3, 1), (2, 3, 2)),
+    ]:
+        spec = BaseSequenceSpec(alphabet, period, preperiod)
+        stream = kolakoski_stream(spec)
+        letters = kolakoski_prefix(spec, 10**6).to_array()
+        levels = 0
+        for m in (100, 10**3, 10**4, 10**5, 10**6):
+            stream.take(m - stream.position)
+            assert stream.position == m
+            assert levels <= stream.levels  # levels are never dropped
+            levels = stream.levels
+            r = letters[:m].mean()
+            assert levels <= math.ceil(math.log(m / _HEAD, r)) + 2
+            assert 0 < stream.peak_buffered <= levels * _CHUNK
+        assert levels > 10
+
+
+def _oracle(spec: BaseSequenceSpec, m: int) -> list[int]:
+    """Per-run self-reading definition: run j is u_j repeated w[j] times."""
+    w: list[int] = []
+    j = 0
+    while len(w) < m:
+        letter = spec.base_letter(j + 1)
+        w.extend([letter] * (letter if j == len(w) else w[j]))
+        j += 1
+    return w[:m]
+
+
+@st.composite
+def specs(draw):
+    letters = st.integers(min_value=1, max_value=6)
+    period = tuple(draw(st.lists(letters, min_size=2, max_size=4)))
+    preperiod = tuple(draw(st.lists(letters, max_size=3)))
+    try:
+        return BaseSequenceSpec(
+            Alphabet(tuple(sorted(set(period + preperiod)))), period, preperiod
+        )
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs(),
+    # short words cross the head and the first levels, long ones chunks
+    st.integers(min_value=1, max_value=1000)
+    | st.integers(min_value=_CHUNK - 100, max_value=3 * _CHUNK),
+    st.data(),
+)
+def test_cursor_matches_self_reading_oracle(spec, m, data):
+    expected = _oracle(spec, m)
+    assert kolakoski_prefix(spec, m).to_array().tolist() == expected
+    a = data.draw(st.integers(min_value=1, max_value=m))
     stream = kolakoski_stream(spec)
-    for _ in range(10**4):
-        next(stream)
-        assert stream.read_index <= stream.write_count + 1
-        assert len(stream.buffer) <= stream.write_count - stream.read_index + 2
-    assert stream.max_gap > 0
+    head = stream.take(a)
+    tail = stream.take(m - a) if m > a else head[:0]
+    assert head.to_array().tolist() + tail.to_array().tolist() == expected
+
+
+def test_consecutive_takes_continue_the_word():
+    spec = BaseSequenceSpec(A123, (1, 2, 3), preperiod=(2,))
+    whole = kolakoski_prefix(spec, 3 * _CHUNK)
+    for a in (5, _HEAD, _CHUNK - 1, _CHUNK + 7):
+        stream = kolakoski_stream(spec)
+        first, rest = stream.take(a), stream.take(3 * _CHUNK - a)
+        assert first == whole[:a] and rest == whole[a:]
+        # only a take that starts at letter 0 is a prefix of the word
+        assert first.is_prefix and verify_fixpoint_prefix(first)
+        assert not rest.is_prefix
+
+
+def test_take_rejects_nonpositive_lengths():
+    stream = kolakoski_stream(BaseSequenceSpec(A12, (1, 2)))
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            stream.take(m)
+    assert stream.position == 0
 
 
 def test_stream_determinism():

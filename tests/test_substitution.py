@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -112,11 +114,29 @@ def test_dispatch():
     )
     a13 = Alphabet((1, 3))
     sub = build_substitution(a13, CyclicOrder(a13, (1, 3)))
-    # zero quotient: the A1 rule cannot start with A1, the seed is searched
+    # zero quotient: the word starts with the block of B1
     assert sub.seed == "B1"
     assert verify_substitution_fixpoint(
         sub, BaseSequenceSpec(a13, (1, 3)), 10**4
     )
+
+
+ZERO_QUOTIENT_ORDERS = [
+    (letters[0],) + rest
+    for letters in [(1, 5, 9, 13), (3, 7, 11, 15), (1, 7, 13, 19, 25, 31)]
+    for rest in itertools.permutations(letters[1:])
+]
+
+
+@pytest.mark.parametrize(
+    "order", ZERO_QUOTIENT_ORDERS, ids=lambda o: "-".join(map(str, o))
+)
+def test_zero_quotient_orders_seed_from_b1(order):
+    # q_1 = 0: the word starts with c_1^r c_2^r, the block of B1, not A1
+    a = Alphabet(tuple(sorted(order)))
+    sub = build_substitution(a, CyclicOrder(a, order))
+    assert sub.seed == "B1"
+    assert verify_substitution_fixpoint(sub, BaseSequenceSpec(a, order), 10**4)
 
 
 def test_sing_matches_general_construction():
