@@ -28,7 +28,7 @@ from .expansion import (
     pseudo_inverse,
     pseudo_inverse_with_base,
 )
-from .factors import FactorIndex
+from .factors import FactorIndex, _occurrence_stats
 from .kolakoski import KolakoskiStream
 from .words import (
     Alphabet,
@@ -362,29 +362,24 @@ class GapStability:
 
 
 def gap_stability_check(w: Word, l_max: int) -> GapStability:
-    """Compare max gaps per factor measured at |w|/2 and |w|."""
+    """Compare max gaps per factor measured at |w|/2 and |w|, on one index."""
     n = len(w)
     half = n // 2
-    half_word = Word.from_array(
-        w.to_array()[:half], w.alphabet, is_prefix=True, validate=False
-    )
-    idx_half = FactorIndex(half_word, l_max)
-    idx_full = FactorIndex(w, l_max)
+    if half < l_max:
+        raise ValueError("half prefix shorter than l_max")
+    idx = FactorIndex(w, l_max)
     mismatches = []
     compared = 0
     for length in range(1, l_max + 1):
-        gh = idx_half.groups(length)
-        gf = idx_full.groups(length)
-        full_gap = {
-            idx_full.factor_of_group(length, g): int(gf.max_gap[g])
-            for g in range(gf.group_count)
-        }
-        for g in range(gh.group_count):
-            factor = idx_half.factor_of_group(length, g)
-            compared += 1
-            a, b = int(gh.max_gap[g]), full_gap[factor]
-            if a != b:
-                mismatches.append((length, factor, a, b))
+        full = idx.groups(length)
+        present, *_, gap_half = _occurrence_stats(
+            full.ids[: half - length + 1], full.group_count
+        )
+        compared += present.size
+        gap_full = full.max_gap[present]
+        for g in np.flatnonzero(gap_half != gap_full):
+            factor = idx.factor_of_group(length, present[g])
+            mismatches.append((length, factor, int(gap_half[g]), int(gap_full[g])))
     return GapStability(half, n, l_max, compared, mismatches)
 
 
@@ -437,12 +432,9 @@ def closure_check(
     lo, hi = n // 3, 2 * n // 3
     misses: list[ClosureWitness] = []
     for length in range(1, l_max + 1):
-        groups = idx.groups(length)
         fset = idx.factor_set(length)
-        ids = idx.ids(length)
-        window = ids[lo : min(hi, idx.starts(length))]
-        uniq, first_rel = np.unique(window, return_index=True)
-        for g, rel in zip(uniq, first_rel):
+        _, first_rel = np.unique(idx.ids(length)[lo:hi], return_index=True)
+        for rel in first_rel:
             pos = lo + int(rel)
             factor = idx.factor_at(pos, length)
             image = transform(factor)

@@ -1,12 +1,13 @@
 """Exact factor indexing for long words.
 
-The index assigns every position a dense id for the factor of length L
-starting there, for any L up to a configured maximum.  Ids come from
-rank doubling: ranks for power-of-two lengths are built once, and an id
-for arbitrary L is the dense pairing of two overlapping power-of-two
-ranks.  Two positions share an id iff the factors are equal, so all the
-statistics derived from ids (occurrence counts, first/second/last
-occurrence, maximal gaps between consecutive occurrences) are exact.
+Start positions are sorted by their first 2^K >= l_max letters (a
+truncated suffix order, by Manber & Myers' prefix doubling), with the
+common-prefix length of each adjacent pair capped at l_max (the capped
+LCP).  Factors of length L are the runs of that order cut where the LCP
+is below L: ids in lexicographic factor order, in the smallest unsigned
+dtype, with no sort per length.  Two positions share an id iff the
+factors are equal, so all the statistics derived from ids (occurrence
+counts, first/second/last occurrence, maximal gaps) are exact.
 
 A deliberately naive quadratic scanner with the same interface is kept
 as a test oracle.
@@ -27,22 +28,16 @@ from .words import Word
 __all__ = ["FactorGroups", "FactorIndex", "NaiveFactorScan"]
 
 
-def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense 0-based ids preserving equality, plus the id count."""
-    uniq, inv = np.unique(values, return_inverse=True)
-    return inv.astype(np.int64), int(uniq.size)
-
-
 @dataclass(frozen=True)
 class FactorGroups:
     """Per-distinct-factor occurrence statistics for one length.
 
     Group g collects the start positions (0-based) of the g-th distinct
-    factor in id order.  ``max_gap`` is 0 for factors occurring once.
+    factor in lexicographic order; ``max_gap`` is 0 if it occurs once.
     """
 
     length: int
-    ids: np.ndarray  # dense id per start position
+    ids: np.ndarray  # group id per start position, smallest unsigned dtype
     first: np.ndarray
     second: np.ndarray  # -1 where the factor occurs only once
     last: np.ndarray
@@ -54,8 +49,34 @@ class FactorGroups:
         return self.first.size
 
 
+def _occurrence_stats(ids: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """``(present, first, second, last, count, max_gap)`` of the start
+    positions grouped by id (ids < size), for each id present, in id order."""
+    order = np.argsort(ids, kind="stable")  # radix sort for 8/16-bit ids
+    count = np.bincount(ids, minlength=size)
+    present = np.flatnonzero(count)
+    count = count[present]
+    ends = np.cumsum(count)
+    starts = ends - count
+    first = order[starts]
+    last = order[ends - 1]
+    second = np.where(count >= 2, order[np.minimum(starts + 1, order.size - 1)], -1)
+    # gaps between consecutive occurrences; zeros at group boundaries
+    gaps = np.empty_like(order)
+    np.subtract(order[1:], order[:-1], out=gaps[:-1])
+    gaps[ends - 1] = 0
+    max_gap = np.maximum.reduceat(gaps, starts)
+    return present, first, second, last, count, max_gap
+
+
 class FactorIndex:
-    """Exact factor ids and occurrence statistics for lengths 1..l_max."""
+    """Exact factor ids and occurrence statistics for lengths 1..l_max.
+
+    ``order`` is the truncated suffix order and ``lcp[j]`` the capped LCP
+    of ``order[j-1]`` and ``order[j]`` (``lcp[0] = 0``).  Letters rank as
+    dense ranks + 1 and the word is padded with rank 0, so a position near
+    the end sorts below every factor it is a proper prefix of.
+    """
 
     def __init__(self, word: Word | np.ndarray, l_max: int):
         arr = word.to_array() if isinstance(word, Word) else np.asarray(word)
@@ -65,24 +86,45 @@ class FactorIndex:
             raise ValueError("word shorter than l_max")
         self.arr = arr.astype(np.int64, copy=False)
         self.l_max = l_max
-        self._pow_ranks: list[np.ndarray] = []
-        self._pow_counts: list[int] = []
-        self._ids_cache: dict[int, tuple[np.ndarray, int]] = {}
         self._groups_cache: dict[int, FactorGroups] = {}
         self._sets_cache: dict[int, set[tuple[int, ...]]] = {}
-        ranks, count = _dense(self.arr)
-        self._pow_ranks.append(ranks)
-        self._pow_counts.append(count)
-        half = 1
-        while 2 * half <= l_max:
-            prev = self._pow_ranks[-1]
-            width = 2 * half
-            m = self.arr.size - width + 1
-            combo = prev[:m] * self._pow_counts[-1] + prev[half : half + m]
-            ranks, count = _dense(combo)
-            self._pow_ranks.append(ranks)
-            self._pow_counts.append(count)
-            half = width
+        n = self.arr.size
+        letters = np.unique(self.arr)
+        rank = np.searchsorted(letters, self.arr) + 1  # rank 0 is the padding
+        rank = rank.astype(np.min_scalar_type(letters.size))
+        order = np.argsort(rank, kind="stable")
+        ranked = rank[order]  # ranks in sorted order
+        levels = []  # ranks of widths 1, 2, 4, ... below the final one
+        width = 1
+        while width < l_max:
+            levels.append(np.pad(rank, (0, 1)))
+            # sort by (rank[i], rank[i + width]): positions whose second
+            # half is all padding first, then by the order already known
+            tail = order >= width
+            by_second = np.concatenate((np.arange(n - width, n), order[tail] - width))
+            second = np.concatenate((np.zeros(width, ranked.dtype), ranked[tail]))
+            first = rank[by_second]
+            perm = np.argsort(first, kind="stable")  # radix sort for 8/16-bit ranks
+            order = by_second[perm]
+            first, second = first[perm], second[perm]
+            new = np.ones(n, dtype=bool)
+            new[1:] = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
+            ranked = np.cumsum(new, dtype=np.min_scalar_type(np.count_nonzero(new)))
+            rank = np.empty_like(ranked)
+            rank[order] = ranked
+            width *= 2
+        # binary lifting, for the adjacent pairs that differ within the
+        # final width; every other pair shares at least l_max letters
+        j = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+        a, b = order[j - 1], order[j]
+        common = np.zeros(j.size, dtype=np.int64)
+        for k in reversed(range(len(levels))):
+            r = levels[k]
+            common += (r[a + common] == r[b + common]) * (1 << k)
+        self.order = order
+        self.lcp = np.full(n, l_max, dtype=np.min_scalar_type(l_max))
+        self.lcp[0] = 0
+        self.lcp[j] = np.minimum(common, l_max)
 
     def __len__(self) -> int:
         return self.arr.size
@@ -92,56 +134,26 @@ class FactorIndex:
         return self.arr.size - length + 1
 
     def ids(self, length: int) -> np.ndarray:
-        """Dense factor id at every start position, for one length."""
-        return self._ids_and_count(length)[0]
-
-    def _ids_and_count(self, length: int) -> tuple[np.ndarray, int]:
-        if not 1 <= length <= self.l_max:
-            raise ValueError(f"length must be in 1..{self.l_max}")
-        cached = self._ids_cache.get(length)
-        if cached is not None:
-            return cached
-        level = length.bit_length() - 1  # largest power of two <= length
-        half = 1 << level
-        if half == length:
-            ranks = self._pow_ranks[level]
-            m = self.starts(length)
-            result = ranks[:m], self._pow_counts[level]
-        else:
-            ranks = self._pow_ranks[level]
-            m = self.starts(length)
-            combo = (
-                ranks[:m] * self._pow_counts[level]
-                + ranks[length - half : length - half + m]
-            )
-            result = _dense(combo)
-        self._ids_cache[length] = result
-        return result
+        """Group id at every start position, for one length."""
+        return self.groups(length).ids
 
     def groups(self, length: int) -> FactorGroups:
         """Occurrence statistics per distinct factor of one length."""
+        if not 1 <= length <= self.l_max:
+            raise ValueError(f"length must be in 1..{self.l_max}")
         cached = self._groups_cache.get(length)
         if cached is not None:
             return cached
-        ids, _count = self._ids_and_count(length)
-        order = np.argsort(ids, kind="stable")
-        s = ids[order]
-        boundary = np.flatnonzero(np.diff(s)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), boundary))
-        ends = np.concatenate((boundary, np.array([s.size], dtype=np.int64)))
-        counts = ends - starts
-        first = order[starts]
-        last = order[ends - 1]
-        second = np.where(counts >= 2, order[np.minimum(starts + 1, s.size - 1)], -1)
-        # gaps between consecutive occurrences; zeros at group boundaries
-        diffs = np.diff(order)
-        same = np.diff(s) == 0
-        masked = np.where(same, diffs, 0)
-        masked = np.concatenate((masked, np.zeros(1, dtype=np.int64)))
-        max_gap = np.maximum.reduceat(masked, starts)
-        groups = FactorGroups(
-            length, ids, first, second, last, counts, max_gap
-        )
+        m = self.starts(length)
+        # by the padding rule, dropping the last L - 1 positions splits no group
+        keep = self.order < m
+        new = self.lcp[keep] < length
+        count = int(np.count_nonzero(new))
+        new[0] = False
+        ids = np.empty(m, dtype=np.min_scalar_type(count - 1))
+        ids[self.order[keep]] = np.cumsum(new, dtype=ids.dtype)
+        _, first, second, last, counts, max_gap = _occurrence_stats(ids, count)
+        groups = FactorGroups(length, ids, first, second, last, counts, max_gap)
         self._groups_cache[length] = groups
         return groups
 
@@ -173,15 +185,10 @@ class FactorIndex:
     def groups_starting_in(self, length: int, lo: int, hi: int) -> np.ndarray:
         """Group indices with at least one occurrence starting in [lo, hi).
 
-        Dense ids double as group indices, so the distinct ids in the
-        window are exactly the groups sought.
+        Ids double as group indices, so the distinct ids in the window
+        are exactly the groups sought.
         """
-        m = self.starts(length)
-        lo = max(lo, 0)
-        hi = min(hi, m)
-        if lo >= hi:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self.ids(length)[lo:hi])
+        return np.unique(self.ids(length)[max(lo, 0) : max(hi, 0)])
 
 
 class NaiveFactorScan:

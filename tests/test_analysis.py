@@ -7,6 +7,7 @@ from smoothwords import (
     Alphabet,
     BaseSequenceSpec,
     CyclicOrder,
+    NaiveFactorScan,
     Permutation,
     Word,
     closure_check,
@@ -190,6 +191,38 @@ def test_max_gap_known_factor_stable():
     )
     full = max_gap_report(w, 4)
     assert half.gap_of((2, 2, 4, 4)) == full.gap_of((2, 2, 4, 4)) > 0
+
+
+def _naive_gap_stability(arr, l_max):
+    """(compared, mismatches) from naive scans of the half and whole word."""
+    half = NaiveFactorScan(arr[: arr.size // 2], l_max)
+    full = NaiveFactorScan(arr, l_max)
+    compared, mismatches = 0, []
+    for length in range(1, l_max + 1):
+        for factor in sorted(half.factor_set(length)):
+            compared += 1
+            a, b = half.max_gap(factor), full.max_gap(factor)
+            if a != b:
+                mismatches.append((length, factor, a, b))
+    return compared, mismatches
+
+
+def test_gap_stability_matches_naive_scans():
+    rng = np.random.default_rng(7)
+    words = [rng.integers(1, 4, size=int(rng.integers(12, 200))) for _ in range(40)]
+    words += [
+        kolakoski_prefix(BaseSequenceSpec(A12, (1, 2)), 2000).to_array(),
+        kolakoski_prefix(BaseSequenceSpec(A369, (3, 6, 9)), 3000).to_array(),
+    ]
+    moved = 0
+    for arr in words:
+        l_max = min(6, arr.size // 2)
+        stability = gap_stability_check(Word(arr.tolist()), l_max)
+        compared, mismatches = _naive_gap_stability(arr, l_max)
+        assert stability.compared == compared
+        assert stability.mismatches == mismatches
+        moved += bool(mismatches)
+    assert moved  # some inputs do move a gap
 
 
 def test_gap_report_csv():

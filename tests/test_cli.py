@@ -338,6 +338,10 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_console_script_entry_point():
+    # the child process sees the checkout's src/ even when not installed
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [
             sys.executable,
@@ -351,6 +355,7 @@ def test_console_script_entry_point():
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "1 2 2 1 1"
