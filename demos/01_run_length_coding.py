@@ -46,7 +46,7 @@ period = parse_symbols(
     "3^3 1^3 3^3 1 3 1 3^3 1^3 3^3 1 3^3 1 3^3 1^3 3^3 1 3 1 "
     "3^3 1^3 3^3 1 3^3 1^3 3^3 1"
 )
-w = Word(period * 4, a13)
+w = Word(period.symbols * 4, a13)
 for k in range(1, 6):
     print(f"{k}-times differentiable:", differentiability_order(w, k))
 print()

@@ -361,13 +361,18 @@ class GapStability:
         return not self.mismatches
 
 
-def gap_stability_check(w: Word, l_max: int) -> GapStability:
+def gap_stability_check(
+    w: Word,
+    l_max: int,
+    *,
+    index: FactorIndex | None = None,
+) -> GapStability:
     """Compare max gaps per factor measured at |w|/2 and |w|, on one index."""
     n = len(w)
     half = n // 2
     if half < l_max:
         raise ValueError("half prefix shorter than l_max")
-    idx = FactorIndex(w, l_max)
+    idx = index if index is not None else FactorIndex(w, l_max)
     mismatches = []
     compared = 0
     for length in range(1, l_max + 1):

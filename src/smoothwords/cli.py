@@ -22,6 +22,7 @@ from typing import Iterator, TextIO
 
 from . import analysis
 from .errors import SmoothwordError
+from .factors import FactorIndex
 from .expansion import (
     DEFAULT_BUDGET,
     CyclicOrder,
@@ -46,6 +47,7 @@ from .words import (
     format_symbols,
     parse_symbols,
     rle_encode,
+    write_words,
 )
 
 STDOUT_SYMBOL_LIMIT = 10**5
@@ -74,11 +76,15 @@ def _budget() -> int:
     return value
 
 
-def _letters(text: str) -> tuple[int, ...]:
+def _symbols(text: str) -> Word:
     try:
         return parse_symbols(text.replace(",", " "))
     except ValueError:
         raise _UsageError(f"cannot parse symbols from {text!r}") from None
+
+
+def _letters(text: str) -> tuple[int, ...]:
+    return _symbols(text).symbols
 
 
 def _alphabet(args, fallback: tuple[int, ...] | None = None) -> Alphabet:
@@ -99,10 +105,12 @@ def _read_word(args, alphabet: Alphabet | None) -> Word:
                     break
         symbols = parse_symbols(line)
     elif getattr(args, "word", None):
-        symbols = _letters(args.word)
+        symbols = _symbols(args.word)
     else:
         raise _UsageError("provide --word or --input")
-    return Word(symbols, alphabet, is_prefix=getattr(args, "prefix", False))
+    return Word.from_array(
+        symbols.to_array(), alphabet, is_prefix=getattr(args, "prefix", False)
+    )
 
 
 def _config_line(args, **extra) -> str:
@@ -134,7 +142,7 @@ def _emit_word(args, word: Word, **extra) -> None:
         )
     with _sink(args) as out:
         print(_config_line(args, **extra), file=out)
-        print(format_symbols(word), file=out)
+        write_words([word], out)
 
 
 def _base_spec(args, alphabet: Alphabet) -> BaseSequenceSpec:
@@ -168,8 +176,7 @@ def cmd_encode(args) -> int:
     rd = rle_encode(word)
     with _sink(args) as out:
         print(_config_line(args, truncated=rd.last_run_truncated), file=out)
-        print(format_symbols(rd.exponents), file=out)
-        print(format_symbols(rd.bases), file=out)
+        write_words([rd.exponents, rd.bases], out)
     return 0
 
 
@@ -186,7 +193,7 @@ def cmd_expand(args) -> int:
     order = CyclicOrder.from_letters(_letters(args.order))
     if args.alphabet and _alphabet(args) != order.alphabet:
         raise _UsageError("--alphabet disagrees with --order letters")
-    target = Word(_letters(args.target))
+    target = _symbols(args.target)
     chain = _letters(args.chain) if args.chain else ()
     word = pseudo_inverse_chain(chain, target, order, budget=_budget())
     _emit_word(args, word)
@@ -195,7 +202,7 @@ def cmd_expand(args) -> int:
 
 def cmd_phi_inverse(args) -> int:
     order = CyclicOrder.from_letters(_letters(args.order))
-    directive = Word(_letters(args.u), order.alphabet)
+    directive = Word(_symbols(args.u), order.alphabet)
     word = phi_inverse_prefix(directive, order, budget=_budget())
     _emit_word(args, word)
     return 0
@@ -259,12 +266,13 @@ def cmd_gaps(args) -> int:
         word = _read_word(args, alphabet)
     else:
         word = kolakoski_prefix(_base_spec(args, alphabet), args.length)
-    report = analysis.max_gap_report(word, args.l_max)
+    index = FactorIndex(word, args.l_max)
+    report = analysis.max_gap_report(word, args.l_max, index=index)
     with _sink(args) as out:
         print(_config_line(args), file=out)
         report.to_csv(out)
     if args.expect == "stable":
-        stability = analysis.gap_stability_check(word, args.l_max)
+        stability = analysis.gap_stability_check(word, args.l_max, index=index)
         if not stability.all_stable:
             length, factor, before, after = stability.mismatches[0]
             print(
@@ -339,7 +347,7 @@ def cmd_subst(args) -> int:
             if args.blocks:
                 print(" ".join(bw), file=out)
             else:
-                print(format_symbols(flatten(sub, bw)), file=out)
+                write_words([flatten(sub, bw)], out)
         return 0
     if action == "check-primitive":
         primitive, k = is_primitive(sub)

@@ -136,7 +136,9 @@ class Word:
         alphabet: Alphabet | None = None,
         is_prefix: bool = False,
     ) -> None:
-        if isinstance(symbols, np.ndarray):
+        if isinstance(symbols, Word):
+            arr = symbols.to_array()  # read-only, so safe to share
+        elif isinstance(symbols, np.ndarray):
             arr = symbols.astype(np.int64)
         else:
             arr = np.fromiter(symbols, dtype=np.int64)
@@ -443,44 +445,196 @@ def is_palindrome(w: Word) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shared text format: one word per line, space-separated decimal symbols;
-# "b^e" run tokens accepted on input, flat form on output
+# shared text format: one word per line, decimal symbols separated by ASCII
+# whitespace; "b^e" run tokens accepted on input, flat form on output.  Both
+# directions work on bytes with numpy, in pieces of bounded size.
+
+_WRITE_CHUNK = 2**16  # symbols formatted per written piece
+# text bytes tokenised per step; more than the longest valid token (39
+# bytes), so a span too long to hold a space is one invalid token
+_PARSE_CHUNK = 2**18
+_MAX_DIGITS = 18  # every 18-digit number fits in int64
+
+# byte classes of the text format; class 0 marks a byte no token may hold
+_SPACE, _DIGIT, _CARET, _SIGN = 1, 2, 3, 4
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\n\r\v\f")] = _SPACE
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[ord("^")] = _CARET
+_BYTE_CLASS[list(b"+-")] = _SIGN
 
 
-def parse_symbols(text: str) -> tuple[int, ...]:
-    """Parse a word line.  Tokens are decimal letters or ``base^exp`` runs.
+def _token_error(data: np.ndarray, at: int, why: str) -> ValueError:
+    """ValueError naming the token that holds byte ``at`` of ``data``."""
+    spaces = np.flatnonzero(_BYTE_CLASS[data] == _SPACE)
+    k = int(np.searchsorted(spaces, at))
+    lo = int(spaces[k - 1]) + 1 if k else 0
+    hi = int(spaces[k]) if k < spaces.size else data.size
+    token = data[lo:hi].tobytes().decode("ascii")
+    return ValueError(f"{why} in token {token[:40]!r}")
 
-    >>> parse_symbols("2^3 4^2 1")
-    (2, 2, 2, 4, 4, 1)
+
+def _parse_span(data: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Symbols of a text span that starts and ends between tokens."""
+    # padded classes: c[i + 1] is the class of data[i], with a space at
+    # either end, so every byte has a left and a right neighbour
+    c = np.empty(classes.size + 2, dtype=np.uint8)
+    c[0] = c[-1] = _SPACE
+    c[1:-1] = classes
+    left, here, right = c[:-2], c[1:-1], c[2:]
+    digit = here == _DIGIT
+    # a sign opens a number after a space or caret; a caret joins a
+    # base's last digit to an exponent's first digit or sign
+    bad = here == 0
+    bad |= (here == _SIGN) & (
+        (right != _DIGIT) | ((left != _SPACE) & (left != _CARET))
+    )
+    bad |= (here == _CARET) & (
+        (left != _DIGIT) | ((right != _DIGIT) & (right != _SIGN))
+    )
+    if bad.any():
+        raise _token_error(data, int(bad.argmax()), "invalid text")
+    starts = np.flatnonzero(digit & (left != _DIGIT))
+    ends = np.flatnonzero(digit & (right != _DIGIT)) + 1
+    lengths = ends - starts
+    if not starts.size:
+        return np.empty(0, dtype=np.int64)
+    width = int(lengths.max())
+    if width > _MAX_DIGITS:
+        at = int(starts[lengths.argmax()])
+        raise _token_error(data, at, f"more than {_MAX_DIGITS} digits")
+    values = data[starts] - np.int64(ord("0"))
+    for k in range(1, width):
+        longer = np.flatnonzero(lengths > k)
+        values[longer] = values[longer] * 10 + (data[starts[longer] + k] - ord("0"))
+    # c[starts] is the class before each number; a sign implies starts >= 1
+    signed = c[starts] == _SIGN
+    np.negative(values, out=values, where=signed & (data[starts - 1] == ord("-")))
+    exponent = np.where(signed, c[starts - 1], c[starts]) == _CARET
+    if not exponent.any():
+        return values
+    chained = exponent & (c[ends + 1] == _CARET)
+    if chained.any():
+        at = int(starts[chained.argmax()])
+        raise _token_error(data, at, "more than one caret")
+    runs = np.flatnonzero(exponent)
+    if (values[runs] < 0).any():
+        at = int(starts[runs[(values[runs] < 0).argmax()]])
+        raise _token_error(data, at, "negative exponent")
+    # a run's base is the number just before its exponent
+    repeats = np.ones(values.size, dtype=np.int64)
+    repeats[runs - 1] = values[runs]
+    base = ~exponent
+    return np.repeat(values[base], repeats[base])
+
+
+def parse_symbols(text: str) -> Word:
+    """Parse a word line into a Word without an alphabet.
+
+    Tokens are separated by ASCII whitespace (space, tab, newline,
+    carriage return, vertical tab, form feed).  A token is a decimal
+    number of at most 18 ASCII digits with an optional ``+`` or ``-``
+    sign, or a run ``b^e`` of two such numbers, which repeats ``b``
+    ``e >= 0`` times.  Any other text raises ``ValueError``.
+
+    >>> parse_symbols("2^3 4^2 1") == (2, 2, 2, 4, 4, 1)
+    True
     """
-    out: list[int] = []
-    for token in text.split():
-        if "^" in token:
-            base_s, exp_s = token.split("^", 1)
-            base, exp = int(base_s), int(exp_s)
-            if exp < 0:
-                raise ValueError(f"negative exponent in token {token!r}")
-            out.extend([base] * exp)
-        else:
-            out.append(int(token))
-    return tuple(out)
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        raise ValueError("word text must be ASCII") from None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    pieces = [np.empty(0, dtype=np.int64)]
+    start = 0
+    while start < data.size:
+        span = data[start : start + _PARSE_CHUNK]
+        classes = _BYTE_CLASS[span]
+        if start + span.size < data.size:
+            # end the span just after its last space, so no token is cut
+            space = classes == _SPACE
+            back = int(space[::-1].argmax())
+            if not space[-1 - back]:
+                raise _token_error(span, 0, "token too long")
+            span, classes = span[: span.size - back], classes[: span.size - back]
+        piece = _parse_span(span, classes)
+        if piece.size:
+            # held in the narrowest dtype until the final concatenation
+            top = max(-int(piece.min()), int(piece.max()))
+            piece = piece.astype(np.min_scalar_type(-top - 1))
+        pieces.append(piece)
+        start += span.size
+    arr = np.concatenate(pieces, dtype=np.int64)
+    return Word.from_array(arr, validate=False)
 
 
-def format_symbols(symbols: Iterable[int]) -> str:
-    """Flat, space-separated decimal form of a word."""
-    return " ".join(str(s) for s in symbols)
+def _symbol_bytes(arr: np.ndarray) -> np.ndarray:
+    """ASCII decimal bytes of a nonempty integer array, a space after each."""
+    negative = arr < 0
+    signed = bool(negative.any())
+    if signed:
+        # uint64 negation gives |v|, also for the smallest int64
+        u = arr.astype(np.int64, copy=False).view(np.uint64)
+        arr = np.where(negative, -u, u)
+    top = int(arr.max())
+    width = len(str(top))
+    mag = arr.astype(np.min_scalar_type(top))
+    # one row per symbol: [sign] digits (leading zeros) space
+    out = np.empty((mag.size, signed + width + 1), dtype=np.uint8)
+    out[:, -1] = ord(" ")
+    rest = mag
+    for col in range(signed + width - 1, signed - 1, -1):
+        rest, out[:, col] = np.divmod(rest, 10)
+    out[:, signed:-1] += ord("0")
+    if not signed and (width == 1 or mag.min() >= 10 ** (width - 1)):
+        return out.reshape(-1)
+    keep = np.ones(out.shape, dtype=bool)
+    for k in range(1, width):
+        np.greater_equal(mag, 10**k, out=keep[:, signed + width - 1 - k])
+    if signed:
+        out[:, 0] = ord("-")
+        keep[:, 0] = negative
+    return out[keep]
+
+
+def _text_pieces(arr: np.ndarray) -> Iterator[str]:
+    """Flat text of an integer array, in pieces of at most _WRITE_CHUNK symbols."""
+    n = arr.size
+    for start in range(0, n, _WRITE_CHUNK):
+        piece = _symbol_bytes(arr[start : start + _WRITE_CHUNK])
+        if start + _WRITE_CHUNK >= n:
+            piece = piece[:-1]  # no space after the last symbol
+        yield str(piece.data, "ascii")
+
+
+def format_symbols(symbols: Iterable[int] | np.ndarray) -> str:
+    """Flat, space-separated decimal form of a word.
+
+    A Word or an integer array is rendered with numpy byte kernels; a
+    tuple, list or other iterable (short factors, mostly) with ``str``.
+    """
+    if isinstance(symbols, Word):
+        symbols = symbols.to_array()
+    if isinstance(symbols, np.ndarray) and symbols.dtype.kind in "iu":
+        return "".join(_text_pieces(symbols))
+    return " ".join([str(s) for s in symbols])
 
 
 def read_words(lines: Iterable[str], alphabet: Alphabet | None = None) -> list[Word]:
     """Parse words from text lines, one word per line; ``#`` lines are comments."""
     return [
-        Word(parse_symbols(line), alphabet)
+        Word.from_array(parse_symbols(line).to_array(), alphabet)
         for line in lines
         if line.strip() and not line.lstrip().startswith("#")
     ]
 
 
 def write_words(words: Iterable[Word], out) -> None:
-    """Write words one per line in flat form, newline-terminated."""
+    """Write words one per line in flat form, newline-terminated.
+
+    Each word is written in pieces of bounded size, so its whole text
+    never exists at once.
+    """
     for w in words:
-        out.write(format_symbols(w) + "\n")
+        out.writelines(_text_pieces(Word(w).to_array()))
+        out.write("\n")

@@ -7,6 +7,7 @@ from smoothwords import (
     Alphabet,
     BaseSequenceSpec,
     CyclicOrder,
+    FactorIndex,
     NaiveFactorScan,
     Permutation,
     Word,
@@ -223,6 +224,18 @@ def test_gap_stability_matches_naive_scans():
         assert stability.mismatches == mismatches
         moved += bool(mismatches)
     assert moved  # some inputs do move a gap
+
+
+def test_gap_stability_reuses_a_given_index():
+    rng = np.random.default_rng(11)
+    for arr in (
+        rng.integers(1, 4, size=300),
+        kolakoski_prefix(BaseSequenceSpec(A12, (1, 2)), 4000).to_array(),
+    ):
+        w = Word(arr)
+        index = FactorIndex(w, 8)
+        assert gap_stability_check(w, 8, index=index) == gap_stability_check(w, 8)
+    assert gap_stability_check(w, 8, index=index).compared > 0
 
 
 def test_gap_report_csv():

@@ -5,6 +5,14 @@ import sys
 
 import pytest
 
+from smoothwords import (
+    Alphabet,
+    BaseSequenceSpec,
+    kolakoski_prefix,
+    letter_frequencies,
+    rle_encode,
+    words,
+)
 from smoothwords.cli import main
 
 
@@ -316,6 +324,57 @@ def test_generated_files_feed_back_as_input(tmp_path, capsys):
     assert code == 0
     # the word equals its own run lengths, so the exponents open 2 2 4 4
     assert out[1].split()[:4] == ["2", "2", "4", "4"]
+
+
+def test_oversized_symbol_is_a_usage_error(tmp_path, capsys):
+    assert main(["encode", "--word", "1,99999999999999999999"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "cannot parse symbols" in err[0]
+    word_file = tmp_path / "word.txt"
+    word_file.write_text("1 2 99999999999999999999\n")
+    assert main(["encode", "--input", str(word_file)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: more than 18 digits")
+
+
+@pytest.mark.parametrize(
+    "alphabet, preperiod, period",
+    [((1, 2), (2,), (1, 2)), ((2, 6, 10, 14), (10,), (6, 10, 14, 2))],
+)
+def test_generated_file_reads_back_across_write_chunks(
+    tmp_path, capsys, alphabet, preperiod, period
+):
+    length = 2 * words._WRITE_CHUNK + 123
+    word = kolakoski_prefix(
+        BaseSequenceSpec(Alphabet(alphabet), period, preperiod), length
+    )
+    letters = ",".join(map(str, alphabet))
+    source = [
+        "--alphabet", letters,
+        "--base-preperiod", ",".join(map(str, preperiod)),
+        "--base-period", ",".join(map(str, period)),
+        "--length", str(length),
+    ]
+    word_file = tmp_path / "word.txt"
+    assert main(["generate", *source, "--output", str(word_file)]) == 0
+    body = word_file.read_text().splitlines()[1]
+    assert body == " ".join(str(s) for s in word.to_array().tolist())
+
+    read_back = ["--alphabet", letters, "--input", str(word_file)]
+    assert main(["encode", *read_back]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rd = rle_encode(word)
+    assert out[1] == " ".join(str(s) for s in rd.exponents.to_array().tolist())
+    assert out[2] == " ".join(str(s) for s in rd.bases.to_array().tolist())
+
+    samples = ["--samples", f"1000,{length}"]
+    assert main(["freq", *read_back, *samples]) == 0
+    from_file = capsys.readouterr().out.splitlines()[1:]
+    assert main(["freq", *source, *samples]) == 0
+    generated = capsys.readouterr().out.splitlines()[1:]
+    buf = io.StringIO()
+    letter_frequencies(word, [1000, length], Alphabet(alphabet)).to_csv(buf)
+    assert from_file == generated == buf.getvalue().splitlines()
 
 
 def test_byte_identical_reruns(tmp_path):

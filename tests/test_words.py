@@ -1,10 +1,13 @@
+import io
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothwords import words
 from smoothwords import (
     Alphabet,
     InvalidRuns,
@@ -21,6 +24,7 @@ from smoothwords import (
     reverse,
     rle_encode,
     rle_reconstruct,
+    write_words,
 )
 
 A12 = Alphabet((1, 2))
@@ -222,7 +226,7 @@ def test_differentiability_order_four_times_word():
         "3^3 1^3 3^3 1 3 1 3^3 1^3 3^3 1 3^3 1 3^3 1^3 3^3 1 3 1 "
         "3^3 1^3 3^3 1 3^3 1^3 3^3 1"
     )
-    w = Word(period * 4, A13)
+    w = Word(period.symbols * 4, A13)
     assert differentiability_order(w, 4)
     assert not differentiability_order(w, 5)
 
@@ -347,6 +351,167 @@ def test_parse_and_format():
     assert format_symbols((2, 2, 4)) == "2 2 4"
     with pytest.raises(ValueError):
         parse_symbols("2^-1")
+
+
+def _oracle_parse(text):
+    """The tuple-building parser the numpy tokeniser replaced."""
+    out = []
+    for token in text.split():
+        if "^" in token:
+            base_s, exp_s = token.split("^", 1)
+            base, exp = int(base_s), int(exp_s)
+            if exp < 0:
+                raise ValueError(f"negative exponent in token {token!r}")
+            out.extend([base] * exp)
+        else:
+            out.append(int(token))
+    return tuple(out)
+
+
+def _oracle_format(symbols):
+    """The str-joining formatter the numpy byte kernel replaced."""
+    return " ".join(str(s) for s in symbols)
+
+
+def _number(value):
+    return st.builds(
+        lambda sign, zeros, v: sign + "0" * zeros + str(v),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 3),
+        value,
+    )
+
+
+# numbers of up to 21 digits (with leading zeros), runs with exponents
+# 0..4 (optional sign, leading zeros), and malformed tokens
+_valid_tokens = st.one_of(
+    _number(st.one_of(st.integers(0, 20), st.integers(0, 10**18 - 1))),
+    st.builds(
+        lambda b, e: f"{b}^{e}",
+        _number(st.integers(0, 30)),
+        _number(st.integers(0, 4)),
+    ),
+)
+_malformed_tokens = st.sampled_from(
+    ["1^", "^2", "1^2^3", "--1", "1-", "a", "2^-1", "2^-0", "+", "^",
+     "1^^2", "1+2", "1^+-2", "-", "2^+3", "0^0"]
+)
+_separators = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", " \x0b", "\x0c"])
+
+
+def _text_of(tokens):
+    return st.builds(
+        lambda lead, pairs: lead + "".join(t + sep for t, sep in pairs),
+        st.sampled_from(["", " ", "\n\t"]),
+        st.lists(st.tuples(tokens, _separators), max_size=25),
+    )
+
+
+_texts = st.one_of(
+    _text_of(_valid_tokens), _text_of(st.one_of(_valid_tokens, _malformed_tokens))
+)
+
+
+def _check_parse_matches_oracle(text):
+    try:
+        expected = _oracle_parse(text)
+        # the one narrowing of the grammar: a number has at most 18 digits
+        if re.search(r"\d{19}", text):
+            raise ValueError("more than 18 digits")
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_symbols(text)
+        return
+    got = parse_symbols(text)
+    assert isinstance(got, Word) and got.alphabet is None
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+def test_parse_matches_tuple_oracle(text):
+    _check_parse_matches_oracle(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts)
+def test_parse_matches_tuple_oracle_across_spans(text):
+    # spans of 64 bytes: longer than any valid token (39 bytes), so the
+    # cut between spans is exercised without changing the grammar
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_PARSE_CHUNK", 64)
+        _check_parse_matches_oracle(text * 4)
+
+
+_int64 = st.one_of(
+    st.integers(0, 20),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), 2**63 - 1, 0, -1, 9, 10, 99, 100, -10, 10**18 - 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_int64, max_size=40), st.sampled_from([1, 3, 2**16]))
+def test_format_matches_str_oracle(values, chunk):
+    arr = np.array(values, dtype=np.int64)
+    expected = _oracle_format(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_WRITE_CHUNK", chunk)
+        assert format_symbols(arr) == expected
+        assert format_symbols(Word(arr)) == expected
+        assert format_symbols(tuple(values)) == expected
+        buf = io.StringIO()
+        write_words([Word(arr), Word(())], buf)
+        assert buf.getvalue() == expected + "\n\n"
+    if all(abs(v) < 10**18 for v in values):
+        assert parse_symbols(expected) == values
+
+
+def test_format_of_narrow_and_unsigned_arrays():
+    assert format_symbols(np.array([0, 7, 255], dtype=np.uint8)) == "0 7 255"
+    assert format_symbols(np.array([2**64 - 1], dtype=np.uint64)) == str(2**64 - 1)
+    assert format_symbols(np.array([-128, 5], dtype=np.int8)) == "-128 5"
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2**16 + 7])
+def test_text_roundtrip_across_write_chunks(extra):
+    rng = np.random.default_rng(extra + 2)
+    n = words._WRITE_CHUNK + extra
+    for arr in (
+        rng.integers(1, 3, size=n),  # one digit, no compaction
+        rng.integers(-(10**17), 10**17, size=n),  # signs and widths mix
+        np.where(rng.random(n) < 0.5, 2, 14),  # widths differ
+    ):
+        text = format_symbols(arr)
+        assert text == _oracle_format(arr.tolist())
+        assert parse_symbols(text) == Word(arr)
+        buf = io.StringIO()
+        write_words([Word(arr)], buf)
+        assert buf.getvalue() == text + "\n"
+
+
+def test_parse_rejects_what_int_accepted():
+    for text in ("1_000", "\u0661", "1\u00a02", "1\x1c2", "0" * 19, "1" * 70):
+        with pytest.raises(ValueError):
+            parse_symbols(text)
+    assert parse_symbols("0" * 18 + " " + "9" * 18) == (0, 10**18 - 1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        parse_symbols("3 2^-1")
+
+
+def test_word_from_word_takes_its_array(monkeypatch):
+    w = Word((1, 2, 2, 1), A12)
+
+    def no_iteration(self):
+        raise AssertionError("Word(Word) iterated letter by letter")
+
+    monkeypatch.setattr(Word, "__iter__", no_iteration)
+    v = Word(w, A123)
+    assert np.shares_memory(v.to_array(), w.to_array())
+    assert v.alphabet == A123 and not v.to_array().flags.writeable
+    assert v.to_array().tolist() == [1, 2, 2, 1]
+    with pytest.raises(ValueError):
+        Word(Word((1, 3)), A12)
 
 
 def test_word_equality_ignores_alphabet_and_mark():
