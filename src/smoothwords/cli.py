@@ -95,15 +95,19 @@ def _alphabet(args, fallback: tuple[int, ...] | None = None) -> Alphabet:
     raise _UsageError("--alphabet is required")
 
 
+def _data_line(path: str) -> bytes:
+    """The first line of a word file that is neither blank nor a comment."""
+    with open(path, "rb") as handle:
+        for line in handle:
+            if line.strip() and not line.lstrip().startswith(b"#"):
+                return line
+    return b""
+
+
 def _read_word(args, alphabet: Alphabet | None) -> Word:
     if getattr(args, "input", None):
-        line = ""
-        with open(args.input, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                if raw.strip() and not raw.lstrip().startswith("#"):
-                    line = raw
-                    break
-        symbols = parse_symbols(line)
+        # the line's bytes are freed once parsed, before the word is checked
+        symbols = parse_symbols(_data_line(args.input))
     elif getattr(args, "word", None):
         symbols = _symbols(args.word)
     else:

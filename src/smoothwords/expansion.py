@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ExpansionBudgetExceeded, InsufficientDepth
-from .words import Alphabet, Word, _run_arrays
+from .words import DEFAULT_BUDGET, Alphabet, Word, _run_arrays
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -33,8 +33,6 @@ __all__ = [
     "phi_prefix",
     "expand_stream",
 ]
-
-DEFAULT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ letter of run j is at position j in that case), which also seeds
 ``w[1] = u_1``.  Past the head the generator reads the run lengths from
 an independent copy of itself (J. Nilsson, J. Integer Sequences 15,
 2012), so its memory grows with the logarithm of the letters generated.
+The same level engine streams the fixpoints of the block substitutions:
+there each level emits the rule images of a deeper copy's symbols.
 
 Base sequences are restricted to the eventually periodic ones
 (preperiod + period), which covers every word exercised here.
@@ -17,8 +19,9 @@ Base sequences are restricted to the eventually periodic ones
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -81,6 +84,7 @@ class BaseSequenceSpec:
 # preperiod).  Past run 2 a run starts after the letter holding its length,
 # so a copy skipped to the head never reads ahead; a longer head saves levels.
 _HEAD = 64
+_MAX_LEVELS = 128  # levels nest frames; mean run length r needs log_r(m/_HEAD)
 
 
 class KolakoskiStream:
@@ -110,10 +114,11 @@ class KolakoskiStream:
         self._peaks: list[int] = []
         # the levels hold no reference to the cursor, so dropping it frees
         # their chunks at once instead of at the next cycle collection
+        period = np.asarray(spec.period, dtype=np.int64)
         self._chunks = _level(
-            np.array([bases, lengths[:head]], dtype=np.int64),
-            np.asarray(spec.period, dtype=np.int64),
-            (head - len(spec.preperiod)) % len(spec.period),
+            partial(_expand_chunks, np.array(bases), 0, (np.array(lengths[:head]),)),
+            partial(_expand_chunks, period, (head - len(spec.preperiod)) % period.size),
+            head,
             0,
             self._peaks,
         )
@@ -148,18 +153,20 @@ class KolakoskiStream:
 
 
 def _level(
-    head: np.ndarray, period: np.ndarray, start: int, skip: int, peaks: list[int]
+    head: Callable, expand: Callable, reads: int, skip: int, peaks: list[int]
 ) -> Iterator[np.ndarray]:
     """The word from letter ``skip`` on, in chunks; its largest joins ``peaks``.
 
-    ``head`` holds the first runs' letters and lengths; later runs walk
-    ``period`` from ``start`` with lengths read from a deeper copy.
+    ``head()`` yields the word's first letters, made from its first
+    ``reads`` letters; ``expand`` maps a deeper copy's chunks, from letter
+    ``reads`` on, to the chunks that follow the head.
     """
     depth = len(peaks)
+    if depth == _MAX_LEVELS:
+        raise ValueError("the word grows too slowly to read itself")
     peaks.append(0)
-    bases, lengths = head
-    tail = _expand_chunks(period, start, _level(head, period, start, bases.size, peaks))
-    for chunk in chain(_expand_chunks(bases, 0, (lengths,)), tail):
+    tail = expand(_level(head, expand, reads, reads, peaks))
+    for chunk in chain(head(), tail):
         if skip:
             chunk, skip = chunk[skip:], max(skip - chunk.size, 0)
         if chunk.size:

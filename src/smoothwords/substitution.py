@@ -15,19 +15,24 @@ Three families are provided:
 Raw subscripts in the general rules are reduced into range modulo n
 (for A-blocks) and modulo n/2 (for B-blocks) at construction time.
 
+A prolongable substitution's fixpoint ``u = σ(u)`` reads itself as the
+Kolakoski word does, so one level engine (``kolakoski._level``) serves
+both fixpoints: the fixpoint check streams the two words side by side
+in bounded chunks instead of building an iterate.
+
 Substitutions are immutable after construction; iteration is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import NotProlongable
-from .expansion import CyclicOrder
-from .kolakoski import BaseSequenceSpec, kolakoski_prefix
+from .expansion import _CHUNK, CyclicOrder
+from .kolakoski import _HEAD, BaseSequenceSpec, KolakoskiStream, _level
 from .words import Alphabet, Word
 
 __all__ = [
@@ -48,6 +53,7 @@ __all__ = [
 ]
 
 BlockWord = tuple[str, ...]
+_Ragged = tuple[np.ndarray, np.ndarray]  # rows padded to the longest, entry mask
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,6 @@ class Substitution:
     alphabet: Alphabet
     order: CyclicOrder | None = None
     seed: str = ""
-    _expansions: dict[str, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.rules:
@@ -88,10 +91,10 @@ class Substitution:
                 raise ValueError(f"no block definition for {sym}")
         if not self.seed:
             self.seed = _find_seed(self.rules)
-        self._expansions = {
-            s: np.asarray(b.expansion, dtype=np.int64)
-            for s, b in self.blocks.items()
-        }
+        # symbol codes, rule images as codes and blocks as letters, in rules order
+        self._code = code = {s: i for i, s in enumerate(self.rules)}
+        self._images = _ragged([[code[s] for s in r] for r in self.rules.values()])
+        self._letters = _ragged([self.blocks[s].expansion for s in self.rules])
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -103,6 +106,18 @@ class Substitution:
             f"{sym} -> {' '.join(rhs)}" for sym, rhs in self.rules.items()
         ]
         return "\n".join(lines)
+
+
+def _ragged(rows: list) -> _Ragged:
+    width = max(map(len, rows))
+    grid = np.array([[*r] + [0] * (width - len(r)) for r in rows], dtype=np.int64)
+    return grid, np.arange(width) < np.array([len(r) for r in rows])[:, None]
+
+
+def _gather(table: _Ragged, codes: np.ndarray) -> np.ndarray:
+    """The rows ``codes`` of a ragged table, concatenated."""
+    grid, mask = table
+    return grid.take(codes, axis=0)[mask.take(codes, axis=0)]
 
 
 def _find_seed(rules: dict[str, BlockWord]) -> str:
@@ -138,12 +153,8 @@ def iterate(sub: Substitution, seed: str, t: int) -> BlockWord:
 
 def flatten(sub: Substitution, bw: Sequence[str]) -> Word:
     """Replace each block symbol by its expansion over the alphabet."""
-    if not bw:
-        return Word((), sub.alphabet)
-    parts = [sub._expansions[sym] for sym in bw]
-    return Word.from_array(
-        np.concatenate(parts), sub.alphabet, validate=False
-    )
+    codes = np.array([sub._code[sym] for sym in bw], dtype=np.intp)
+    return Word.from_array(_gather(sub._letters, codes), sub.alphabet, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +173,10 @@ class IncidenceMatrix:
 
 
 def incidence_matrix(sub: Substitution) -> IncidenceMatrix:
-    syms = sub.symbols
-    pos = {s: i for i, s in enumerate(syms)}
-    m = np.zeros((len(syms), len(syms)), dtype=np.int64)
-    for j, sym in enumerate(syms):
-        for s in sub.rules[sym]:
-            m[pos[s], j] += 1
-    return IncidenceMatrix(syms, m)
+    grid, mask = sub._images
+    s = grid.shape[0]  # entry (i, j) counts symbol i in rule j
+    m = np.bincount((grid * s + np.arange(s)[:, None])[mask], minlength=s * s)
+    return IncidenceMatrix(sub.symbols, m.reshape(s, s))
 
 
 def is_primitive(sub: Substitution) -> tuple[bool, int | None]:
@@ -349,14 +357,11 @@ def build_sigma_even_n(alphabet: Alphabet, order: CyclicOrder) -> Substitution:
         (f"B{i}", (c[2 * i - 2],) * r + (c[2 * i - 1],) * r)
         for i in range(1, m + 1)
     ]
-    # reorder rules so A's come before B's in a fixed symbol order
-    ordered = {f"A{i}": rules[f"A{i}"] for i in range(1, n + 1)}
-    ordered.update({f"B{i}": rules[f"B{i}"] for i in range(1, m + 1)})
     # the seed's block starts the fixpoint word: A1 = c_1^n, or B1 =
     # c_1^r c_2^r when q_1 = 0 (A1's rule then opens with B1)
     seed = "A1" if qs[0] else "B1"
     return Substitution(
-        ordered, _block_table(block_pairs), alphabet, order=order, seed=seed
+        rules, _block_table(block_pairs), alphabet, order=order, seed=seed
     )
 
 
@@ -377,24 +382,32 @@ def build_substitution(alphabet: Alphabet, order: CyclicOrder) -> Substitution:
 def verify_substitution_fixpoint(
     sub: Substitution, spec: BaseSequenceSpec, m: int
 ) -> bool:
-    """Whether the iterated substitution agrees with the fixpoint word.
+    """Whether the substitution's fixpoint agrees with the fixpoint word.
 
-    Iterates from the substitution's seed until the flattened image
-    reaches ``m`` letters, then compares them with the run-length
-    fixpoint prefix over ``spec``.
+    The seed's fixpoint reads itself like the run-length fixpoint: each
+    level emits the rule images of a deeper copy's symbols.  Its first
+    ``m`` letters are compared chunk by chunk with the word over ``spec``.
     """
     seed = sub.seed
     if not seed or sub.rules[seed][0] != seed:
         raise NotProlongable("substitution has no prolongable seed")
-    lengths = {s: len(b.expansion) for s, b in sub.blocks.items()}
-    bw: BlockWord = (seed,)
-    flat_len = lengths[seed]
-    while flat_len < m:
-        nxt = apply(sub, bw)
-        nxt_len = sum(lengths[s] for s in nxt)
-        if nxt_len <= flat_len:
+    head = np.array([sub._code[seed]])
+    while head.size < _HEAD:  # σ^t(seed) = σ(u[:reads]) = u[:head.size]
+        reads, head = head.size, _gather(sub._images, head)
+        if head.size == reads:
             raise ValueError("substitution does not grow from its seed")
-        bw, flat_len = nxt, nxt_len
-    image = flatten(sub, bw).to_array()[:m]
-    target = kolakoski_prefix(spec, m).to_array()
-    return bool((image == target).all())
+    step = max(_CHUNK // sub._images[0].shape[1], 1)
+
+    def images(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        for chunk in chunks:  # pieces whose images hold at most _CHUNK symbols
+            for lo in range(0, chunk.size, step):
+                yield _gather(sub._images, chunk[lo : lo + step])
+
+    target = KolakoskiStream(spec)
+    for chunk in _level(lambda: iter((head,)), images, reads, 0, []):
+        # m < 1 leaves no letters, and taking none raises ValueError
+        letters = _gather(sub._letters, chunk)[: max(m - target.position, 0)]
+        if not np.array_equal(letters, target.take(letters.size).to_array()):
+            return False
+        if target.position == m:
+            return True

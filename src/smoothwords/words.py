@@ -40,6 +40,9 @@ __all__ = [
     "write_words",
 ]
 
+DEFAULT_BUDGET = 10**8  # most symbols one expansion may materialise
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered alphabet of positive integer letters.
@@ -436,7 +439,15 @@ def reverse(w: Word) -> Word:
 
 
 def apply_permutation(w: Word, sigma: Permutation) -> Word:
-    return Word([sigma(s) for s in w], w.alphabet)
+    keys = np.array(sorted(sigma.mapping), dtype=np.int64)
+    arr = w.to_array()
+    at = keys.searchsorted(arr)
+    inside = at < keys.size
+    inside[inside] = keys[at[inside]] == arr[inside]
+    if not inside.all():
+        sigma(int(arr[inside.argmin()]))  # raises: the symbol is outside the domain
+    images = np.array([sigma.mapping[k] for k in keys.tolist()], dtype=np.int64)
+    return Word.from_array(images[at], w.alphabet)
 
 
 def is_palindrome(w: Word) -> bool:
@@ -521,6 +532,12 @@ def _parse_span(data: np.ndarray, classes: np.ndarray) -> np.ndarray:
     if (values[runs] < 0).any():
         at = int(starts[runs[(values[runs] < 0).argmax()]])
         raise _token_error(data, at, "negative exponent")
+    # each exponent is < 10^18, so the running sum passes the budget
+    # before it can wrap around int64
+    over = values[runs].cumsum() > DEFAULT_BUDGET
+    if over.any():
+        at = int(starts[runs[over.argmax()]])
+        raise _token_error(data, at, f"runs past {DEFAULT_BUDGET} symbols")
     # a run's base is the number just before its exponent
     repeats = np.ones(values.size, dtype=np.int64)
     repeats[runs - 1] = values[runs]
@@ -528,23 +545,24 @@ def _parse_span(data: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return np.repeat(values[base], repeats[base])
 
 
-def parse_symbols(text: str) -> Word:
-    """Parse a word line into a Word without an alphabet.
+def parse_symbols(text: str | bytes) -> Word:
+    """Parse a word line, text or ASCII bytes, into a Word without an alphabet.
 
     Tokens are separated by ASCII whitespace (space, tab, newline,
     carriage return, vertical tab, form feed).  A token is a decimal
     number of at most 18 ASCII digits with an optional ``+`` or ``-``
     sign, or a run ``b^e`` of two such numbers, which repeats ``b``
-    ``e >= 0`` times.  Any other text raises ``ValueError``.
+    ``e >= 0`` times.  Any other text raises ``ValueError``, and so do
+    runs of more than ``DEFAULT_BUDGET`` symbols within one 256 KiB span
+    of the text.
 
     >>> parse_symbols("2^3 4^2 1") == (2, 2, 2, 4, 4, 1)
     True
     """
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
-        raise ValueError("word text must be ASCII") from None
+    raw = text.encode() if isinstance(text, str) else text
     data = np.frombuffer(raw, dtype=np.uint8)
+    if data.size and data.max() > 127:
+        raise ValueError("word text must be ASCII")
     pieces = [np.empty(0, dtype=np.int64)]
     start = 0
     while start < data.size:

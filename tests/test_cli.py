@@ -337,6 +337,23 @@ def test_oversized_symbol_is_a_usage_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: more than 18 digits")
 
 
+def test_run_token_past_the_budget_is_a_usage_error(capsys):
+    assert main(["encode", "--word", "1^999999999999999999"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "cannot parse symbols" in err[0]
+
+
+def test_word_file_with_non_ascii_bytes_is_rejected(tmp_path, capsys):
+    word_file = tmp_path / "word.txt"
+    word_file.write_bytes(b"# made by hand\n1 2 \xc3\xa9 2\n")
+    assert main(["encode", "--input", str(word_file)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: word text must be ASCII"]
+    word_file.write_bytes(b"# comment\r\n\r\n1 2 2\r\n")
+    assert main(["encode", "--input", str(word_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["1 2", "1 2"]
+
+
 @pytest.mark.parametrize(
     "alphabet, preperiod, period",
     [((1, 2), (2,), (1, 2)), ((2, 6, 10, 14), (10,), (6, 10, 14, 2))],

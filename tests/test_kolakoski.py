@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from smoothwords import (
     verify_fixpoint_prefix,
 )
 from smoothwords.expansion import _CHUNK
-from smoothwords.kolakoski import _HEAD
+from smoothwords.kolakoski import _HEAD, _level
 
 A12 = Alphabet((1, 2))
 A123 = Alphabet((1, 2, 3))
@@ -215,3 +216,11 @@ def test_all_two_and_three_letter_periods_are_fixpoints():
         for period in itertools.permutations(letters):
             spec = BaseSequenceSpec(alphabet, period)
             assert verify_fixpoint_prefix(kolakoski_prefix(spec, 5000))
+
+
+def test_slowly_growing_word_stops_at_the_level_cap():
+    # every level adds one letter past the head, so m letters need about
+    # m levels; the engine raises before Python's recursion limit
+    chunks = _level(lambda: iter([np.array([1, 1])]), lambda deeper: deeper, 1, 0, [])
+    with pytest.raises(ValueError, match="grows too slowly"):
+        list(itertools.islice(chunks, 2000))

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothwords import (
     Alphabet,
@@ -21,9 +24,11 @@ from smoothwords import (
     is_primitive,
     iterate,
     kolakoski_prefix,
+    kolakoski_stream,
     parse_symbols,
     verify_substitution_fixpoint,
 )
+from smoothwords.expansion import _CHUNK
 from smoothwords.verify import SIGMA1_ITERATE_2, SIGMA1_RULES, SIGMA2_RULES
 
 
@@ -327,3 +332,85 @@ def test_non_prolongable_seed_raises():
         verify_substitution_fixpoint(
             sub, BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 10
         )
+
+
+def test_seed_that_does_not_grow_raises():
+    sub = Substitution(
+        {"A": ("A",), "B": ("A", "B")},
+        {"A": Block("A", (1,)), "B": Block("B", (2,))},
+        Alphabet((1, 2)),
+        seed="A",
+    )
+    spec = BaseSequenceSpec(Alphabet((1, 2)), (1, 2))
+    for m in (1, 10**4):
+        with pytest.raises(ValueError, match="does not grow from its seed"):
+            verify_substitution_fixpoint(sub, spec, m)
+
+
+def test_nonpositive_length_raises():
+    spec = BaseSequenceSpec(sigma1().alphabet, (6, 10, 14, 2))
+    for m in (0, -5):
+        with pytest.raises(ValueError, match="m must be positive"):
+            verify_substitution_fixpoint(sigma1(), spec, m)
+
+
+def _iterate_oracle(sub, m):
+    """The first m letters of the shortest flattened iterate that has them."""
+    for t in itertools.count():
+        bw = iterate(sub, sub.seed, t)
+        letters = [x for s in bw for x in sub.blocks[s].expansion]
+        if len(letters) >= m:
+            return np.array(letters[:m])
+
+
+@st.composite
+def _families(draw):
+    """A substitution of each supported family and the period it fixes."""
+    family = draw(st.sampled_from(["r0", "even_n", "sing_even", "sing_odd"]))
+    if family.startswith("sing"):
+        odd = family == "sing_odd"
+        letters = st.sampled_from(range(2 + odd, 18, 2))
+        c1, c2 = sorted(draw(st.sets(letters, min_size=2, max_size=2)))
+        build = build_sing_odd if odd else build_sing_even
+        return build(c1, c2), (c1, c2)
+    # like verify._random_order: letters n*q + r with distinct quotients;
+    # a positive remainder needs an even n and admits one zero quotient
+    if family == "r0":
+        n, r = draw(st.integers(2, 4)), 0
+    else:
+        n = draw(st.sampled_from([2, 4]))
+        r = draw(st.integers(1, n - 1))
+    quotients = draw(st.sets(st.integers(0 if r else 1, 5), min_size=n, max_size=n))
+    arrangement = tuple(draw(st.permutations([n * q + r for q in quotients])))
+    order = CyclicOrder.from_letters(arrangement)
+    return build_substitution(order.alphabet, order), arrangement
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _families(),
+    st.one_of(st.integers(1, 300), st.integers(1, 3 * _CHUNK)),
+)
+def test_streamed_verdict_matches_iterate_oracle(family, m):
+    sub, period = family
+    oracle = _iterate_oracle(sub, m)
+    spec = BaseSequenceSpec(sub.alphabet, period)
+    word = kolakoski_stream(spec).take(m).to_array()
+    assert np.array_equal(oracle, word)
+    assert verify_substitution_fixpoint(sub, spec, m)
+    reversed_spec = BaseSequenceSpec(sub.alphabet, period[::-1])
+    expected = np.array_equal(oracle, kolakoski_prefix(reversed_spec, m).to_array())
+    assert verify_substitution_fixpoint(sub, reversed_spec, m) == expected
+
+
+@pytest.mark.parametrize("m", [10**6, 4 * 10**6])
+def test_fixpoint_check_runs_in_flat_memory(m):
+    sub = sigma1()
+    spec = BaseSequenceSpec(sub.alphabet, (6, 10, 14, 2))
+    tracemalloc.start()
+    try:
+        assert verify_substitution_fixpoint(sub, spec, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

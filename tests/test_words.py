@@ -296,6 +296,26 @@ def test_permutation_rejects_unknown_symbol():
         apply_permutation(Word((1, 3)), comp)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), max_size=40),
+    st.lists(st.integers(1, 10), max_size=6, unique=True),
+    st.randoms(use_true_random=False),
+)
+def test_apply_permutation_matches_per_letter_map(symbols, domain, rnd):
+    image = list(domain)
+    rnd.shuffle(image)
+    sigma = Permutation(dict(zip(domain, image)))
+    w = Word(symbols)
+    try:
+        expected = [sigma(s) for s in symbols]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            apply_permutation(w, sigma)
+        return
+    assert apply_permutation(w, sigma).to_array().tolist() == expected
+
+
 def test_permutation_identity_detectable():
     assert Permutation.identity(A123).is_identity()
     assert not Permutation.complement(A12).is_identity()
@@ -497,6 +517,25 @@ def test_parse_rejects_what_int_accepted():
     assert parse_symbols("0" * 18 + " " + "9" * 18) == (0, 10**18 - 1)
     with pytest.raises(ValueError, match="negative exponent"):
         parse_symbols("3 2^-1")
+
+
+def test_parse_takes_ascii_bytes():
+    assert parse_symbols(b"2^3 4^2\t1\r\n") == (2, 2, 2, 4, 4, 1)
+    for text in (b"1 \xc3\xa9 2", b"\xff", b"1 2\x80", "1 \u00e9 2"):
+        with pytest.raises(ValueError, match="must be ASCII"):
+            parse_symbols(text)
+
+
+def test_runs_past_the_budget_fail_before_expanding(monkeypatch):
+    with pytest.raises(ValueError, match="'1\\^999999999999999999'"):
+        parse_symbols("1^999999999999999999")
+    # a sum of huge runs wraps int64 only after passing the budget
+    with pytest.raises(ValueError, match="in token '2\\^999999999999999999'"):
+        parse_symbols("3 2^999999999999999999 " * 20)
+    monkeypatch.setattr(words, "DEFAULT_BUDGET", 10)
+    assert parse_symbols("1^6 2^4 5 6") == (1,) * 6 + (2,) * 4 + (5, 6)
+    with pytest.raises(ValueError, match="runs past 10 symbols in token '2\\^5'"):
+        parse_symbols("1^6 2^5")
 
 
 def test_word_from_word_takes_its_array(monkeypatch):
