@@ -28,7 +28,7 @@ from .expansion import (
     pseudo_inverse,
     pseudo_inverse_with_base,
 )
-from .factors import FactorIndex, _occurrence_stats
+from .factors import FactorIndex, _max_gaps
 from .kolakoski import KolakoskiStream
 from .words import (
     Alphabet,
@@ -53,6 +53,7 @@ __all__ = [
     "max_gap_report",
     "gap_stability_check",
     "closure_check",
+    "closure_scan_counts",
     "equal_run_blocks",
     "phi_inverse_palindrome_check",
 ]
@@ -268,8 +269,7 @@ def recurrence_report(
     rows: list[RecurrenceRow] = []
     for length in range(1, l_max + 1):
         groups = idx.groups(length)
-        chosen = idx.groups_starting_in(length, 0, scan_len - length + 1)
-        for g in chosen:
+        for g in idx.groups_starting_in(length, 0, scan_len - length + 1):
             first = int(groups.first[g])
             second = int(groups.second[g])
             rows.append(
@@ -377,8 +377,8 @@ def gap_stability_check(
     compared = 0
     for length in range(1, l_max + 1):
         full = idx.groups(length)
-        present, *_, gap_half = _occurrence_stats(
-            full.ids[: half - length + 1], full.group_count
+        present, gap_half = _max_gaps(
+            idx.ids(length, half - length + 1), full.group_count
         )
         compared += present.size
         gap_full = full.max_gap[present]
@@ -434,13 +434,11 @@ def closure_check(
         raise ValueError("word too short for the middle-third protocol")
     label, transform = _closure_op(op)
     idx = index if index is not None else FactorIndex(w, l_max)
-    lo, hi = n // 3, 2 * n // 3
+    lo, hi = _middle_third(n)
     misses: list[ClosureWitness] = []
     for length in range(1, l_max + 1):
         fset = idx.factor_set(length)
-        _, first_rel = np.unique(idx.ids(length)[lo:hi], return_index=True)
-        for rel in first_rel:
-            pos = lo + int(rel)
+        for pos in idx.window(length, lo, hi)[1].tolist():
             factor = idx.factor_at(pos, length)
             image = transform(factor)
             if image not in fset:
@@ -448,6 +446,21 @@ def closure_check(
                     ClosureWitness(label, factor, image, False, pos + 1, None)
                 )
     return misses
+
+
+def _middle_third(n: int) -> tuple[int, int]:
+    return n // 3, 2 * n // 3
+
+
+def closure_scan_counts(index: FactorIndex) -> tuple[int, int]:
+    """``(positions, factors)`` that :func:`closure_check` scans on this
+    index: start positions in the middle third and the distinct factors
+    starting there, summed over lengths 1..l_max."""
+    lo, hi = _middle_third(len(index))
+    factors = sum(
+        index.groups_starting_in(L, lo, hi).size for L in range(1, index.l_max + 1)
+    )
+    return index.l_max * (hi - lo), factors
 
 
 def write_witness_csv(witnesses: list[ClosureWitness], out: TextIO) -> None:

@@ -129,6 +129,11 @@ def _config_line(args, **extra) -> str:
     return f"# smoothwords {body}"
 
 
+def _starts(m: int, l_max: int) -> int:
+    """Start positions in m letters, summed over the lengths 1..l_max."""
+    return sum(m - L + 1 for L in range(1, l_max + 1))
+
+
 @contextmanager
 def _sink(args) -> Iterator[TextIO]:
     if getattr(args, "output", None):
@@ -251,7 +256,9 @@ def cmd_recur(args) -> int:
         word, args.l_max, scan_len=args.scan_len
     )
     with _sink(args) as out:
-        print(_config_line(args), file=out)
+        positions = _starts(report.scan_len, args.l_max)
+        line = _config_line(args, positions=positions, factors=len(report.rows))
+        print(line, file=out)
         report.to_csv(out)
     if args.expect == "recurrent" and not report.all_recurrent:
         bad = report.non_recurrent[0]
@@ -273,7 +280,9 @@ def cmd_gaps(args) -> int:
     index = FactorIndex(word, args.l_max)
     report = analysis.max_gap_report(word, args.l_max, index=index)
     with _sink(args) as out:
-        print(_config_line(args), file=out)
+        positions = _starts(len(word), args.l_max)
+        line = _config_line(args, positions=positions, factors=len(report.rows))
+        print(line, file=out)
         report.to_csv(out)
     if args.expect == "stable":
         stability = analysis.gap_stability_check(word, args.l_max, index=index)
@@ -308,9 +317,14 @@ def cmd_closure(args) -> int:
         op = Permutation(mapping)
     else:  # pragma: no cover - argparse constrains choices
         raise _UsageError(f"unknown op {args.op}")
-    witnesses = analysis.closure_check(word, op, args.l_max)
+    index = FactorIndex(word, args.l_max)
+    witnesses = analysis.closure_check(word, op, args.l_max, index=index)
+    positions, factors = analysis.closure_scan_counts(index)
     with _sink(args) as out:
-        print(_config_line(args, misses=len(witnesses)), file=out)
+        line = _config_line(
+            args, misses=len(witnesses), positions=positions, factors=factors
+        )
+        print(line, file=out)
         analysis.write_witness_csv(witnesses, out)
     if args.expect == "closed" and witnesses:
         wit = witnesses[0]

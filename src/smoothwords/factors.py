@@ -3,11 +3,22 @@
 Start positions are sorted by their first 2^K >= l_max letters (a
 truncated suffix order, by Manber & Myers' prefix doubling), with the
 common-prefix length of each adjacent pair capped at l_max (the capped
-LCP).  Factors of length L are the runs of that order cut where the LCP
-is below L: ids in lexicographic factor order, in the smallest unsigned
-dtype, with no sort per length.  Two positions share an id iff the
-factors are equal, so all the statistics derived from ids (occurrence
-counts, first/second/last occurrence, maximal gaps) are exact.
+LCP).  Cutting that order where the LCP is below l_max gives the *fine
+groups*: the distinct factors of length l_max, plus one singleton per
+position too close to the end to start one.  One reduction over the
+order gives each fine group's first, second and last start and its size.
+
+The groups of a shorter length L are LCP intervals too, so they are
+runs of adjacent fine groups: a fine group starts a new group where its
+LCP with the previous one is below L, and a singleton whose start is
+past n - L is dropped (Abouelhoda, Kurtz & Ohlebusch, "Replacing suffix
+trees with enhanced suffix arrays", 2004).  Each length is therefore a
+merge of O(#fine groups) entries, in lexicographic factor order, with no
+pass over the word.  Group ids per start position are a gather through
+the length's fine-to-group table, made only when read, and so are the
+maximal gaps that need them.  Two positions share an id iff the factors
+are equal, so all the statistics (occurrence counts, first/second/last
+occurrence, maximal gaps) are exact.
 
 A deliberately naive quadratic scanner with the same interface is kept
 as a test oracle.
@@ -19,7 +30,8 @@ lexicographic factor order, so results do not depend on scan order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,58 +40,95 @@ from .words import Word
 __all__ = ["FactorGroups", "FactorIndex", "NaiveFactorScan"]
 
 
+def _word_array(word: Word | np.ndarray) -> np.ndarray:
+    arr = word.to_array() if isinstance(word, Word) else np.asarray(word)
+    if arr.ndim != 1:
+        raise ValueError(f"word must be 1-D, got {arr.ndim} dimensions")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"word must have an integer dtype, got {arr.dtype}")
+    return arr
+
+
+def _dense_ranks(arr: np.ndarray) -> np.ndarray:
+    """Dense rank + 1 of every letter (rank 0 is left for padding), in
+    the smallest unsigned dtype."""
+    lo, hi = int(arr.min()), int(arr.max())
+    if hi - lo >= 1 << 16:
+        letters = np.unique(arr)
+        rank = np.searchsorted(letters, arr) + 1
+        return rank.astype(np.min_scalar_type(letters.size))
+    offset = np.empty(arr.size, dtype=np.uint16)
+    np.subtract(arr, lo, out=offset, casting="unsafe")
+    return _table_ranks(offset, hi - lo + 1)
+
+
+def _table_ranks(key: np.ndarray, size: int) -> np.ndarray:
+    """Dense rank + 1 of every key (0 <= key < size), through a lookup
+    table, in the smallest unsigned dtype."""
+    seen = np.zeros(size, dtype=bool)
+    seen[key] = True
+    return np.cumsum(seen, dtype=np.min_scalar_type(np.count_nonzero(seen)))[key]
+
+
 @dataclass(frozen=True)
 class FactorGroups:
     """Per-distinct-factor occurrence statistics for one length.
 
     Group g collects the start positions (0-based) of the g-th distinct
-    factor in lexicographic order; ``max_gap`` is 0 if it occurs once.
+    factor in lexicographic order; ``second`` is -1 and ``max_gap`` 0 if
+    it occurs once.  ``ids`` and ``max_gap`` are computed when first read.
     """
 
     length: int
-    ids: np.ndarray  # group id per start position, smallest unsigned dtype
     first: np.ndarray
-    second: np.ndarray  # -1 where the factor occurs only once
+    second: np.ndarray
     last: np.ndarray
     count: np.ndarray
-    max_gap: np.ndarray
+    table: np.ndarray = field(repr=False)  # group per fine group
+    members: np.ndarray = field(repr=False)  # fine groups kept, in order
+    cuts: np.ndarray = field(repr=False)  # where each group begins in members
+    fine: np.ndarray = field(repr=False)  # fine group per position of the word
 
     @property
     def group_count(self) -> int:
         return self.first.size
 
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """Group id per start position, in the smallest unsigned dtype."""
+        return self.table[self.fine[: self.fine.size - self.length + 1]]
 
-def _occurrence_stats(ids: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
-    """``(present, first, second, last, count, max_gap)`` of the start
-    positions grouped by id (ids < size), for each id present, in id order."""
+    @cached_property
+    def max_gap(self) -> np.ndarray:
+        return _max_gaps(self.ids, self.group_count)[1]
+
+
+def _max_gaps(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(present, max_gap)``: the ids (< size) present, and for each in
+    order the largest distance between consecutive positions holding it."""
     order = np.argsort(ids, kind="stable")  # radix sort for 8/16-bit ids
     count = np.bincount(ids, minlength=size)
     present = np.flatnonzero(count)
-    count = count[present]
-    ends = np.cumsum(count)
-    starts = ends - count
-    first = order[starts]
-    last = order[ends - 1]
-    second = np.where(count >= 2, order[np.minimum(starts + 1, order.size - 1)], -1)
+    ends = np.cumsum(count[present])
     # gaps between consecutive occurrences; zeros at group boundaries
     gaps = np.empty_like(order)
     np.subtract(order[1:], order[:-1], out=gaps[:-1])
     gaps[ends - 1] = 0
-    max_gap = np.maximum.reduceat(gaps, starts)
-    return present, first, second, last, count, max_gap
+    return present, np.maximum.reduceat(gaps, ends - count[present])
 
 
 class FactorIndex:
     """Exact factor ids and occurrence statistics for lengths 1..l_max.
 
-    ``order`` is the truncated suffix order and ``lcp[j]`` the capped LCP
-    of ``order[j-1]`` and ``order[j]`` (``lcp[0] = 0``).  Letters rank as
-    dense ranks + 1 and the word is padded with rank 0, so a position near
-    the end sorts below every factor it is a proper prefix of.
+    ``order`` is the truncated suffix order (int32 below 2^31 letters)
+    and ``fine`` the fine group of every position, in text order.
+    Letters rank as dense ranks + 1 and the word is padded with rank 0,
+    so a position near the end sorts below every factor it is a proper
+    prefix of, in a fine group of its own.
     """
 
     def __init__(self, word: Word | np.ndarray, l_max: int):
-        arr = word.to_array() if isinstance(word, Word) else np.asarray(word)
+        arr = _word_array(word)
         if l_max < 1:
             raise ValueError("l_max must be positive")
         if arr.size < l_max:
@@ -88,43 +137,84 @@ class FactorIndex:
         self.l_max = l_max
         self._groups_cache: dict[int, FactorGroups] = {}
         self._sets_cache: dict[int, set[tuple[int, ...]]] = {}
+        self._from_cache: dict[int, np.ndarray] = {}
         n = self.arr.size
-        letters = np.unique(self.arr)
-        rank = np.searchsorted(letters, self.arr) + 1  # rank 0 is the padding
-        rank = rank.astype(np.min_scalar_type(letters.size))
-        order = np.argsort(rank, kind="stable")
-        ranked = rank[order]  # ranks in sorted order
-        levels = []  # ranks of widths 1, 2, 4, ... below the final one
+        pos = np.int32 if n < 2**31 else np.int64
+        rank = _dense_ranks(self.arr)
+        # the first width: as many letters as pack into a 16-bit key
+        base = int(rank.max()) + 1
         width = 1
+        while width < l_max and base ** (2 * width) <= 1 << 16:
+            width *= 2
+        letters = np.pad(rank, (0, width))
+        if width > 1:
+            key = letters[:n].astype(np.uint16)
+            for t in range(1, width):
+                key *= base
+                key += letters[t : t + n]
+            rank = _table_ranks(key, base**width)
+            del key
+        order = np.argsort(rank, kind="stable").astype(pos)
+        ranked = rank[order]  # ranks in sorted order
+        levels = []  # ranks of the widths below the final one
+        packed = width
         while width < l_max:
             levels.append(np.pad(rank, (0, 1)))
             # sort by (rank[i], rank[i + width]): positions whose second
             # half is all padding first, then by the order already known
             tail = order >= width
-            by_second = np.concatenate((np.arange(n - width, n), order[tail] - width))
+            by_second = np.concatenate(
+                (np.arange(n - width, n, dtype=pos), order[tail] - width)
+            )
             second = np.concatenate((np.zeros(width, ranked.dtype), ranked[tail]))
+            del tail, order, ranked
             first = rank[by_second]
             perm = np.argsort(first, kind="stable")  # radix sort for 8/16-bit ranks
             order = by_second[perm]
+            del by_second
             first, second = first[perm], second[perm]
+            del perm
             new = np.ones(n, dtype=bool)
             new[1:] = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
+            del first, second
             ranked = np.cumsum(new, dtype=np.min_scalar_type(np.count_nonzero(new)))
+            del new
             rank = np.empty_like(ranked)
             rank[order] = ranked
             width *= 2
+        del rank
         # binary lifting, for the adjacent pairs that differ within the
         # final width; every other pair shares at least l_max letters
         j = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-        a, b = order[j - 1], order[j]
+        del ranked
+        a, b = order[j - 1].astype(np.int64), order[j].astype(np.int64)
         common = np.zeros(j.size, dtype=np.int64)
         for k in reversed(range(len(levels))):
-            r = levels[k]
-            common += (r[a + common] == r[b + common]) * (1 << k)
+            r = levels.pop()
+            common += (r[a + common] == r[b + common]) * (packed << k)
+            del r
+        for _ in range(packed - 1):  # the rest, one letter at a time
+            common += letters[a + common] == letters[b + common]
+        del a, b, letters
+        # fine groups: the runs of the order cut where the LCP < l_max
+        split = common < l_max
+        self._starts = np.concatenate(([0], j[split]))
+        self._lcp = np.concatenate(([0], common[split]))
+        count = np.diff(self._starts, append=n)
+        first = np.minimum.reduceat(order, self._starts)
+        fine = np.repeat(
+            np.arange(count.size, dtype=np.min_scalar_type(count.size - 1)), count
+        )
+        # the second start is the least one left once the first is masked
+        masked = np.where(order == first[fine], n, order)
+        self._second = np.minimum.reduceat(masked, self._starts).astype(np.int64)
+        del masked
+        self._first = first.astype(np.int64)
+        self._last = np.maximum.reduceat(order, self._starts).astype(np.int64)
+        self._count = count
         self.order = order
-        self.lcp = np.full(n, l_max, dtype=np.min_scalar_type(l_max))
-        self.lcp[0] = 0
-        self.lcp[j] = np.minimum(common, l_max)
+        self.fine = np.empty_like(fine)
+        self.fine[order] = fine
 
     def __len__(self) -> int:
         return self.arr.size
@@ -133,9 +223,16 @@ class FactorIndex:
         """Number of start positions for factors of this length."""
         return self.arr.size - length + 1
 
-    def ids(self, length: int) -> np.ndarray:
-        """Group id at every start position, for one length."""
-        return self.groups(length).ids
+    def ids(self, length: int, stop: int | None = None) -> np.ndarray:
+        """Group id at every start position (below ``stop``), for one length.
+
+        The whole array is cached with the length's groups; a ``stop``
+        gathers just that prefix.
+        """
+        groups = self.groups(length)
+        if stop is None:
+            return groups.ids
+        return groups.table[self.fine[: max(0, min(stop, self.starts(length)))]]
 
     def groups(self, length: int) -> FactorGroups:
         """Occurrence statistics per distinct factor of one length."""
@@ -144,16 +241,33 @@ class FactorIndex:
         cached = self._groups_cache.get(length)
         if cached is not None:
             return cached
-        m = self.starts(length)
-        # by the padding rule, dropping the last L - 1 positions splits no group
-        keep = self.order < m
-        new = self.lcp[keep] < length
-        count = int(np.count_nonzero(new))
-        new[0] = False
-        ids = np.empty(m, dtype=np.min_scalar_type(count - 1))
-        ids[self.order[keep]] = np.cumsum(new, dtype=ids.dtype)
-        _, first, second, last, counts, max_gap = _occurrence_stats(ids, count)
-        groups = FactorGroups(length, ids, first, second, last, counts, max_gap)
+        n = self.arr.size
+        # a fine group starting past n - L is a near-end singleton
+        members = np.flatnonzero(self._first < self.starts(length))
+        new = self._lcp[members] < length
+        new[0] = True
+        cuts = np.flatnonzero(new)
+        first = self._first[members]
+        group_first = np.minimum.reduceat(first, cuts)
+        group_of = np.cumsum(new) - 1
+        # the second start: the least first of the other fine groups, or
+        # the second of the fine group holding the group's first start
+        others = np.where(first == group_first[group_of], self._second[members], first)
+        second = np.minimum.reduceat(others, cuts)
+        second[second == n] = -1
+        table = np.zeros(self._first.size, dtype=np.min_scalar_type(cuts.size - 1))
+        table[members] = group_of
+        groups = FactorGroups(
+            length,
+            group_first,
+            second,
+            np.maximum.reduceat(self._last[members], cuts),
+            np.add.reduceat(self._count[members], cuts),
+            table,
+            members,
+            cuts,
+            self.fine,
+        )
         self._groups_cache[length] = groups
         return groups
 
@@ -182,20 +296,40 @@ class FactorIndex:
             raise ValueError(f"factor length must be in 1..{self.l_max}")
         return tuple(factor) in self.factor_set(length)
 
-    def groups_starting_in(self, length: int, lo: int, hi: int) -> np.ndarray:
-        """Group indices with at least one occurrence starting in [lo, hi).
+    def _first_from(self, lo: int) -> np.ndarray:
+        """Per fine group, its least start >= lo (n if none)."""
+        cached = self._from_cache.get(lo)
+        if cached is None:
+            n = self.arr.size
+            later = np.where(self.order >= lo, self.order, n)
+            cached = np.minimum.reduceat(later, self._starts).astype(np.int64)
+            self._from_cache = {lo: cached}  # windows of one scan share lo
+        return cached
 
-        Ids double as group indices, so the distinct ids in the window
-        are exactly the groups sought.
-        """
-        return np.unique(self.ids(length)[max(lo, 0) : max(hi, 0)])
+    def window(self, length: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Groups with an occurrence starting in [lo, hi), in group order,
+        and the first such start of each."""
+        lo, hi = max(lo, 0), min(hi, self.starts(length))
+        if lo >= hi:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+        groups = self.groups(length)
+        start = groups.first
+        if lo > 0:
+            later = self._first_from(lo)[groups.members]
+            start = np.minimum.reduceat(later, groups.cuts)
+        chosen = np.flatnonzero(start < hi)
+        return chosen, start[chosen]
+
+    def groups_starting_in(self, length: int, lo: int, hi: int) -> np.ndarray:
+        """Group indices with at least one occurrence starting in [lo, hi)."""
+        return self.window(length, lo, hi)[0]
 
 
 class NaiveFactorScan:
     """Quadratic reference scanner with the same answers as FactorIndex."""
 
     def __init__(self, word: Word | np.ndarray, l_max: int):
-        arr = word.to_array() if isinstance(word, Word) else np.asarray(word)
+        arr = _word_array(word)
         self.symbols = tuple(int(x) for x in arr.tolist())
         self.l_max = l_max
         self._occ: dict[int, dict[tuple[int, ...], list[int]]] = {}

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**8  # most symbols one expansion may materialise
+_ADMIT_CHUNK = 2**16  # letters validated per lookup
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,15 @@ class Alphabet:
     def admits(self, arr: np.ndarray) -> bool:
         """Whether every entry of an integer array is a letter."""
         # clipping sends negatives to slot 0 and values past a_n to the
-        # final slot, both False
-        return bool(self._membership.take(arr, mode="clip").all())
+        # final slot, both False; take copies a read-only index array,
+        # so long arrays go through in bounded pieces
+        table = self._membership
+        if len(arr) <= _ADMIT_CHUNK:
+            return bool(table.take(arr, mode="clip").all())
+        return all(
+            table.take(arr[i : i + _ADMIT_CHUNK], mode="clip").all()
+            for i in range(0, len(arr), _ADMIT_CHUNK)
+        )
 
     def __contains__(self, letter: int) -> bool:
         return letter in self.letters

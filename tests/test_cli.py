@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from smoothwords import (
@@ -14,6 +15,12 @@ from smoothwords import (
     words,
 )
 from smoothwords.cli import main
+
+
+def _header(line):
+    """The key=value pairs of a ``# smoothwords`` config line."""
+    assert line.startswith("# smoothwords ")
+    return dict(pair.split("=", 1) for pair in line.split()[2:])
 
 
 def run_cli(*argv, capsys=None):
@@ -205,6 +212,10 @@ def test_recur_exit_codes(tmp_path, capsys):
         ]
     )
     assert code == 0
+    header, _, *rows = out.read_text().splitlines()
+    # the default scan covers 1000 letters: 1000 - L + 1 starts per length
+    assert _header(header)["positions"] == str(sum(1001 - L for L in range(1, 9)))
+    assert _header(header)["factors"] == str(len(rows))
     word_file = tmp_path / "word.txt"
     word_file.write_text("1 2\n")
     code = main(
@@ -282,6 +293,25 @@ def test_closure_expectations(tmp_path, capsys):
     assert main(odd + ["--expect", "witness"]) == 2
     lines = out.read_text().splitlines()
     assert lines[1] == "op,factor,image,verdict,position"
+    # every length scans the middle third [33333, 66666) of the word
+    arr = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 3)), (1, 3)), 10**5).to_array()
+    windows = np.lib.stride_tricks.sliding_window_view
+    factors = sum(
+        np.unique(windows(arr, L)[33333:66666], axis=0).shape[0] for L in range(1, 9)
+    )
+    header = _header(lines[0])
+    assert header["positions"] == str(8 * 33333)
+    assert header["factors"] == str(factors)
+    assert header["misses"] == "0"
+
+
+def test_gaps_header_counts(tmp_path):
+    out = tmp_path / "gaps.csv"
+    argv = ["gaps", "--base-period", "3,6,9", "--length", "5000", "--l-max", "5"]
+    assert main(argv + ["--output", str(out)]) == 0
+    header, _, *rows = out.read_text().splitlines()
+    assert _header(header)["positions"] == str(sum(5001 - L for L in range(1, 6)))
+    assert _header(header)["factors"] == str(len(rows))
 
 
 def test_subst_commands(tmp_path, capsys):

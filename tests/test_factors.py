@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smoothwords import (
@@ -8,7 +8,10 @@ from smoothwords import (
     BaseSequenceSpec,
     FactorIndex,
     NaiveFactorScan,
+    Permutation,
     Word,
+    closure_check,
+    gap_stability_check,
     kolakoski_prefix,
 )
 
@@ -86,6 +89,87 @@ def test_index_matches_naive_scan(case):
         assert idx.factor_set(length) == ref.factor_set(length)
 
 
+def _first_in_window(ref, length, lo, hi):
+    """Factors of one length with a start in [lo, hi), in lexicographic
+    order, mapped to their first start there."""
+    out = {}
+    for factor in sorted(ref.factor_set(length)):
+        inside = [p for p in ref.occurrences(factor) if lo <= p < hi]
+        if inside:
+            out[factor] = inside[0]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_and_l_max(), st.data())
+def test_window_matches_naive_scan(case, data):
+    # windows may be empty, reversed or reach past either end
+    arr, l_max = case
+    bound = st.integers(-3, arr.size + 3)
+    lo, hi = data.draw(bound), data.draw(bound)
+    idx = FactorIndex(arr, l_max)
+    ref = NaiveFactorScan(arr, l_max)
+    for length in range(1, l_max + 1):
+        expected = _first_in_window(ref, length, lo, hi)
+        rank = {f: g for g, f in enumerate(sorted(ref.factor_set(length)))}
+        chosen, starts = idx.window(length, lo, hi)
+        assert np.array_equal(idx.groups_starting_in(length, lo, hi), chosen)
+        assert chosen.tolist() == [rank[f] for f in expected]
+        assert [idx.factor_of_group(length, g) for g in chosen] == list(expected)
+        assert starts.tolist() == list(expected.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(words_and_l_max())
+def test_closure_middle_third_matches_naive_scan(case):
+    arr, l_max = case
+    n = arr.size
+    assume(n >= 3)
+    l_max = min(l_max, n // 3)
+    w = Word(arr)
+    ref = NaiveFactorScan(arr, l_max)
+    # swapping each letter with one absent from the word misses every
+    # factor, so the misses are the whole middle-third factor list
+    letters = set(arr.tolist())
+    shift = max(letters) - min(letters) + 1
+    away = {a: a + shift for a in letters}
+    away = Permutation({**away, **{b: a for a, b in away.items()}})
+    listed = []
+    for length in range(1, l_max + 1):
+        window = _first_in_window(ref, length, n // 3, 2 * n // 3)
+        listed += [(factor, pos + 1) for factor, pos in window.items()]
+    misses = closure_check(w, away, l_max)
+    assert [(m.factor, m.factor_position) for m in misses] == listed
+    reversal = [
+        (factor, pos)
+        for factor, pos in listed
+        if factor[::-1] not in ref.factor_set(len(factor))
+    ]
+    misses = closure_check(w, "reversal", l_max, index=FactorIndex(arr, l_max))
+    assert [(m.factor, m.factor_position) for m in misses] == reversal
+
+
+@settings(max_examples=100, deadline=None)
+@given(words_and_l_max())
+def test_gap_stability_half_prefix_matches_naive_scan(case):
+    arr, l_max = case
+    half = arr.size // 2
+    assume(half >= 1)
+    l_max = min(l_max, half)
+    half_ref = NaiveFactorScan(arr[:half], l_max)
+    full_ref = NaiveFactorScan(arr, l_max)
+    compared, mismatches = 0, []
+    for length in range(1, l_max + 1):
+        for factor in sorted(half_ref.factor_set(length)):
+            compared += 1
+            a, b = half_ref.max_gap(factor), full_ref.max_gap(factor)
+            if a != b:
+                mismatches.append((length, factor, a, b))
+    stability = gap_stability_check(Word(arr), l_max)
+    assert stability.compared == compared
+    assert stability.mismatches == mismatches
+
+
 def test_index_matches_naive_on_smooth_prefix():
     w = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 10**4)
     idx = FactorIndex(w, 12)
@@ -133,6 +217,19 @@ def test_contains_and_window_queries():
     window = idx.groups_starting_in(2, 0, 3)
     factors = {idx.factor_of_group(2, int(g)) for g in window}
     assert factors == {(1, 2), (2, 2), (2, 1)}
+
+
+@pytest.mark.parametrize("scanner", [FactorIndex, NaiveFactorScan])
+def test_non_integer_words_are_rejected(scanner):
+    with pytest.raises(ValueError, match="integer dtype"):
+        scanner(np.array([1.5, 1.2, 2.0]), 1)
+    with pytest.raises(ValueError, match="integer dtype"):
+        scanner(np.array([True, False]), 1)
+    with pytest.raises(ValueError, match="1-D"):
+        scanner(np.array([[1, 2], [2, 1]]), 1)
+    with pytest.raises(ValueError, match="1-D"):
+        scanner(np.int64(3), 1)
+    assert scanner(np.array([1, 2, 2], dtype=np.uint8), 1).distinct_count(1) == 2
 
 
 def test_length_bounds():

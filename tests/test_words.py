@@ -1,6 +1,7 @@
 import io
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,24 @@ def test_alphabet_arithmetic():
     assert Alphabet((1, 2)).quotients is None
     assert Alphabet((3, 6, 9)).remainder == 0
     assert Alphabet((3, 6, 9)).quotients == (1, 2, 3)
+
+
+def test_admits_read_only_words_in_bounded_memory():
+    arr = np.ones(5 * 10**6, dtype=np.int64)
+    arr[::3] = 2
+    arr.flags.writeable = False  # as in every Word, which take would copy
+    tracemalloc.start()
+    try:
+        assert A12.admits(arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    for bad in (0, -1, 3, 10**6):
+        late = np.ones(5 * 10**6, dtype=np.int64)
+        late[-1] = bad
+        assert not A12.admits(late)
+    assert A12.admits(np.array([], dtype=np.int64))
 
 
 def test_word_alphabet_membership():
