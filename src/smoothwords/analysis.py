@@ -53,7 +53,6 @@ __all__ = [
     "max_gap_report",
     "gap_stability_check",
     "closure_check",
-    "closure_scan_counts",
     "equal_run_blocks",
     "phi_inverse_palindrome_check",
 ]
@@ -378,7 +377,7 @@ def gap_stability_check(
     for length in range(1, l_max + 1):
         full = idx.groups(length)
         present, gap_half = _max_gaps(
-            idx.ids(length, half - length + 1), full.group_count
+            full.ids[: half - length + 1], full.group_count
         )
         compared += present.size
         gap_full = full.max_gap[present]
@@ -450,17 +449,6 @@ def closure_check(
 
 def _middle_third(n: int) -> tuple[int, int]:
     return n // 3, 2 * n // 3
-
-
-def closure_scan_counts(index: FactorIndex) -> tuple[int, int]:
-    """``(positions, factors)`` that :func:`closure_check` scans on this
-    index: start positions in the middle third and the distinct factors
-    starting there, summed over lengths 1..l_max."""
-    lo, hi = _middle_third(len(index))
-    factors = sum(
-        index.groups_starting_in(L, lo, hi).size for L in range(1, index.l_max + 1)
-    )
-    return index.l_max * (hi - lo), factors
 
 
 def write_witness_csv(witnesses: list[ClosureWitness], out: TextIO) -> None:

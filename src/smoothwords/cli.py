@@ -256,7 +256,7 @@ def cmd_recur(args) -> int:
         word, args.l_max, scan_len=args.scan_len
     )
     with _sink(args) as out:
-        positions = _starts(report.scan_len, args.l_max)
+        positions = _starts(min(report.scan_len, len(word)), args.l_max)
         line = _config_line(args, positions=positions, factors=len(report.rows))
         print(line, file=out)
         report.to_csv(out)
@@ -319,7 +319,11 @@ def cmd_closure(args) -> int:
         raise _UsageError(f"unknown op {args.op}")
     index = FactorIndex(word, args.l_max)
     witnesses = analysis.closure_check(word, op, args.l_max, index=index)
-    positions, factors = analysis.closure_scan_counts(index)
+    lo, hi = analysis._middle_third(len(word))
+    positions = args.l_max * (hi - lo)
+    factors = sum(
+        index.groups_starting_in(L, lo, hi).size for L in range(1, args.l_max + 1)
+    )
     with _sink(args) as out:
         line = _config_line(
             args, misses=len(witnesses), positions=positions, factors=factors

@@ -49,19 +49,6 @@ def _word_array(word: Word | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _dense_ranks(arr: np.ndarray) -> np.ndarray:
-    """Dense rank + 1 of every letter (rank 0 is left for padding), in
-    the smallest unsigned dtype."""
-    lo, hi = int(arr.min()), int(arr.max())
-    if hi - lo >= 1 << 16:
-        letters = np.unique(arr)
-        rank = np.searchsorted(letters, arr) + 1
-        return rank.astype(np.min_scalar_type(letters.size))
-    offset = np.empty(arr.size, dtype=np.uint16)
-    np.subtract(arr, lo, out=offset, casting="unsafe")
-    return _table_ranks(offset, hi - lo + 1)
-
-
 def _table_ranks(key: np.ndarray, size: int) -> np.ndarray:
     """Dense rank + 1 of every key (0 <= key < size), through a lookup
     table, in the smallest unsigned dtype."""
@@ -84,10 +71,9 @@ class FactorGroups:
     second: np.ndarray
     last: np.ndarray
     count: np.ndarray
-    table: np.ndarray = field(repr=False)  # group per fine group
-    members: np.ndarray = field(repr=False)  # fine groups kept, in order
-    cuts: np.ndarray = field(repr=False)  # where each group begins in members
-    fine: np.ndarray = field(repr=False)  # fine group per position of the word
+    # the group of every fine group, and the fine group of every position
+    _table: np.ndarray = field(repr=False, compare=False, kw_only=True)
+    _fine: np.ndarray = field(repr=False, compare=False, kw_only=True)
 
     @property
     def group_count(self) -> int:
@@ -96,7 +82,7 @@ class FactorGroups:
     @cached_property
     def ids(self) -> np.ndarray:
         """Group id per start position, in the smallest unsigned dtype."""
-        return self.table[self.fine[: self.fine.size - self.length + 1]]
+        return self._table[self._fine[: self._fine.size - self.length + 1]]
 
     @cached_property
     def max_gap(self) -> np.ndarray:
@@ -140,9 +126,12 @@ class FactorIndex:
         self._from_cache: dict[int, np.ndarray] = {}
         n = self.arr.size
         pos = np.int32 if n < 2**31 else np.int64
-        rank = _dense_ranks(self.arr)
+        distinct = np.unique(self.arr)
+        rank = np.searchsorted(distinct, self.arr) + 1  # rank 0 is the padding
+        rank = rank.astype(np.min_scalar_type(distinct.size))
         # the first width: as many letters as pack into a 16-bit key
-        base = int(rank.max()) + 1
+        base = distinct.size + 1
+        del distinct
         width = 1
         while width < l_max and base ** (2 * width) <= 1 << 16:
             width *= 2
@@ -223,16 +212,9 @@ class FactorIndex:
         """Number of start positions for factors of this length."""
         return self.arr.size - length + 1
 
-    def ids(self, length: int, stop: int | None = None) -> np.ndarray:
-        """Group id at every start position (below ``stop``), for one length.
-
-        The whole array is cached with the length's groups; a ``stop``
-        gathers just that prefix.
-        """
-        groups = self.groups(length)
-        if stop is None:
-            return groups.ids
-        return groups.table[self.fine[: max(0, min(stop, self.starts(length)))]]
+    def ids(self, length: int) -> np.ndarray:
+        """Group id at every start position, for one length."""
+        return self.groups(length).ids
 
     def groups(self, length: int) -> FactorGroups:
         """Occurrence statistics per distinct factor of one length."""
@@ -242,14 +224,10 @@ class FactorIndex:
         if cached is not None:
             return cached
         n = self.arr.size
-        # a fine group starting past n - L is a near-end singleton
-        members = np.flatnonzero(self._first < self.starts(length))
-        new = self._lcp[members] < length
-        new[0] = True
-        cuts = np.flatnonzero(new)
+        members, cuts = self._merge(length)
         first = self._first[members]
         group_first = np.minimum.reduceat(first, cuts)
-        group_of = np.cumsum(new) - 1
+        group_of = np.repeat(np.arange(cuts.size), np.diff(cuts, append=members.size))
         # the second start: the least first of the other fine groups, or
         # the second of the fine group holding the group's first start
         others = np.where(first == group_first[group_of], self._second[members], first)
@@ -263,13 +241,20 @@ class FactorIndex:
             second,
             np.maximum.reduceat(self._last[members], cuts),
             np.add.reduceat(self._count[members], cuts),
-            table,
-            members,
-            cuts,
-            self.fine,
+            _table=table,
+            _fine=self.fine,
         )
         self._groups_cache[length] = groups
         return groups
+
+    def _merge(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(members, cuts)`` for one length: the fine groups kept, in
+        order, and where each group begins among them."""
+        # a fine group starting past n - L is a near-end singleton
+        members = np.flatnonzero(self._first < self.starts(length))
+        new = self._lcp[members] < length
+        new[0] = True
+        return members, np.flatnonzero(new)
 
     def factor_at(self, pos: int, length: int) -> tuple[int, ...]:
         return tuple(self.arr[pos : pos + length].tolist())
@@ -312,11 +297,10 @@ class FactorIndex:
         lo, hi = max(lo, 0), min(hi, self.starts(length))
         if lo >= hi:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
-        groups = self.groups(length)
-        start = groups.first
+        start = self.groups(length).first
         if lo > 0:
-            later = self._first_from(lo)[groups.members]
-            start = np.minimum.reduceat(later, groups.cuts)
+            members, cuts = self._merge(length)
+            start = np.minimum.reduceat(self._first_from(lo)[members], cuts)
         chosen = np.flatnonzero(start < hi)
         return chosen, start[chosen]
 

@@ -216,6 +216,26 @@ def test_recur_exit_codes(tmp_path, capsys):
     # the default scan covers 1000 letters: 1000 - L + 1 starts per length
     assert _header(header)["positions"] == str(sum(1001 - L for L in range(1, 9)))
     assert _header(header)["factors"] == str(len(rows))
+    # a scan longer than the word stops at its end
+    code = main(
+        [
+            "recur",
+            "--base-period",
+            "1,2",
+            "--length",
+            "1000",
+            "--l-max",
+            "8",
+            "--scan-len",
+            "5000",
+            "--output",
+            str(out),
+        ]
+    )
+    assert code == 0
+    header, _, *rows = out.read_text().splitlines()
+    assert _header(header)["positions"] == str(sum(1001 - L for L in range(1, 9)))
+    assert _header(header)["factors"] == str(len(rows))
     word_file = tmp_path / "word.txt"
     word_file.write_text("1 2\n")
     code = main(
