@@ -20,8 +20,10 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, TextIO
 
+import numpy as np
+
 from . import analysis
-from .errors import SmoothwordError
+from .errors import ExpansionBudgetExceeded, SmoothwordError
 from .factors import FactorIndex
 from .expansion import (
     DEFAULT_BUDGET,
@@ -87,12 +89,16 @@ def _letters(text: str) -> tuple[int, ...]:
     return _symbols(text).symbols
 
 
-def _alphabet(args, fallback: tuple[int, ...] | None = None) -> Alphabet:
+def _alphabet(args) -> Alphabet:
+    """The ``--alphabet`` letters, else the letters of the base sequence."""
     if getattr(args, "alphabet", None):
-        return Alphabet(tuple(sorted(set(_letters(args.alphabet)))))
-    if fallback:
-        return Alphabet(tuple(sorted(set(fallback))))
-    raise _UsageError("--alphabet is required")
+        letters = _letters(args.alphabet)
+    else:
+        base = (getattr(args, "base_preperiod", ""), getattr(args, "base_period", ""))
+        letters = _letters(",".join(base))
+    if not letters:
+        raise _UsageError("--alphabet is required")
+    return Alphabet(tuple(sorted(set(letters))))
 
 
 def _data_line(path: str) -> bytes:
@@ -143,12 +149,16 @@ def _sink(args) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-def _emit_word(args, word: Word, **extra) -> None:
-    if len(word) > STDOUT_SYMBOL_LIMIT and not getattr(args, "output", None):
+def _check_stdout(args, size: int) -> None:
+    if size > STDOUT_SYMBOL_LIMIT and not getattr(args, "output", None):
         raise _UsageError(
-            f"{len(word)} symbols exceed the stdout limit of "
+            f"{size} symbols exceed the stdout limit of "
             f"{STDOUT_SYMBOL_LIMIT}; pass --output FILE"
         )
+
+
+def _emit_word(args, word: Word, **extra) -> None:
+    _check_stdout(args, len(word))
     with _sink(args) as out:
         print(_config_line(args, **extra), file=out)
         write_words([word], out)
@@ -167,11 +177,7 @@ def _base_spec(args, alphabet: Alphabet) -> BaseSequenceSpec:
 
 
 def cmd_generate(args) -> int:
-    alphabet = _alphabet(
-        args,
-        fallback=_letters(args.base_period or "")
-        + _letters(args.base_preperiod or ""),
-    )
+    alphabet = _alphabet(args)
     stream = kolakoski_stream(_base_spec(args, alphabet))
     word = stream.take(args.length)
     stats = {"levels": stream.levels, "peak_buffered": stream.peak_buffered}
@@ -190,6 +196,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    if args.times < 0:
+        raise _UsageError("--times must be non-negative")
     alphabet = _alphabet(args)
     word = _read_word(args, alphabet)
     for _ in range(args.times):
@@ -218,7 +226,7 @@ def cmd_phi_inverse(args) -> int:
 
 
 def cmd_freq(args) -> int:
-    alphabet = _alphabet(args, fallback=_letters(args.base_period or ""))
+    alphabet = _alphabet(args)
     if args.input:
         source = _read_word(args, alphabet)
         length = len(source)
@@ -247,7 +255,7 @@ def cmd_freq(args) -> int:
 
 
 def cmd_recur(args) -> int:
-    alphabet = _alphabet(args, fallback=_letters(args.base_period or ""))
+    alphabet = _alphabet(args)
     if args.input:
         word = _read_word(args, alphabet)
     else:
@@ -272,7 +280,7 @@ def cmd_recur(args) -> int:
 
 
 def cmd_gaps(args) -> int:
-    alphabet = _alphabet(args, fallback=_letters(args.base_period or ""))
+    alphabet = _alphabet(args)
     if args.input:
         word = _read_word(args, alphabet)
     else:
@@ -298,7 +306,7 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    alphabet = _alphabet(args, fallback=_letters(args.base_period or ""))
+    alphabet = _alphabet(args)
     if args.input:
         word = _read_word(args, alphabet)
     else:
@@ -343,6 +351,22 @@ def cmd_closure(args) -> int:
     return 0
 
 
+def _iterate_size(sub, seed: str, t: int, blocks: bool, cap: int) -> int:
+    """Block symbols (``blocks``) or letters in the t-th iterate of seed.
+
+    Symbol counts go level by level in Python ints and stop once they
+    pass cap, so a result above cap may be short of the true size.
+    """
+    matrix = incidence_matrix(sub).matrix.astype(object)
+    counts = np.array([int(sym == seed) for sym in sub.symbols], dtype=object)
+    for _ in range(t):
+        if counts.sum() > cap:
+            break
+        counts = matrix.dot(counts)
+    sizes = [1 if blocks else len(sub.blocks[sym].expansion) for sym in sub.symbols]
+    return int(counts.dot(np.array(sizes, dtype=object)))
+
+
 def _built_substitution(args):
     order = CyclicOrder.from_letters(_letters(args.order))
     alphabet = order.alphabet
@@ -363,7 +387,12 @@ def cmd_subst(args) -> int:
             print(sub.rule_table(), file=out)
         return 0
     if action == "iterate":
-        bw = iterate(sub, args.seed_symbol or sub.seed, args.t)
+        seed, budget = args.seed_symbol or sub.seed, _budget()
+        size = _iterate_size(sub, seed, args.t, args.blocks, budget)
+        if size > budget:
+            raise ExpansionBudgetExceeded(f"iterate exceeds budget of {budget} symbols")
+        _check_stdout(args, size)
+        bw = iterate(sub, seed, args.t)
         with _sink(args) as out:
             print(_config_line(args, seed=sub.seed), file=out)
             if args.blocks:

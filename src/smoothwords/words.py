@@ -203,15 +203,6 @@ class Word:
         """The symbols as a read-only int64 numpy array."""
         return self._array
 
-    def replace(self, **kwargs) -> "Word":
-        fields = {
-            "symbols": self._array,
-            "alphabet": self.alphabet,
-            "is_prefix": self.is_prefix,
-        }
-        fields.update(kwargs)
-        return Word(**fields)
-
     def __len__(self) -> int:
         return self._array.size
 
@@ -267,10 +258,6 @@ class RunDecomposition:
 
     def __len__(self) -> int:
         return len(self.exponents)
-
-    def runs(self) -> Iterator[tuple[int, int]]:
-        """Yield (base, exponent) pairs in order."""
-        return zip(self.bases, self.exponents)
 
 
 class Permutation:

@@ -17,6 +17,7 @@ _SEED = 0
 def test_criterion(name, fn):
     result = run_check(fn, _SEED)
     print(result.format_line())
+    assert result.name == name
     assert result.passed, result.format_line() + (
         f"\ncounterexample: {result.counterexample}"
         if result.counterexample

@@ -14,7 +14,10 @@ from smoothwords import (
     rle_encode,
     words,
 )
+from smoothwords import cli
 from smoothwords.cli import main
+from smoothwords.expansion import CyclicOrder
+from smoothwords.substitution import build_substitution, flatten, iterate
 
 
 def _header(line):
@@ -90,6 +93,14 @@ def test_derive(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[-1] == "2 2"
+
+
+def test_derive_rejects_negative_times(capsys):
+    argv = ["derive", "--alphabet", "1,2", "--word", "1,2,2,1", "--times", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--times must be non-negative\n"
 
 
 def test_phi_inverse(capsys):
@@ -348,6 +359,62 @@ def test_subst_commands(tmp_path, capsys):
     assert main(["subst", "iterate"] + args + ["--t", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1].split() == ["6"] * 6 + ["10"] * 6 + ["14"] * 6 + ["2"] * 6
+
+
+def test_subst_iterate_size_checked_before_building(tmp_path, capsys, monkeypatch):
+    # the 6th iterate of sigma_1 has 786432 letters and the 9th 402653184;
+    # neither may be built, so each case must fail before iterate runs
+    args = ["subst", "iterate", "--order", "6,10,14,2"]
+    assert main(args + ["--t", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "786432 symbols exceed the stdout limit of 100000; pass --output FILE\n"
+    )
+    target = tmp_path / "iterate.txt"
+    monkeypatch.setenv("SMOOTHWORDS_MAX_EXPANSION", "1000")
+    for t in ("4", "1000"):
+        assert main(args + ["--t", t, "--output", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: iterate exceeds budget of 1000 symbols\n"
+        assert not target.exists()
+    monkeypatch.delenv("SMOOTHWORDS_MAX_EXPANSION")
+    assert main(args + ["--t", "1000", "--output", str(target)]) == 1
+    assert capsys.readouterr().err == (
+        "error: iterate exceeds budget of 100000000 symbols\n"
+    )
+    assert main(args + ["--t", "4", "--blocks"]) == 0
+    assert len(capsys.readouterr().out.splitlines()[-1].split()) == 6 * 8**3
+
+
+@pytest.mark.parametrize("order", [(6, 10, 14, 2), (1, 3), (2, 4), (3, 6, 9)])
+def test_iterate_size_matches_the_iterate(order):
+    o = CyclicOrder.from_letters(order)
+    sub = build_substitution(o.alphabet, o)
+    for t in range(5):
+        bw = iterate(sub, sub.seed, t)
+        assert cli._iterate_size(sub, sub.seed, t, True, 10**9) == len(bw)
+        letters = len(flatten(sub, bw))
+        assert cli._iterate_size(sub, sub.seed, t, False, 10**9) == letters
+        if letters > 1:
+            assert cli._iterate_size(sub, sub.seed, t, False, letters - 1) >= letters
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["freq"],
+        ["recur", "--l-max", "4", "--expect", "none"],
+        ["gaps", "--l-max", "4"],
+        ["closure", "--op", "reversal", "--l-max", "4"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_report_alphabet_falls_back_to_the_whole_base(command, tmp_path, capsys):
+    base = ["--base-preperiod", "1", "--base-period", "2,3", "--length", "1000"]
+    out = tmp_path / "report.csv"
+    assert main(command + base + ["--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_generated_files_feed_back_as_input(tmp_path, capsys):
