@@ -393,14 +393,12 @@ def gap_stability_check(
 
 @dataclass(frozen=True)
 class ClosureWitness:
-    """A factor whose image under the operation was (or was not) found."""
+    """A factor whose image under the operation is absent from the prefix."""
 
     op: str
     factor: tuple[int, ...]
     image: tuple[int, ...]
-    found: bool
     factor_position: int  # 1-based, inside the middle third
-    image_position: int | None  # 1-based first occurrence when found
 
 
 def _closure_op(
@@ -441,9 +439,7 @@ def closure_check(
             factor = idx.factor_at(pos, length)
             image = transform(factor)
             if image not in fset:
-                misses.append(
-                    ClosureWitness(label, factor, image, False, pos + 1, None)
-                )
+                misses.append(ClosureWitness(label, factor, image, pos + 1))
     return misses
 
 
@@ -460,8 +456,8 @@ def write_witness_csv(witnesses: list[ClosureWitness], out: TextIO) -> None:
                 wit.op,
                 format_symbols(wit.factor),
                 format_symbols(wit.image),
-                "found" if wit.found else "absent",
-                wit.image_position if wit.found else wit.factor_position,
+                "absent",
+                wit.factor_position,
             ]
         )
 

@@ -141,12 +141,21 @@ def _starts(m: int, l_max: int) -> int:
 
 
 @contextmanager
-def _sink(args) -> Iterator[TextIO]:
+def _sink(args, **extra) -> Iterator[TextIO]:
+    """The ``--output`` file, else stdout, opened with the config line."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            print(_config_line(args, **extra), file=handle)
             yield handle
     else:
+        print(_config_line(args, **extra))
         yield sys.stdout
+
+
+def _mismatch(message: str) -> int:
+    """Report a verification mismatch on stderr; its exit code is 2."""
+    print(message, file=sys.stderr)
+    return 2
 
 
 def _check_stdout(args, size: int) -> None:
@@ -159,8 +168,7 @@ def _check_stdout(args, size: int) -> None:
 
 def _emit_word(args, word: Word, **extra) -> None:
     _check_stdout(args, len(word))
-    with _sink(args) as out:
-        print(_config_line(args, **extra), file=out)
+    with _sink(args, **extra) as out:
         write_words([word], out)
 
 
@@ -170,6 +178,13 @@ def _base_spec(args, alphabet: Alphabet) -> BaseSequenceSpec:
     period = _letters(args.base_period)
     preperiod = _letters(args.base_preperiod) if args.base_preperiod else ()
     return BaseSequenceSpec(alphabet, period, preperiod)
+
+
+def _word(args, alphabet: Alphabet) -> Word:
+    """The ``--input`` word, else ``--length`` letters of the fixpoint."""
+    if args.input:
+        return _read_word(args, alphabet)
+    return kolakoski_prefix(_base_spec(args, alphabet), args.length)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +204,7 @@ def cmd_encode(args) -> int:
     alphabet = _alphabet(args) if args.alphabet else None
     word = _read_word(args, alphabet)
     rd = rle_encode(word)
-    with _sink(args) as out:
-        print(_config_line(args, truncated=rd.last_run_truncated), file=out)
+    with _sink(args, truncated=rd.last_run_truncated) as out:
         write_words([rd.exponents, rd.bases], out)
     return 0
 
@@ -200,7 +214,7 @@ def cmd_derive(args) -> int:
         raise _UsageError("--times must be non-negative")
     alphabet = _alphabet(args)
     word = _read_word(args, alphabet)
-    for _ in range(args.times):
+    for _ in range(min(args.times, len(word))):  # each step shortens the word
         word = derivative(word)
     _emit_word(args, word)
     return 0
@@ -242,75 +256,53 @@ def cmd_freq(args) -> int:
         raise _UsageError(f"sample {max(samples)} exceeds the length {length}")
     report = analysis.letter_frequencies(source, samples, alphabet)
     with _sink(args) as out:
-        print(_config_line(args), file=out)
         report.to_csv(out)
     if args.tol is not None and report.max_deviation() > args.tol:
-        print(
+        return _mismatch(
             f"frequency deviation {report.max_deviation():.3e} exceeds "
-            f"tolerance {args.tol:.3e}",
-            file=sys.stderr,
+            f"tolerance {args.tol:.3e}"
         )
-        return 2
     return 0
 
 
 def cmd_recur(args) -> int:
-    alphabet = _alphabet(args)
-    if args.input:
-        word = _read_word(args, alphabet)
-    else:
-        word = kolakoski_prefix(_base_spec(args, alphabet), args.length)
+    word = _word(args, _alphabet(args))
     report = analysis.recurrence_report(
         word, args.l_max, scan_len=args.scan_len
     )
-    with _sink(args) as out:
-        positions = _starts(min(report.scan_len, len(word)), args.l_max)
-        line = _config_line(args, positions=positions, factors=len(report.rows))
-        print(line, file=out)
+    positions = _starts(min(report.scan_len, len(word)), args.l_max)
+    with _sink(args, positions=positions, factors=len(report.rows)) as out:
         report.to_csv(out)
     if args.expect == "recurrent" and not report.all_recurrent:
         bad = report.non_recurrent[0]
-        print(
+        return _mismatch(
             f"non-recurrent factor of length {bad.length}: "
-            f"{format_symbols(bad.factor)} (first at {bad.first})",
-            file=sys.stderr,
+            f"{format_symbols(bad.factor)} (first at {bad.first})"
         )
-        return 2
     return 0
 
 
 def cmd_gaps(args) -> int:
-    alphabet = _alphabet(args)
-    if args.input:
-        word = _read_word(args, alphabet)
-    else:
-        word = kolakoski_prefix(_base_spec(args, alphabet), args.length)
+    word = _word(args, _alphabet(args))
     index = FactorIndex(word, args.l_max)
     report = analysis.max_gap_report(word, args.l_max, index=index)
-    with _sink(args) as out:
-        positions = _starts(len(word), args.l_max)
-        line = _config_line(args, positions=positions, factors=len(report.rows))
-        print(line, file=out)
+    positions = _starts(len(word), args.l_max)
+    with _sink(args, positions=positions, factors=len(report.rows)) as out:
         report.to_csv(out)
     if args.expect == "stable":
         stability = analysis.gap_stability_check(word, args.l_max, index=index)
         if not stability.all_stable:
             length, factor, before, after = stability.mismatches[0]
-            print(
+            return _mismatch(
                 f"gap of length-{length} factor {format_symbols(factor)} "
-                f"changed {before} -> {after}",
-                file=sys.stderr,
+                f"changed {before} -> {after}"
             )
-            return 2
     return 0
 
 
 def cmd_closure(args) -> int:
     alphabet = _alphabet(args)
-    if args.input:
-        word = _read_word(args, alphabet)
-    else:
-        word = kolakoski_prefix(_base_spec(args, alphabet), args.length)
+    word = _word(args, alphabet)
     if args.op == "reversal":
         op: str | Permutation = "reversal"
     elif args.op == "complement":
@@ -332,22 +324,14 @@ def cmd_closure(args) -> int:
     factors = sum(
         index.groups_starting_in(L, lo, hi).size for L in range(1, args.l_max + 1)
     )
-    with _sink(args) as out:
-        line = _config_line(
-            args, misses=len(witnesses), positions=positions, factors=factors
-        )
-        print(line, file=out)
+    extra = {"misses": len(witnesses), "positions": positions, "factors": factors}
+    with _sink(args, **extra) as out:
         analysis.write_witness_csv(witnesses, out)
     if args.expect == "closed" and witnesses:
-        wit = witnesses[0]
-        print(
-            f"image of {format_symbols(wit.factor)} absent from the prefix",
-            file=sys.stderr,
-        )
-        return 2
+        factor = format_symbols(witnesses[0].factor)
+        return _mismatch(f"image of {factor} absent from the prefix")
     if args.expect == "witness" and not witnesses:
-        print("expected at least one closure witness, found none", file=sys.stderr)
-        return 2
+        return _mismatch("expected at least one closure witness, found none")
     return 0
 
 
@@ -379,8 +363,7 @@ def cmd_subst(args) -> int:
     sub, order = _built_substitution(args)
     action = args.action
     if action in ("build", "show"):
-        with _sink(args) as out:
-            print(_config_line(args, seed=sub.seed), file=out)
+        with _sink(args, seed=sub.seed) as out:
             if action == "build":
                 for sym, block in sub.blocks.items():
                     print(f"{sym} = {format_symbols(block.expansion)}", file=out)
@@ -393,8 +376,7 @@ def cmd_subst(args) -> int:
             raise ExpansionBudgetExceeded(f"iterate exceeds budget of {budget} symbols")
         _check_stdout(args, size)
         bw = iterate(sub, seed, args.t)
-        with _sink(args) as out:
-            print(_config_line(args, seed=sub.seed), file=out)
+        with _sink(args, seed=sub.seed) as out:
             if args.blocks:
                 print(" ".join(bw), file=out)
             else:
@@ -402,41 +384,37 @@ def cmd_subst(args) -> int:
         return 0
     if action == "check-primitive":
         primitive, k = is_primitive(sub)
-        with _sink(args) as out:
-            print(_config_line(args, seed=sub.seed), file=out)
+        with _sink(args, seed=sub.seed) as out:
             print(f"primitive={primitive} k={k}", file=out)
         return 0 if primitive else 2
     if action == "verify-fixpoint":
         spec = BaseSequenceSpec(order.alphabet, order.arrangement)
         ok = verify_substitution_fixpoint(sub, spec, args.length)
-        with _sink(args) as out:
-            print(_config_line(args, seed=sub.seed), file=out)
+        with _sink(args, seed=sub.seed) as out:
             print(f"fixpoint_match={ok} length={args.length}", file=out)
         if not ok:
-            print(
-                "substitution iterate disagrees with the fixpoint word",
-                file=sys.stderr,
-            )
-            return 2
+            return _mismatch("substitution iterate disagrees with the fixpoint word")
         return 0
     raise _UsageError(f"unknown subst action {action}")
 
 
 def cmd_verify_all(args) -> int:
+    failed: dict[str, str] = {}  # the first failing check's name
+    lines: list[str | None] = []  # and its lines for --output
     for name, fn in ALL_CHECKS:
         result = run_check(fn, args.seed)
         print(result.format_line())
         if not result.passed:
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as handle:
-                    print(_config_line(args, failed=name), file=handle)
-                    print(result.format_line(), file=handle)
-                    if result.counterexample:
-                        print(result.counterexample, file=handle)
-            if result.counterexample:
-                print(f"counterexample: {result.counterexample}")
-            return 2
-    return 0
+            failed = {"failed": name}
+            lines = [result.format_line(), result.counterexample]
+            break
+    if args.output:  # written on every run, so no older failure lingers
+        with open(args.output, "w", encoding="utf-8") as handle:
+            for line in filter(None, [_config_line(args, **failed), *lines]):
+                print(line, file=handle)
+    if failed and result.counterexample:
+        print(f"counterexample: {result.counterexample}")
+    return 2 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +521,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-all", help="run the acceptance battery")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="path for the first counterexample")
+    p.add_argument("--output", help="write the config line and any failure here")
     p.set_defaults(func=cmd_verify_all)
 
     return parser

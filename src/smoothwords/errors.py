@@ -15,7 +15,7 @@ class NotDifferentiable(SmoothwordError):
     """
 
 
-class InvalidRuns(SmoothwordError):
+class InvalidRuns(SmoothwordError, ValueError):
     """A run decomposition violates its invariants (adjacent equal bases,
     non-positive exponents, or mismatched lengths)."""
 

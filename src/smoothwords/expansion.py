@@ -21,7 +21,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ExpansionBudgetExceeded, InsufficientDepth
-from .words import DEFAULT_BUDGET, Alphabet, Word, _run_arrays
+from .words import (
+    DEFAULT_BUDGET,
+    Alphabet,
+    RunDecomposition,
+    Word,
+    _run_arrays,
+    rle_reconstruct,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -77,12 +84,6 @@ class CyclicOrder:
         i = self.position(letter)
         return self.arrangement[(i + k) % self.size]
 
-    def letters_from(self, letter: int, count: int) -> np.ndarray:
-        """``count`` letters of the cycle starting at ``letter``."""
-        i = self.position(letter)
-        idx = (i + np.arange(count)) % self.size
-        return np.asarray(self.arrangement, dtype=np.int64)[idx]
-
 
 def _check_exponents(u: Word | np.ndarray) -> np.ndarray:
     arr = u.to_array() if isinstance(u, Word) else np.asarray(u, dtype=np.int64)
@@ -104,15 +105,12 @@ def pseudo_inverse(
     ``u[i]`` times; the output length is the sum of the exponents.
     """
     order.position(alpha)  # validates membership
-    arr = _check_exponents(u)
-    total = int(arr.sum())
-    if total > budget:
+    total = int(_check_exponents(u).sum())
+    if total > budget:  # before the chain expander allocates anything
         raise ExpansionBudgetExceeded(
             f"expansion of {total} symbols exceeds budget {budget}"
         )
-    bases = order.letters_from(alpha, arr.size)
-    flat = np.repeat(bases, arr)
-    return Word.from_array(flat, order.alphabet, validate=False)
+    return pseudo_inverse_chain((alpha,), u, order, budget=budget)
 
 
 def pseudo_inverse_chain(
@@ -146,16 +144,10 @@ def pseudo_inverse_with_base(u: Word, v: Word) -> Word:
     """Expand exponents ``u`` against an explicit base word ``v``.
 
     Requires equal lengths and adjacent-distinct bases, which makes the
-    expansion exactly invertible by run-length coding.
+    expansion exactly invertible by run-length coding: this is
+    :func:`rle_reconstruct` of the decomposition ``(u, v)``.
     """
-    if len(u) != len(v):
-        raise ValueError("exponent and base words must have equal length")
-    exps = _check_exponents(u)
-    bases = v.to_array()
-    if bases.size > 1 and (bases[1:] == bases[:-1]).any():
-        raise ValueError("adjacent bases must differ")
-    flat = np.repeat(bases, exps)
-    return Word.from_array(flat, v.alphabet, validate=False)
+    return rle_reconstruct(RunDecomposition(u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ repeated n times, ``Bi`` for a pair of adjacent cycle letters repeated r
 times each), and the substitution maps block symbols to block words.
 Three families are provided:
 
-* 2-letter alphabets of even letters and of odd letters (the classical
-  two- and three-block systems over symbols A, B, C);
 * remainder-0 alphabets of any size;
 * positive-remainder alphabets of even size (two parity sub-cases that
-  share one indexing scheme).
+  share one indexing scheme);
+* 2-letter alphabets of even letters and of odd letters: the classical
+  two- and three-block systems over symbols A, B, C, built as the n = 2
+  cases of the two general families with their symbols renamed.
 
 Raw subscripts in the general rules are reduced into range modulo n
 (for A-blocks) and modulo n/2 (for B-blocks) at construction time.
@@ -206,23 +207,26 @@ def _block_table(pairs: Iterable[tuple[str, tuple[int, ...]]]) -> dict[str, Bloc
     return {sym: Block(sym, exp) for sym, exp in pairs}
 
 
+def _relabel(sub: Substitution, names: dict[str, str]) -> Substitution:
+    """``sub`` with its symbols renamed by ``names``, rules in ``names`` order."""
+    rules = {names[s]: tuple(names[x] for x in sub.rules[s]) for s in names}
+    blocks = _block_table((names[s], sub.blocks[s].expansion) for s in names)
+    return Substitution(rules, blocks, sub.alphabet, seed=names[sub.seed])
+
+
 def build_sing_even(c1: int, c2: int) -> Substitution:
     """The two-block system for a 2-letter alphabet of even letters.
 
     Blocks A = c1 c1 and B = c2 c2; with c1 = 2m and c2 = 2n the rules
-    are A -> A^m B^m and B -> A^n B^n.
+    are A -> A^m B^m and B -> A^n B^n.  This is :func:`build_sigma_r0`
+    on the order (c1, c2) with A1, A2 renamed A, B.
     """
     if c1 % 2 or c2 % 2 or c1 < 2 or c2 < 2:
         raise ValueError("letters must be positive even integers")
     if c1 >= c2:
         raise ValueError("letters must be given in increasing order")
-    m, n = c1 // 2, c2 // 2
-    rules = {
-        "A": ("A",) * m + ("B",) * m,
-        "B": ("A",) * n + ("B",) * n,
-    }
-    blocks = _block_table([("A", (c1, c1)), ("B", (c2, c2))])
-    return Substitution(rules, blocks, Alphabet((c1, c2)), seed="A")
+    order = CyclicOrder.from_letters((c1, c2))
+    return _relabel(build_sigma_r0(order.alphabet, order), {"A1": "A", "A2": "B"})
 
 
 def build_sing_odd(c1: int, c2: int) -> Substitution:
@@ -230,7 +234,9 @@ def build_sing_odd(c1: int, c2: int) -> Substitution:
 
     Blocks A = c1 c1, B = c1 c2, C = c2 c2; with c1 = 2m+1 and c2 = 2n+1
     the rules are A -> A^m B C^m, B -> A^m B C^n, C -> A^n B C^n.
-    The degenerate case c1 = 1 (m = 0, rule A -> B) is rejected.
+    This is :func:`build_sigma_even_n` on the order (c1, c2) with A1,
+    B1, A2 renamed A, B, C.  The degenerate case c1 = 1 (m = 0, rule
+    A -> B) is rejected.
     """
     if c1 % 2 == 0 or c2 % 2 == 0 or c1 < 1 or c2 < 1:
         raise ValueError("letters must be positive odd integers")
@@ -238,16 +244,9 @@ def build_sing_odd(c1: int, c2: int) -> Substitution:
         raise ValueError("letters must be given in increasing order")
     if c1 == 1:
         raise ValueError("c1 = 1 degenerates the A rule; not constructible")
-    m, n = (c1 - 1) // 2, (c2 - 1) // 2
-    rules = {
-        "A": ("A",) * m + ("B",) + ("C",) * m,
-        "B": ("A",) * m + ("B",) + ("C",) * n,
-        "C": ("A",) * n + ("B",) + ("C",) * n,
-    }
-    blocks = _block_table(
-        [("A", (c1, c1)), ("B", (c1, c2)), ("C", (c2, c2))]
-    )
-    return Substitution(rules, blocks, Alphabet((c1, c2)), seed="A")
+    order = CyclicOrder.from_letters((c1, c2))
+    names = {"A1": "A", "B1": "B", "A2": "C"}
+    return _relabel(build_sigma_even_n(order.alphabet, order), names)
 
 
 def _order_quotients(order: CyclicOrder) -> tuple[int, tuple[int, ...]]:
@@ -327,15 +326,10 @@ def build_sigma_even_n(alphabet: Alphabet, order: CyclicOrder) -> Substitution:
 
     for i in range(1, n + 1):
         q = qs[i - 1]
-        if i % 2:  # odd index: offsets (i-1)r and ((i-1)/2)r
-            a_off = (i - 1) * r
-            b_off = (i - 1) // 2 * r
-        else:  # even index: offsets i*r and (i/2)*r
-            a_off = i * r
-            b_off = i // 2 * r
+        b_off = (i // 2) * r  # odd i: ((i-1)/2)r, even i: (i/2)r
         rhs: list[str] = []
         for t in range(1, m + 1):
-            rhs.extend(group(a_off + 2 * t - 1, b_off + t, q, q))
+            rhs.extend(group(2 * b_off + 2 * t - 1, b_off + t, q, q))
         rules[f"A{i}"] = tuple(rhs)
 
     for k in range(m):
@@ -367,10 +361,7 @@ def build_sigma_even_n(alphabet: Alphabet, order: CyclicOrder) -> Substitution:
 
 def build_substitution(alphabet: Alphabet, order: CyclicOrder) -> Substitution:
     """Dispatch on the alphabet's arithmetic: r = 0 or r > 0 with even n."""
-    r = alphabet.remainder
-    if r is None:
-        raise ValueError("alphabet letters must share a remainder mod n")
-    if r == 0:
+    if alphabet.remainder == 0:
         return build_sigma_r0(alphabet, order)
     return build_sigma_even_n(alphabet, order)
 

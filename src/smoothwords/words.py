@@ -413,16 +413,10 @@ def differentiability_order(w: Word, k: int) -> bool:
 def is_smooth_finite(w: Word) -> bool:
     """Whether a finite word is arbitrarily often differentiable.
 
-    Terminates because the derivative strictly shrinks nonempty words,
-    so it suffices to differentiate until the empty word appears.
+    The derivative strictly shrinks nonempty words, so ``len(w)``
+    applications reach the empty word.
     """
-    cur = w
-    while cur:
-        try:
-            cur = derivative(cur)
-        except NotDifferentiable:
-            return False
-    return True
+    return differentiability_order(w, len(w))
 
 
 # ---------------------------------------------------------------------------

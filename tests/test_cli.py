@@ -103,6 +103,23 @@ def test_derive_rejects_negative_times(capsys):
     assert captured.err == "--times must be non-negative\n"
 
 
+def test_derive_stops_at_the_empty_word(capsys, monkeypatch):
+    # each derivative shortens a nonempty word, so 4 steps empty 1,2,2,1
+    calls = []
+
+    def counted(w):
+        calls.append(len(w))
+        assert len(calls) <= 4, "derive kept differentiating the empty word"
+        return words.derivative(w)
+
+    monkeypatch.setattr(cli, "derivative", counted)
+    argv = ["derive", "--alphabet", "1,2", "--word", "1,2,2,1"]
+    assert main(argv + ["--times", "1000000000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert _header(out[0])["times"] == "1000000000"
+    assert out[1:] == [""]
+
+
 def test_phi_inverse(capsys):
     code = main(["phi-inverse", "--order", "1,3", "--u", "1,3"])
     out = capsys.readouterr().out.splitlines()

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ def test_chain_budget():
         pseudo_inverse_chain((2, 3, 2, 4, 2), Word((4, 4)), ORDER_243, budget=50)
 
 
+def test_pseudo_inverse_budget_checked_before_expanding():
+    # 10**15 letters: refused by the up-front check, before any chunk exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionBudgetExceeded):
+            pseudo_inverse(2, Word((10**15,)), ORDER_243)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 def test_with_base_examples():
     assert pseudo_inverse_with_base(Word((2, 3)), Word((1, 2))) == (1, 1, 2, 2, 2)
     assert pseudo_inverse_with_base(Word((1,)), Word((7,))) == (7,)
@@ -115,6 +128,8 @@ def test_with_base_examples():
         pseudo_inverse_with_base(Word((1, 2)), Word((3,)))
     with pytest.raises(ValueError):
         pseudo_inverse_with_base(Word((1, 2)), Word((5, 5)))
+    with pytest.raises(ValueError):
+        pseudo_inverse_with_base(Word((1, 0)), Word((3, 5)))
 
 
 @settings(max_examples=200)

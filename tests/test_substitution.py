@@ -167,6 +167,36 @@ def test_sing_matches_general_construction():
     } == odd_sing.rules
 
 
+def test_sing_builders_match_their_closed_forms():
+    # the docstring rules, for every pair of letters below 40
+    for c1, c2 in itertools.combinations(range(2, 40, 2), 2):
+        m, n = c1 // 2, c2 // 2
+        sub = build_sing_even(c1, c2)
+        assert sub.rules == {
+            "A": ("A",) * m + ("B",) * m,
+            "B": ("A",) * n + ("B",) * n,
+        }
+        assert {s: b.expansion for s, b in sub.blocks.items()} == {
+            "A": (c1, c1),
+            "B": (c2, c2),
+        }
+        assert (sub.seed, sub.alphabet, sub.order) == ("A", Alphabet((c1, c2)), None)
+    for c1, c2 in itertools.combinations(range(3, 40, 2), 2):
+        m, n = (c1 - 1) // 2, (c2 - 1) // 2
+        sub = build_sing_odd(c1, c2)
+        assert sub.rules == {
+            "A": ("A",) * m + ("B",) + ("C",) * m,
+            "B": ("A",) * m + ("B",) + ("C",) * n,
+            "C": ("A",) * n + ("B",) + ("C",) * n,
+        }
+        assert {s: b.expansion for s, b in sub.blocks.items()} == {
+            "A": (c1, c1),
+            "B": (c1, c2),
+            "C": (c2, c2),
+        }
+        assert (sub.seed, sub.alphabet, sub.order) == ("A", Alphabet((c1, c2)), None)
+
+
 # ---------------------------------------------------------------------------
 # morphism mechanics
 

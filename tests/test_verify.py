@@ -268,3 +268,19 @@ def test_verify_all_failure_exit(tmp_path, capsys, monkeypatch):
     assert config == "# smoothwords command=verify-all failed=2-bad seed=5"
     assert result == lines[1]
     assert counterexample == "1 2 1"
+
+
+def test_verify_all_output_written_on_every_run(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "verdict.txt"
+    argv = ["verify-all", "--seed", "5", "--output", str(out_file)]
+    bad = CheckResult("7-bad", False, "broken", 0.0, "1 2 1")
+    monkeypatch.setattr(cli, "ALL_CHECKS", [("7-bad", _fixed(bad))])
+    assert main(argv) == 2
+    assert out_file.read_text().splitlines()[0] == (
+        "# smoothwords command=verify-all failed=7-bad seed=5"
+    )
+    good = CheckResult("7-ok", True, "fine", 0.0)
+    monkeypatch.setattr(cli, "ALL_CHECKS", [("7-ok", _fixed(good))])
+    assert main(argv) == 0
+    # a passing run replaces the older failure with its bare config line
+    assert out_file.read_text() == "# smoothwords command=verify-all seed=5\n"
