@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .words import (
     Permutation,
     Word,
     _run_arrays,
+    _split,
     format_symbols,
     is_palindrome,
 )
@@ -46,6 +48,8 @@ __all__ = [
     "GapStability",
     "ClosureWitness",
     "EqualRunBlock",
+    "letter_counts",
+    "frequency_report",
     "letter_frequencies",
     "is_well_proportioned_prefix",
     "exact_frequency_check",
@@ -60,9 +64,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # letter frequencies
-
-_FREQ_STEP = 1 << 20  # letters counted per bincount
-
 
 @dataclass(frozen=True)
 class FrequencyRow:
@@ -101,43 +102,50 @@ class FrequencyReport:
             )
 
 
-def letter_frequencies(
-    stream: Word | KolakoskiStream | Iterable[int],
-    samples: Sequence[int],
-    alphabet: Alphabet,
-) -> FrequencyReport:
-    """Exact letter counts of a stream's prefixes at the sampled lengths.
-
-    A :class:`KolakoskiStream` is read on from its position in bounded takes.
-    """
+def _sample_points(samples: Sequence[int]) -> list[int]:
     if not samples or min(samples) < 1:
         raise ValueError("samples must be positive")
-    ks = sorted(set(int(s) for s in samples))
-    arr = None
-    if isinstance(stream, Word):
-        arr = stream.to_array()
-    elif not isinstance(stream, KolakoskiStream):
-        arr = np.fromiter(stream, dtype=np.int64, count=ks[-1])
-    if arr is not None and arr.size < ks[-1]:
-        raise ValueError("stream exhausted before the largest sample")
+    return sorted(set(int(s) for s in samples))
+
+
+def letter_counts(
+    pieces: Iterable[np.ndarray], ks: Sequence[int], size: int
+) -> tuple[dict[int, np.ndarray], int]:
+    """Letter counts of the text that ``pieces`` make up, and its length.
+
+    ``counts[k][a]`` is the number of letters ``a < size`` among the
+    first ``k``, for every k of the ascending ``ks`` that the text
+    reaches and for its whole length.  Each piece is folded into the
+    counts as it comes, so the text is never held whole; letters of
+    ``size`` and above are not counted.
+    """
+    counts = np.zeros(size, dtype=np.int64)
+    at: dict[int, np.ndarray] = {}
+    done = i = 0
+    for piece in pieces:
+        lo = 0
+        while i < len(ks) and ks[i] <= done + piece.size:
+            cut = max(ks[i] - done, lo)
+            counts += np.bincount(piece[lo:cut], minlength=size)[:size]
+            at[ks[i]] = counts.copy()
+            lo, i = cut, i + 1
+        counts += np.bincount(piece[lo:], minlength=size)[:size]
+        done += piece.size
+    at[done] = counts
+    return at, done
+
+
+def frequency_report(
+    counts: dict[int, np.ndarray], samples: Sequence[int], alphabet: Alphabet
+) -> FrequencyReport:
+    """The report of :func:`letter_counts` counts at the sampled lengths."""
+    ks = _sample_points(samples)
     n = alphabet.size
-    counts = np.zeros(alphabet.largest + 1, dtype=np.int64)
-    done = 0
     rows = []
     for k in ks:
-        while done < k:
-            step = min(k - done, _FREQ_STEP)
-            block = (
-                stream.take(step).to_array()
-                if arr is None
-                else arr[done : done + step]
-            )
-            # letters past the largest are dropped here and caught below
-            counts += np.bincount(block, minlength=counts.size)[: counts.size]
-            done += step
         total = 0
         for letter in alphabet:
-            c = int(counts[letter])
+            c = int(counts[k][letter])
             total += c
             ratio = c / k
             rows.append(
@@ -146,6 +154,34 @@ def letter_frequencies(
         if total != k:
             raise ValueError("stream contains letters outside the alphabet")
     return FrequencyReport(alphabet, tuple(ks), rows)
+
+
+def _pieces(stream, m: int) -> Iterator[np.ndarray]:
+    """The stream's next ``m`` letters, fewer if it ends, as int64 pieces."""
+    if isinstance(stream, KolakoskiStream):
+        return stream.pieces(m)
+    if isinstance(stream, Word):
+        return _split(stream.to_array()[:m])
+    return iter([np.fromiter(islice(stream, m), dtype=np.int64)])
+
+
+def letter_frequencies(
+    stream: Word | KolakoskiStream | Iterable[int],
+    samples: Sequence[int],
+    alphabet: Alphabet,
+) -> FrequencyReport:
+    """Exact letter counts of a stream's prefixes at the sampled lengths.
+
+    A Word or a :class:`KolakoskiStream` is counted in the data plane's
+    pieces of 2¹⁶ letters up to the largest sample, so memory stays flat
+    in the sample size; the stream is read on from its position, one take
+    per piece.  Any other iterable is read into one array first.
+    """
+    ks = _sample_points(samples)
+    counts, length = letter_counts(_pieces(stream, ks[-1]), ks, alphabet.largest + 1)
+    if length < ks[-1]:
+        raise ValueError("stream exhausted before the largest sample")
+    return frequency_report(counts, ks, alphabet)
 
 
 def is_well_proportioned_prefix(bases: Word) -> bool:

@@ -46,9 +46,12 @@ from .words import (
     Permutation,
     Word,
     derivative,
+    data_line_pieces,
     format_symbols,
     parse_symbols,
+    read_data_line,
     rle_encode,
+    write_word_pieces,
     write_words,
 )
 
@@ -101,19 +104,10 @@ def _alphabet(args) -> Alphabet:
     return Alphabet(tuple(sorted(set(letters))))
 
 
-def _data_line(path: str) -> bytes:
-    """The first line of a word file that is neither blank nor a comment."""
-    with open(path, "rb") as handle:
-        for line in handle:
-            if line.strip() and not line.lstrip().startswith(b"#"):
-                return line
-    return b""
-
-
 def _read_word(args, alphabet: Alphabet | None) -> Word:
     if getattr(args, "input", None):
-        # the line's bytes are freed once parsed, before the word is checked
-        symbols = parse_symbols(_data_line(args.input))
+        # the file is parsed in pieces; only the narrowed symbols are held
+        symbols = read_data_line(args.input)
     elif getattr(args, "word", None):
         symbols = _symbols(args.word)
     else:
@@ -166,9 +160,9 @@ def _check_stdout(args, size: int) -> None:
         )
 
 
-def _emit_word(args, word: Word, **extra) -> None:
+def _emit_word(args, word: Word) -> None:
     _check_stdout(args, len(word))
-    with _sink(args, **extra) as out:
+    with _sink(args) as out:
         write_words([word], out)
 
 
@@ -191,12 +185,26 @@ def _word(args, alphabet: Alphabet) -> Word:
 # subcommands
 
 
+def _stream_stats(spec: BaseSequenceSpec, m: int) -> dict[str, int]:
+    """A cursor's stats after ``m`` letters, from a dry run that copies none.
+
+    ``generate --stats`` prints them in the header, before the word; the
+    dry run's cursor is dropped, and its chunks freed, on return.
+    """
+    probe = kolakoski_stream(spec)
+    probe.skip(m)
+    return {"levels": probe.levels, "peak_buffered": probe.peak_buffered}
+
+
 def cmd_generate(args) -> int:
     alphabet = _alphabet(args)
-    stream = kolakoski_stream(_base_spec(args, alphabet))
-    word = stream.take(args.length)
-    stats = {"levels": stream.levels, "peak_buffered": stream.peak_buffered}
-    _emit_word(args, word, **(stats if args.stats else {}))
+    spec = _base_spec(args, alphabet)
+    if args.length < 1:
+        raise ValueError("m must be positive")
+    _check_stdout(args, args.length)
+    stats = _stream_stats(spec, args.length) if args.stats else {}
+    with _sink(args, **stats) as out:
+        write_word_pieces(kolakoski_stream(spec).pieces(args.length), out)
     return 0
 
 
@@ -239,22 +247,37 @@ def cmd_phi_inverse(args) -> int:
     return 0
 
 
+def _samples(args, length: int) -> list[int]:
+    """The ``--samples`` lengths, else the whole length; none past it."""
+    samples = [int(s) for s in args.samples.split(",")] if args.samples else [length]
+    if max(samples) > length:
+        raise _UsageError(f"sample {max(samples)} exceeds the length {length}")
+    return samples
+
+
+def _file_frequencies(args, alphabet: Alphabet) -> analysis.FrequencyReport:
+    """``freq --input``: each parsed piece is checked and counted as it comes."""
+
+    def admitted(pieces: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        for piece in pieces:
+            if not alphabet.admits(piece):
+                raise ValueError("word contains symbols outside its alphabet")
+            yield piece
+
+    ks = sorted({int(s) for s in args.samples.split(",")}) if args.samples else []
+    pieces = admitted(data_line_pieces(args.input))
+    counts, length = analysis.letter_counts(pieces, ks, alphabet.largest + 1)
+    return analysis.frequency_report(counts, _samples(args, length), alphabet)
+
+
 def cmd_freq(args) -> int:
     alphabet = _alphabet(args)
     if args.input:
-        source = _read_word(args, alphabet)
-        length = len(source)
+        report = _file_frequencies(args, alphabet)
     else:
-        source = kolakoski_stream(_base_spec(args, alphabet))
-        length = args.length
-    samples = (
-        [int(s) for s in args.samples.split(",")]
-        if args.samples
-        else [length]
-    )
-    if max(samples) > length:
-        raise _UsageError(f"sample {max(samples)} exceeds the length {length}")
-    report = analysis.letter_frequencies(source, samples, alphabet)
+        stream = kolakoski_stream(_base_spec(args, alphabet))
+        samples = _samples(args, args.length)
+        report = analysis.letter_frequencies(stream, samples, alphabet)
     with _sink(args) as out:
         report.to_csv(out)
     if args.tol is not None and report.max_deviation() > args.tol:

@@ -166,11 +166,15 @@ def _expand_chunks(
     cycle: np.ndarray, start: int, exponent_chunks: Iterable[np.ndarray]
 ) -> Iterator[np.ndarray]:
     """Runs ``cycle[start]^e1 cycle[start+1]^e2 ...`` (indices wrap) in chunks."""
-    ring = cycle  # the cycle repeated; bases are one slice of it
+    ring = None  # the cycle repeated; later chunks' bases are one slice of it
     for exps in exponent_chunks:
-        if start + exps.size > ring.size:
-            ring = np.tile(cycle, exps.size // cycle.size + 2)
-        bases = ring[start : start + exps.size]
+        if ring is None:  # most calls expand one chunk: index the cycle
+            bases = cycle.take(np.arange(start, start + exps.size) % cycle.size)
+            ring = cycle
+        else:
+            if start + exps.size > ring.size:
+                ring = np.tile(cycle, exps.size // cycle.size + 2)
+            bases = ring[start : start + exps.size]
         start = (start + exps.size) % cycle.size
         if exps.sum() <= _CHUNK:
             yield bases.repeat(exps)

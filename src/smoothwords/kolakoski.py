@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .expansion import _expand_chunks
-from .words import Alphabet, Word, _run_arrays
+from .words import _WRITE_CHUNK, Alphabet, Word, _run_arrays
 
 __all__ = [
     "BaseSequenceSpec",
@@ -136,20 +136,37 @@ class KolakoskiStream:
         """The next ``m`` letters; prefix-marked when they start the word."""
         if m < 1:
             raise ValueError("m must be positive")
+        is_prefix = self.position == 0
         out = np.empty(m, dtype=np.int64)
         filled = 0
-        while filled < m:
-            if not self._pending.size:
-                self._pending = next(self._chunks)
-            n = min(m - filled, self._pending.size)
-            out[filled : filled + n] = self._pending[:n]
-            self._pending = self._pending[n:]
-            filled += n
-        is_prefix = self.position == 0
-        self.position += m
+        for piece in self._advance(m):
+            out[filled : filled + piece.size] = piece
+            filled += piece.size
         return Word.from_array(
             out, self.spec.alphabet, is_prefix=is_prefix, validate=False
         )
+
+    def pieces(self, m: int) -> Iterator[np.ndarray]:
+        """The next ``m`` letters as takes of at most 2¹⁶ letters each."""
+        for done in range(0, m, _WRITE_CHUNK):
+            yield self.take(min(_WRITE_CHUNK, m - done)).to_array()
+
+    def skip(self, m: int) -> None:
+        """Move past the next ``m`` letters without copying them out."""
+        if m < 0:
+            raise ValueError("m must be non-negative")
+        for _ in self._advance(m):
+            pass
+
+    def _advance(self, m: int) -> Iterator[np.ndarray]:
+        """Slices of the level chunks that hold the next ``m`` letters."""
+        self.position += m
+        while m > 0:
+            if not self._pending.size:
+                self._pending = next(self._chunks)
+            piece, self._pending = self._pending[:m], self._pending[m:]
+            m -= piece.size
+            yield piece
 
 
 def _level(

@@ -13,9 +13,11 @@ function, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -37,11 +39,15 @@ __all__ = [
     "parse_symbols",
     "format_symbols",
     "read_words",
+    "read_data_line",
+    "data_line_pieces",
     "write_words",
+    "write_word_pieces",
 ]
 
 DEFAULT_BUDGET = 10**8  # most symbols one expansion may materialise
-_ADMIT_CHUNK = 2**16  # letters validated per lookup
+# letters per piece of the data plane: formatted, validated or counted at once
+_WRITE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,9 @@ class Alphabet:
         # final slot, both False; take copies a read-only index array,
         # so long arrays go through in bounded pieces
         table = self._membership
-        if len(arr) <= _ADMIT_CHUNK:
+        if len(arr) <= _WRITE_CHUNK:
             return bool(table.take(arr, mode="clip").all())
-        return all(
-            table.take(arr[i : i + _ADMIT_CHUNK], mode="clip").all()
-            for i in range(0, len(arr), _ADMIT_CHUNK)
-        )
+        return all(table.take(piece, mode="clip").all() for piece in _split(arr))
 
     def __contains__(self, letter: int) -> bool:
         return letter in self.letters
@@ -448,10 +451,22 @@ def is_palindrome(w: Word) -> bool:
 # shared text format: one word per line, decimal symbols separated by ASCII
 # whitespace; "b^e" run tokens accepted on input, flat form on output.  Both
 # directions work on bytes with numpy, in pieces of bounded size.
+#
+# Output formats one piece of at most _WRITE_CHUNK symbols at a time, so a
+# word given in pieces (a generator's takes) is written without being held.
+# Input goes through one piece reader, _symbol_pieces, which reads at most
+# _PARSE_CHUNK bytes at a time.  In a word file it reads line by line, never
+# past a line's end: it skips blank and "#" lines in bounded parts, holding no
+# line whole, and then parses the first data line only.  Each span it
+# tokenises is the next _PARSE_CHUNK bytes of the line (or text), cut after
+# their last whitespace, the rest carried into the next span; these are the
+# spans the line would give if it were held whole, so tokens, errors and the
+# per-span run budget do not depend on where reads end.  A non-ASCII byte
+# anywhere in the line is reported before any other fault: a span that fails
+# to parse has the rest of its line scanned for one first.
 
-_WRITE_CHUNK = 2**16  # symbols formatted per written piece
-# text bytes tokenised per step; more than the longest valid token (39
-# bytes), so a span too long to hold a space is one invalid token
+# text bytes read and tokenised per step; more than the longest valid token
+# (39 bytes), so a span too long to hold a space is one invalid token
 _PARSE_CHUNK = 2**18
 _MAX_DIGITS = 18  # every 18-digit number fits in int64
 
@@ -462,6 +477,7 @@ _BYTE_CLASS[list(b" \t\n\r\v\f")] = _SPACE
 _BYTE_CLASS[list(b"0123456789")] = _DIGIT
 _BYTE_CLASS[ord("^")] = _CARET
 _BYTE_CLASS[list(b"+-")] = _SIGN
+_NOT_ASCII = "word text must be ASCII"
 
 
 def _token_error(data: np.ndarray, at: int, why: str) -> ValueError:
@@ -534,6 +550,90 @@ def _parse_span(data: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return np.repeat(values[base], repeats[base])
 
 
+def _data_part(readline: Callable[[int], bytes]) -> bytes:
+    """The first part of a word file's first data line that is not all
+    whitespace, or ``b""`` if the file has no data line.
+
+    Lines are read in parts of ``_PARSE_CHUNK`` bytes (a line's last part
+    may be shorter), so blank and ``#`` lines are skipped without being
+    held whole, and the part returned starts a whole number of spans into
+    its line: where the spans of the whole line would start.
+    """
+    while part := readline(_PARSE_CHUNK):
+        body = part.lstrip()
+        if body.startswith(b"#"):  # skip the rest of the comment
+            while not part.endswith(b"\n") and (part := readline(_PARSE_CHUNK)):
+                pass
+        elif body:
+            return part
+    return b""
+
+
+def _symbol_pieces(handle: BinaryIO, line: bool) -> Iterator[np.ndarray]:
+    """Symbols of a binary text stream, one int64 array per span.
+
+    With ``line`` the stream is a word file: its blank and ``#`` lines
+    are skipped and only the first other line is read and parsed.
+    """
+    read = handle.readline if line else handle.read
+
+    def blocks(block: bytes) -> Iterator[bytes]:
+        # ``block`` and the rest of the text, or of the line, after it
+        while block:
+            yield block
+            if line and block.endswith(b"\n"):
+                return
+            block = read(_PARSE_CHUNK)
+
+    rest = blocks(_data_part(read) if line else read(_PARSE_CHUNK))
+    # one buffer for every span: a fresh copy per span, freed between the
+    # pieces a caller keeps, fragments the heap (recur --input at 10^7
+    # letters peaked 10 MB higher)
+    buf = bytearray()
+    while True:
+        # one byte past the span tells whether the text ends with it
+        while len(buf) <= _PARSE_CHUNK and (block := next(rest, b"")):
+            buf += block
+        if not buf:
+            return
+        last = len(buf) <= _PARSE_CHUNK
+        data = np.frombuffer(buf, dtype=np.uint8, count=min(len(buf), _PARSE_CHUNK))
+        try:
+            if not buf.isascii():
+                raise ValueError(_NOT_ASCII)
+            classes = _BYTE_CLASS[data]
+            if not last:
+                # end the span just after its last space, so no token is cut
+                space = classes == _SPACE
+                back = int(space[::-1].argmax())
+                if not space[-1 - back]:
+                    raise _token_error(data, 0, "token too long")
+                data, classes = data[: data.size - back], classes[: data.size - back]
+            piece = _parse_span(data, classes)
+        except ValueError:
+            # a non-ASCII byte later in the text or line is reported first
+            if not all(b.isascii() for b in chain([buf[data.size :]], rest)):
+                raise ValueError(_NOT_ASCII) from None
+            raise
+        size = data.size
+        del data  # the buffer cannot shrink while a view of it lives
+        yield piece
+        if last:
+            return
+        del buf[:size]
+
+
+def _gather(pieces: Iterable[np.ndarray]) -> Word:
+    """One word of the pieces, each held in its narrowest dtype until then."""
+    held = [np.empty(0, dtype=np.int64)]
+    for piece in pieces:
+        if piece.size:
+            top = max(-int(piece.min()), int(piece.max()))
+            piece = piece.astype(np.min_scalar_type(-top - 1))
+        held.append(piece)
+    return Word.from_array(np.concatenate(held, dtype=np.int64), validate=False)
+
+
 def parse_symbols(text: str | bytes) -> Word:
     """Parse a word line, text or ASCII bytes, into a Word without an alphabet.
 
@@ -549,30 +649,23 @@ def parse_symbols(text: str | bytes) -> Word:
     True
     """
     raw = text.encode() if isinstance(text, str) else text
-    data = np.frombuffer(raw, dtype=np.uint8)
-    if data.size and data.max() > 127:
-        raise ValueError("word text must be ASCII")
-    pieces = [np.empty(0, dtype=np.int64)]
-    start = 0
-    while start < data.size:
-        span = data[start : start + _PARSE_CHUNK]
-        classes = _BYTE_CLASS[span]
-        if start + span.size < data.size:
-            # end the span just after its last space, so no token is cut
-            space = classes == _SPACE
-            back = int(space[::-1].argmax())
-            if not space[-1 - back]:
-                raise _token_error(span, 0, "token too long")
-            span, classes = span[: span.size - back], classes[: span.size - back]
-        piece = _parse_span(span, classes)
-        if piece.size:
-            # held in the narrowest dtype until the final concatenation
-            top = max(-int(piece.min()), int(piece.max()))
-            piece = piece.astype(np.min_scalar_type(-top - 1))
-        pieces.append(piece)
-        start += span.size
-    arr = np.concatenate(pieces, dtype=np.int64)
-    return Word.from_array(arr, validate=False)
+    return _gather(_symbol_pieces(io.BytesIO(raw), line=False))
+
+
+def data_line_pieces(path: str) -> Iterator[np.ndarray]:
+    """Symbols of a word file's first data line, in pieces of bounded size.
+
+    Blank lines and ``#`` comment lines before it are skipped; the file
+    is read in 256 KiB blocks, so neither it nor the line is held whole.
+    A file without a data line gives no pieces (the empty word).
+    """
+    with open(path, "rb") as handle:
+        yield from _symbol_pieces(handle, line=True)
+
+
+def read_data_line(path: str) -> Word:
+    """The first data line of a word file as a Word without an alphabet."""
+    return _gather(data_line_pieces(path))
 
 
 def _symbol_bytes(arr: np.ndarray) -> np.ndarray:
@@ -604,14 +697,19 @@ def _symbol_bytes(arr: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
-def _text_pieces(arr: np.ndarray) -> Iterator[str]:
-    """Flat text of an integer array, in pieces of at most _WRITE_CHUNK symbols."""
-    n = arr.size
-    for start in range(0, n, _WRITE_CHUNK):
-        piece = _symbol_bytes(arr[start : start + _WRITE_CHUNK])
-        if start + _WRITE_CHUNK >= n:
-            piece = piece[:-1]  # no space after the last symbol
-        yield str(piece.data, "ascii")
+def _split(arr: np.ndarray) -> Iterator[np.ndarray]:
+    """An array in pieces of at most _WRITE_CHUNK symbols."""
+    return (arr[i : i + _WRITE_CHUNK] for i in range(0, arr.size, _WRITE_CHUNK))
+
+
+def _text_pieces(pieces: Iterable[np.ndarray]) -> Iterator[str]:
+    """Flat text of a word given as integer pieces, one string per piece."""
+    sep = ""
+    for piece in pieces:
+        if piece.size:
+            # each piece's last space is dropped and put before the next
+            yield sep + str(_symbol_bytes(piece)[:-1].data, "ascii")
+            sep = " "
 
 
 def format_symbols(symbols: Iterable[int] | np.ndarray) -> str:
@@ -623,7 +721,7 @@ def format_symbols(symbols: Iterable[int] | np.ndarray) -> str:
     if isinstance(symbols, Word):
         symbols = symbols.to_array()
     if isinstance(symbols, np.ndarray) and symbols.dtype.kind in "iu":
-        return "".join(_text_pieces(symbols))
+        return "".join(_text_pieces(_split(symbols)))
     return " ".join([str(s) for s in symbols])
 
 
@@ -636,6 +734,16 @@ def read_words(lines: Iterable[str], alphabet: Alphabet | None = None) -> list[W
     ]
 
 
+def write_word_pieces(pieces: Iterable[np.ndarray], out) -> None:
+    """Write one word, given as integer pieces, as one flat line.
+
+    The pieces are formatted as they come, so a word produced piece by
+    piece is never held whole.
+    """
+    out.writelines(_text_pieces(pieces))
+    out.write("\n")
+
+
 def write_words(words: Iterable[Word], out) -> None:
     """Write words one per line in flat form, newline-terminated.
 
@@ -643,5 +751,4 @@ def write_words(words: Iterable[Word], out) -> None:
     never exists at once.
     """
     for w in words:
-        out.writelines(_text_pieces(Word(w).to_array()))
-        out.write("\n")
+        write_word_pieces(_split(Word(w).to_array()), out)

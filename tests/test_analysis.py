@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothwords import (
     Alphabet,
@@ -17,12 +19,15 @@ from smoothwords import (
     gap_stability_check,
     is_well_proportioned_prefix,
     kolakoski_prefix,
+    kolakoski_stream,
     letter_frequencies,
     max_gap_report,
     phi_inverse_palindrome_check,
     recurrence_report,
     rle_encode,
 )
+from smoothwords.analysis import letter_counts
+from smoothwords.words import _WRITE_CHUNK
 
 A12 = Alphabet((1, 2))
 A24 = Alphabet((2, 4))
@@ -61,6 +66,36 @@ def test_letter_frequencies_csv_columns():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "k,letter,count,ratio,deviation"
     assert lines[1].startswith("4,2,2,")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), max_size=8),
+    st.lists(st.integers(-2, 200), max_size=6),
+)
+def test_letter_counts_match_prefix_bincounts(sizes, marks):
+    rng = np.random.default_rng(len(sizes))
+    pieces = [rng.integers(0, 6, size=s) for s in sizes]
+    whole = np.concatenate([np.empty(0, dtype=np.int64), *pieces])
+    ks = sorted({k for k in marks if 1 <= k <= whole.size})
+    counts, length = letter_counts(iter(pieces), ks, 4)  # letters 4, 5 are dropped
+    assert length == whole.size
+    assert sorted(counts) == sorted({*ks, whole.size})
+    for k, c in counts.items():
+        assert c.tolist() == np.bincount(whole[:k], minlength=6)[:4].tolist()
+
+
+@pytest.mark.parametrize(
+    "m", [1, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1, 2 * _WRITE_CHUNK + 123]
+)
+def test_letter_frequencies_agree_across_pieces(m):
+    spec = BaseSequenceSpec(A369, (3, 6, 9))
+    word = kolakoski_prefix(spec, m)
+    P = _WRITE_CHUNK
+    samples = [k for k in {1, P - 1, P, P + 1, m - 1, m} if 1 <= k <= m]
+    expected = letter_frequencies(word, samples, A369).rows
+    assert letter_frequencies(kolakoski_stream(spec), samples, A369).rows == expected
+    assert letter_frequencies(iter(word), samples, A369).rows == expected
 
 
 def test_frequency_convergence_small_scale():

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from smoothwords import (
     Alphabet,
     BaseSequenceSpec,
     kolakoski_prefix,
+    kolakoski_stream,
     letter_frequencies,
     rle_encode,
     words,
+    write_words,
 )
 from smoothwords import cli
 from smoothwords.cli import main
@@ -569,3 +572,93 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "1 2 2 1 1"
+
+
+# ---------------------------------------------------------------------------
+# the flat-memory data plane: generate writes pieces, --input reads pieces
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("m", [10**6, 4 * 10**6])
+def test_generate_and_freq_input_run_in_flat_memory(tmp_path, capsys, m):
+    word_file = tmp_path / "word.txt"
+    source = ["--base-period", "1,2", "--length", str(m)]
+    generate = ["generate", *source, "--stats", "--output", str(word_file)]
+    freq = ["freq", "--alphabet", "1,2", "--input", str(word_file)]
+    # the word's int64 array alone is 8 MB at 10^6 letters and 32 MB at 4*10^6
+    assert _traced_peak(generate) < 16 * 2**20
+    assert _traced_peak(freq + ["--samples", f"1000,{m}"]) < 16 * 2**20
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"{m},2,")
+
+
+P = words._WRITE_CHUNK
+
+
+@pytest.mark.parametrize("m", [1, P - 1, P, P + 1, 2 * P + 123])
+def test_generate_stats_match_one_take(tmp_path, m):
+    spec = BaseSequenceSpec(Alphabet((1, 2, 3)), (1, 2, 3))
+    stream = kolakoski_stream(spec)
+    word = stream.take(m)
+    word_file = tmp_path / "word.txt"
+    argv = ["generate", "--base-period", "1,2,3", "--length", str(m), "--stats"]
+    assert main(argv + ["--output", str(word_file)]) == 0
+    header, body = word_file.read_text().splitlines()
+    assert _header(header)["levels"] == str(stream.levels)
+    assert _header(header)["peak_buffered"] == str(stream.peak_buffered)
+    assert body == " ".join(map(str, word.to_array().tolist()))
+
+
+def _freq_csv(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+@pytest.mark.parametrize("chunk", [64, words._PARSE_CHUNK])
+def test_freq_input_matches_letter_frequencies_at_piece_ends(
+    tmp_path, capsys, monkeypatch, chunk
+):
+    # one-digit letters fill each span with chunk/2 of them, so the
+    # parser's pieces end at multiples of chunk/2
+    alphabet = Alphabet((1, 2, 3))
+    n = 3 * (chunk // 2) + 7
+    word = kolakoski_prefix(BaseSequenceSpec(alphabet, (1, 2, 3)), n)
+    word_file = tmp_path / "word.txt"
+    with open(word_file, "w") as handle:
+        handle.write("# header\n")
+        write_words([word], handle)
+    edges = [k * (chunk // 2) + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    samples = sorted({1, n, *edges})
+    monkeypatch.setattr(words, "_PARSE_CHUNK", chunk)
+    argv = ["freq", "--alphabet", "1,2,3", "--input", str(word_file)]
+    got = _freq_csv(argv + ["--samples", ",".join(map(str, samples))], capsys)
+    buf = io.StringIO()
+    letter_frequencies(word, samples, alphabet).to_csv(buf)
+    assert got == buf.getvalue().splitlines()
+    # without --samples the whole word is the one sample
+    buf = io.StringIO()
+    letter_frequencies(word, [n], alphabet).to_csv(buf)
+    assert _freq_csv(argv, capsys) == buf.getvalue().splitlines()
+
+
+def test_freq_input_errors(tmp_path, capsys):
+    word_file = tmp_path / "word.txt"
+    word_file.write_text("1 2 2 1\n")
+    argv = ["freq", "--alphabet", "1,2", "--input", str(word_file)]
+    assert main(argv + ["--samples", "2,5"]) == 1
+    assert capsys.readouterr().err == "sample 5 exceeds the length 4\n"
+    word_file.write_text("1 2 " * 100_000 + "3 1\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: word contains symbols outside its alphabet\n"
+    word_file.write_text("# nothing\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: samples must be positive\n"

@@ -588,3 +588,188 @@ def test_word_file_roundtrip():
     assert buf.getvalue() == "1 2 2\n2 2 2 4 4\n"
     back = read_words(io.StringIO("# header comment\n1 2 2\n2^3 4^2\n\n"))
     assert back == words
+
+
+# ---------------------------------------------------------------------------
+# the piece reader
+
+
+def _whole_line_parse(raw):
+    """The in-memory parser the piece reader replaced: the whole text is
+    checked for ASCII first, then parsed in spans cut after their last
+    space.  Returns the symbols, or the ValueError text it raises."""
+    data = np.frombuffer(raw, dtype=np.uint8)
+    try:
+        if data.size and data.max() > 127:
+            raise ValueError("word text must be ASCII")
+        pieces, start = [np.empty(0, dtype=np.int64)], 0
+        while start < data.size:
+            span = data[start : start + words._PARSE_CHUNK]
+            classes = words._BYTE_CLASS[span]
+            if start + span.size < data.size:
+                space = classes == words._SPACE
+                back = int(space[::-1].argmax())
+                if not space[-1 - back]:
+                    raise words._token_error(span, 0, "token too long")
+                span, classes = span[: span.size - back], classes[: span.size - back]
+            pieces.append(words._parse_span(span, classes))
+            start += span.size
+    except ValueError as exc:
+        return str(exc)
+    return np.concatenate(pieces).tolist()
+
+
+def _first_data_line(raw):
+    """The first line that is neither blank nor a comment, as the CLI read it."""
+    for line in io.BytesIO(raw):
+        if line.strip() and not line.lstrip().startswith(b"#"):
+            return line
+    return b""
+
+
+def _outcome(read):
+    try:
+        return read().to_array().tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+_in_line_separators = st.sampled_from([" ", "  ", "\t", "\r", " \x0b", "\x0c"])
+_faults = st.sampled_from(
+    ["", "", "", "é", "\x80", "1" * 150, "9^30 9^30", "x", "1^^2"]
+)
+
+
+@st.composite
+def _word_files(draw):
+    """Word files: blank and comment lines, one data line, maybe a second."""
+    pre = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["", " ", "\t \x0b", "\r", " " * 70]),
+                st.builds(
+                    lambda ws, body: ws + "#" + body,
+                    st.sampled_from(["", "  ", "\t"]),
+                    st.one_of(st.text(max_size=20), st.just("c" * 150)),
+                ),
+            ),
+            max_size=4,
+        )
+    )
+    ends = st.sampled_from(["\n", "\r\n"])
+    head = "".join(line + draw(ends) for line in pre)
+    lead = draw(st.sampled_from(["", " ", "\t\t", " " * 70, " " * 130]))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.one_of(_valid_tokens, _malformed_tokens), _in_line_separators),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    body = "".join(t + sep for t, sep in pairs)
+    fault = draw(_faults)
+    at = draw(st.integers(0, len(body)))
+    body = body[:at] + " " + fault + " " + body[at:] if fault else body
+    end = draw(st.sampled_from(["\n", "\r\n", ""]))
+    second = draw(st.sampled_from(["", "1 2\n", "# late\n", "é x ^\n"]))
+    return (head + lead + body + end + (second if end else "")).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word_files(), st.sampled_from([40, 64, 101]))
+def test_piece_reader_matches_whole_line_parse(tmp_path_factory, raw, chunk):
+    # blocks of 40-101 bytes put cuts at every offset of tokens, comments
+    # and the line's leading whitespace; the budget is small enough for
+    # the generated runs to pass it
+    path = tmp_path_factory.mktemp("files") / "word.txt"
+    path.write_bytes(raw)
+    line = _first_data_line(raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_PARSE_CHUNK", chunk)
+        mp.setattr(words, "DEFAULT_BUDGET", 50)
+        expected = _whole_line_parse(line)
+        assert _outcome(lambda: words.read_data_line(str(path))) == expected
+        assert _outcome(lambda: parse_symbols(line)) == expected
+
+
+def test_piece_reader_edge_files(tmp_path):
+    path = tmp_path / "word.txt"
+    for raw, expected in [
+        (b"", []),
+        (b"# only a comment", []),
+        (b"\n \t\r\n# c\n\x0c\n", []),
+        (b"# \xc3\xa9\n1 2 2", [1, 2, 2]),  # comment bytes are not checked
+        (b"#" + b"c" * 600_000 + b"\n\n 2^3 1\r\n9 9\n", [2, 2, 2, 1]),
+        (b"\n" + b" " * 600_000 + b"1 2\n3\n", [1, 2]),
+    ]:
+        path.write_bytes(raw)
+        assert words.read_data_line(str(path)).to_array().tolist() == expected
+        assert sum(p.size for p in words.data_line_pieces(str(path))) == len(expected)
+
+
+def test_piece_reader_error_texts(tmp_path):
+    path = tmp_path / "word.txt"
+    digits = b"1" * (words._PARSE_CHUNK + 5)
+    for raw, message in [
+        (b"# made by hand\n1 2 \xc3\xa9 2\n", "word text must be ASCII"),
+        # the ASCII fault wins over an earlier invalid token in another span
+        (b"1 x " + b"1 2 " * 100_000 + b"\xff\n", "word text must be ASCII"),
+        (b"1 2 3^ 2\n", "invalid text in token '3^'"),
+        (b"1 " + digits + b" 2\n", "token too long in token '" + "1" * 40 + "'"),
+        (b"1 2 99999999999999999999\n", "more than 18 digits in token '99999999999999999999'"),
+        (b"1^99999999 2^99999999\n", "runs past 100000000 symbols in token '2^99999999'"),
+    ]:
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            words.read_data_line(str(path))
+        assert str(info.value) == message
+        assert _whole_line_parse(_first_data_line(raw)) == message
+
+
+def test_piece_reader_holds_one_block(tmp_path):
+    path = tmp_path / "word.txt"
+    arr = np.random.default_rng(5).integers(1, 4, size=4 * 10**6)
+    with open(path, "w") as handle:
+        handle.write("# header\n")
+        write_words([Word(arr)], handle)
+    tracemalloc.start()
+    try:
+        total = 0
+        for piece in words.data_line_pieces(str(path)):
+            total += piece.size
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == arr.size
+    assert peak < 16 * 2**20  # the word's int64 array alone is 32 MB
+
+
+@pytest.mark.parametrize("chunk", [40, 64])
+def test_leading_whitespace_keeps_the_whole_line_spans(tmp_path, monkeypatch, chunk):
+    # two 30-letter runs pass a budget of 50 only when they share a span,
+    # and where the spans are cut depends on the whitespace before them
+    monkeypatch.setattr(words, "_PARSE_CHUNK", chunk)
+    monkeypatch.setattr(words, "DEFAULT_BUDGET", 50)
+    path = tmp_path / "word.txt"
+    outcomes = set()
+    for lead in range(3 * chunk):
+        line = b" " * lead + b"9^30 9^30 1\n"
+        path.write_bytes(b"# c\n\t\n" + line)
+        expected = _whole_line_parse(line)
+        outcomes.add(isinstance(expected, str))
+        assert _outcome(lambda: words.read_data_line(str(path))) == expected
+    assert outcomes == {True, False}
+
+
+def test_a_span_that_ends_the_text_is_not_cut(tmp_path, monkeypatch):
+    # a span without a space is one token only if nothing follows it
+    monkeypatch.setattr(words, "_PARSE_CHUNK", 64)
+    path = tmp_path / "word.txt"
+    messages = set()
+    for line in (b"1" * 63 + b"\n", b"1" * 64, b"1" * 64 + b"\n", b"1" * 65):
+        path.write_bytes(b"# c\n" + line)
+        expected = _whole_line_parse(line)
+        messages.add(expected.split(" in token")[0])
+        assert _outcome(lambda: words.read_data_line(str(path))) == expected
+        assert _outcome(lambda: parse_symbols(line)) == expected
+    assert messages == {"more than 18 digits", "token too long"}
