@@ -79,7 +79,6 @@ from .words import (
     is_palindrome,
     is_smooth_finite,
     parse_symbols,
-    read_words,
     reverse,
     rle_encode,
     rle_reconstruct,

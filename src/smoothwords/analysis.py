@@ -334,12 +334,6 @@ class GapReport:
     l_max: int
     rows: list[GapRow]
 
-    def gap_of(self, factor: tuple[int, ...]) -> int | None:
-        for r in self.rows:
-            if r.factor == factor:
-                return r.max_gap
-        return None
-
     def to_csv(self, out: TextIO) -> None:
         writer = csv.writer(out)
         writer.writerow(["L", "factor", "occurrences", "max_gap"])

@@ -1,12 +1,15 @@
 """Exact factor indexing for long words.
 
-Start positions are sorted by their first 2^K >= l_max letters (a
-truncated suffix order, by Manber & Myers' prefix doubling), with the
-common-prefix length of each adjacent pair capped at l_max (the capped
-LCP).  Cutting that order where the LCP is below l_max gives the *fine
-groups*: the distinct factors of length l_max, plus one singleton per
-position too close to the end to start one.  One reduction over the
-order gives each fine group's first, second and last start and its size.
+Each start position gets an exact key: its next l_max letters, ranked
+1..b and padded with 0 past the end, packed as base-(b+1) digits into
+as few uint64 columns as hold them.  Key order is lexicographic factor
+order, so one sort of the keys gives the positions sorted by their
+first l_max letters (a truncated suffix order).  The runs of equal keys
+are the *fine groups*: the distinct factors of length l_max, plus one
+singleton per position too close to the end to start one.  Adjacent
+runs share as many letters as their keys share leading digits (the
+capped LCP), and one reduction over the order gives each fine group's
+first, second and last start and its size.
 
 The groups of a shorter length L are LCP intervals too, so they are
 runs of adjacent fine groups: a fine group starts a new group where its
@@ -46,15 +49,9 @@ def _word_array(word: Word | np.ndarray) -> np.ndarray:
         raise ValueError(f"word must be 1-D, got {arr.ndim} dimensions")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"word must have an integer dtype, got {arr.dtype}")
+    if not np.can_cast(arr.dtype, np.int64) and arr.size and arr.max() >= 1 << 63:
+        raise ValueError("word letters must fit in int64")
     return arr
-
-
-def _table_ranks(key: np.ndarray, size: int) -> np.ndarray:
-    """Dense rank + 1 of every key (0 <= key < size), through a lookup
-    table, in the smallest unsigned dtype."""
-    seen = np.zeros(size, dtype=bool)
-    seen[key] = True
-    return np.cumsum(seen, dtype=np.min_scalar_type(np.count_nonzero(seen)))[key]
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,12 @@ def _max_gaps(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 class FactorIndex:
     """Exact factor ids and occurrence statistics for lengths 1..l_max.
 
-    ``order`` is the truncated suffix order (int32 below 2^31 letters)
-    and ``fine`` the fine group of every position, in text order.
-    Letters rank as dense ranks + 1 and the word is padded with rank 0,
-    so a position near the end sorts below every factor it is a proper
-    prefix of, in a fine group of its own.
+    ``order`` holds the start positions sorted by their first l_max
+    letters, ties in any order (int32 below 2^31 letters), and ``fine``
+    the fine group of every position, in text order.  Letters rank as
+    dense ranks + 1 and the word is padded with rank 0, so a position
+    near the end sorts below every factor it is a proper prefix of, in a
+    fine group of its own.
     """
 
     def __init__(self, word: Word | np.ndarray, l_max: int):
@@ -125,70 +123,48 @@ class FactorIndex:
         self._sets_cache: dict[int, set[tuple[int, ...]]] = {}
         self._from_cache: dict[int, np.ndarray] = {}
         n = self.arr.size
-        pos = np.int32 if n < 2**31 else np.int64
         distinct = np.unique(self.arr)
-        rank = np.searchsorted(distinct, self.arr) + 1  # rank 0 is the padding
-        rank = rank.astype(np.min_scalar_type(distinct.size))
-        # the first width: as many letters as pack into a 16-bit key
-        base = distinct.size + 1
-        del distinct
-        width = 1
-        while width < l_max and base ** (2 * width) <= 1 << 16:
-            width *= 2
-        letters = np.pad(rank, (0, width))
-        if width > 1:
-            key = letters[:n].astype(np.uint16)
-            for t in range(1, width):
+        base = distinct.size + 1  # rank 0 is the padding
+        rank = np.searchsorted(distinct, self.arr) + 1
+        letters = np.pad(rank.astype(np.min_scalar_type(base - 1)), (0, l_max))
+        del distinct, rank
+        # key columns: each packs the next ``per`` ranks as an exact
+        # base-(b+1) number below 2^64, so key order is factor order
+        per = 1
+        while per < l_max and base ** (per + 1) <= 1 << 64:
+            per += 1
+        digits = [min(per, l_max - lo) for lo in range(0, l_max, per)]
+        cols = []
+        for lo, d in zip(range(0, l_max, per), digits):
+            key = letters[lo : lo + n].astype(np.uint64)
+            for t in range(lo + 1, lo + d):
                 key *= base
                 key += letters[t : t + n]
-            rank = _table_ranks(key, base**width)
-            del key
-        order = np.argsort(rank, kind="stable").astype(pos)
-        ranked = rank[order]  # ranks in sorted order
-        levels = []  # ranks of the widths below the final one
-        packed = width
-        while width < l_max:
-            levels.append(np.pad(rank, (0, 1)))
-            # sort by (rank[i], rank[i + width]): positions whose second
-            # half is all padding first, then by the order already known
-            tail = order >= width
-            by_second = np.concatenate(
-                (np.arange(n - width, n, dtype=pos), order[tail] - width)
-            )
-            second = np.concatenate((np.zeros(width, ranked.dtype), ranked[tail]))
-            del tail, order, ranked
-            first = rank[by_second]
-            perm = np.argsort(first, kind="stable")  # radix sort for 8/16-bit ranks
-            order = by_second[perm]
-            del by_second
-            first, second = first[perm], second[perm]
-            del perm
-            new = np.ones(n, dtype=bool)
-            new[1:] = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
-            del first, second
-            ranked = np.cumsum(new, dtype=np.min_scalar_type(np.count_nonzero(new)))
-            del new
-            rank = np.empty_like(ranked)
-            rank[order] = ranked
-            width *= 2
-        del rank
-        # binary lifting, for the adjacent pairs that differ within the
-        # final width; every other pair shares at least l_max letters
-        j = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-        del ranked
-        a, b = order[j - 1].astype(np.int64), order[j].astype(np.int64)
-        common = np.zeros(j.size, dtype=np.int64)
-        for k in reversed(range(len(levels))):
-            r = levels.pop()
-            common += (r[a + common] == r[b + common]) * (packed << k)
-            del r
-        for _ in range(packed - 1):  # the rest, one letter at a time
-            common += letters[a + common] == letters[b + common]
-        del a, b, letters
-        # fine groups: the runs of the order cut where the LCP < l_max
-        split = common < l_max
-        self._starts = np.concatenate(([0], j[split]))
-        self._lcp = np.concatenate(([0], common[split]))
+            cols.append(key)
+        del letters
+        # no stable sort: every fine-group statistic is a min, max or count
+        order = np.argsort(cols[0]) if len(cols) == 1 else np.lexsort(cols[::-1])
+        order = order.astype(np.int32 if n < 2**31 else np.int64)
+        # fine groups: the runs of equal keys, which share at least l_max
+        # letters; adjacent positions in different runs share fewer
+        new = np.zeros(n, dtype=bool)
+        new[0] = True
+        for key in cols:
+            ranked = key[order]
+            new[1:] |= ranked[1:] != ranked[:-1]
+            del ranked
+        self._starts = np.flatnonzero(new)
+        del new
+        # the capped LCP with the previous run: equal leading digits
+        a, b = order[self._starts[1:] - 1], order[self._starts[1:]]
+        self._lcp = np.zeros(self._starts.size, dtype=np.min_scalar_type(l_max))
+        same = np.ones(a.size, dtype=bool)
+        for key, d in zip(cols, digits):
+            x, y = key[a], key[b]
+            for e in reversed(range(d)):
+                same &= x // base**e == y // base**e
+                self._lcp[1:] += same
+        del cols, key, a, b, x, y, same
         count = np.diff(self._starts, append=n)
         first = np.minimum.reduceat(order, self._starts)
         fine = np.repeat(
@@ -275,12 +251,6 @@ class FactorIndex:
         self._sets_cache[length] = out
         return out
 
-    def contains(self, factor: tuple[int, ...]) -> bool:
-        length = len(factor)
-        if not 1 <= length <= self.l_max:
-            raise ValueError(f"factor length must be in 1..{self.l_max}")
-        return tuple(factor) in self.factor_set(length)
-
     def _first_from(self, lo: int) -> np.ndarray:
         """Per fine group, its least start >= lo (n if none)."""
         cached = self._from_cache.get(lo)
@@ -331,9 +301,6 @@ class NaiveFactorScan:
 
     def factor_set(self, length: int) -> set[tuple[int, ...]]:
         return set(self._occ[length])
-
-    def contains(self, factor: tuple[int, ...]) -> bool:
-        return tuple(factor) in self._occ[len(factor)]
 
     def max_gap(self, factor: tuple[int, ...]) -> int:
         occ = self.occurrences(factor)

@@ -38,7 +38,6 @@ __all__ = [
     "is_palindrome",
     "parse_symbols",
     "format_symbols",
-    "read_words",
     "read_data_line",
     "data_line_pieces",
     "write_words",
@@ -623,7 +622,7 @@ def _symbol_pieces(handle: BinaryIO, line: bool) -> Iterator[np.ndarray]:
         del buf[:size]
 
 
-def _gather(pieces: Iterable[np.ndarray]) -> Word:
+def _join_pieces(pieces: Iterable[np.ndarray]) -> Word:
     """One word of the pieces, each held in its narrowest dtype until then."""
     held = [np.empty(0, dtype=np.int64)]
     for piece in pieces:
@@ -649,7 +648,7 @@ def parse_symbols(text: str | bytes) -> Word:
     True
     """
     raw = text.encode() if isinstance(text, str) else text
-    return _gather(_symbol_pieces(io.BytesIO(raw), line=False))
+    return _join_pieces(_symbol_pieces(io.BytesIO(raw), line=False))
 
 
 def data_line_pieces(path: str) -> Iterator[np.ndarray]:
@@ -665,7 +664,7 @@ def data_line_pieces(path: str) -> Iterator[np.ndarray]:
 
 def read_data_line(path: str) -> Word:
     """The first data line of a word file as a Word without an alphabet."""
-    return _gather(data_line_pieces(path))
+    return _join_pieces(data_line_pieces(path))
 
 
 def _symbol_bytes(arr: np.ndarray) -> np.ndarray:
@@ -723,15 +722,6 @@ def format_symbols(symbols: Iterable[int] | np.ndarray) -> str:
     if isinstance(symbols, np.ndarray) and symbols.dtype.kind in "iu":
         return "".join(_text_pieces(_split(symbols)))
     return " ".join([str(s) for s in symbols])
-
-
-def read_words(lines: Iterable[str], alphabet: Alphabet | None = None) -> list[Word]:
-    """Parse words from text lines, one word per line; ``#`` lines are comments."""
-    return [
-        Word.from_array(parse_symbols(line).to_array(), alphabet)
-        for line in lines
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
 
 
 def write_word_pieces(pieces: Iterable[np.ndarray], out) -> None:

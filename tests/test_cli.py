@@ -356,6 +356,37 @@ def test_closure_expectations(tmp_path, capsys):
     assert header["misses"] == "0"
 
 
+@pytest.mark.parametrize(
+    "argv, size, smallest",
+    [
+        (["recur", "--expect", "recurrent", "--length", "8"], "--scan-len", 4),
+        (["recur", "--expect", "recurrent", "--scan-len", "4"], "--length", 8),
+        (["gaps", "--expect", "stable"], "--length", 8),
+        (["closure", "--op", "reversal", "--expect", "closed"], "--length", 12),
+        (["closure", "--op", "reversal", "--expect", "closed"], "--input", 12),
+    ],
+)
+def test_verdicts_compare_factors_at_their_smallest_size(
+    argv, size, smallest, tmp_path, capsys
+):
+    # no --expect verdict can pass having compared nothing: at the
+    # smallest size a verdict accepts it compares factors, and one size
+    # smaller is rejected at the boundary
+    def run(m):
+        value = str(m)
+        if size == "--input":
+            value = str(tmp_path / "word.txt")
+            w = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), m)
+            with open(value, "w") as handle:
+                write_words([w], handle)
+        return main(argv + ["--base-period", "1,2", "--l-max", "4", size, value])
+
+    assert run(smallest) in (0, 2)
+    assert int(_header(capsys.readouterr().out.splitlines()[0])["factors"]) > 0
+    assert run(smallest - 1) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_gaps_header_counts(tmp_path):
     out = tmp_path / "gaps.csv"
     argv = ["gaps", "--base-period", "3,6,9", "--length", "5000", "--l-max", "5"]

@@ -47,12 +47,17 @@ SMOOTH_PREFIXES = (
 
 @st.composite
 def words_and_l_max(draw):
-    """Random words over alphabets with 0, negative and large letters,
-    or smooth prefixes, with l_max anywhere in 1..len(w)."""
-    if draw(st.booleans()):
-        letters = st.sampled_from(
-            draw(st.sampled_from([(1, 2, 3), (-3, 0, 7, 10**6), (0, 1), (-1,)]))
-        )
+    """Random words over alphabets with 0, negative and large letters, or
+    over up to 300 letters from the whole int64 range (a key column then
+    holds a few letters and the last one is partial), or smooth
+    prefixes, with l_max anywhere in 1..len(w)."""
+    kind = draw(st.sampled_from(["few", "many", "smooth"]))
+    if kind != "smooth":
+        pool = draw(st.sampled_from([(1, 2, 3), (-3, 0, 7, 10**6), (0, 1), (-1,)]))
+        if kind == "many":
+            wide = st.integers(-(2**63), 2**63 - 1)
+            pool = draw(st.lists(wide, min_size=1, max_size=300, unique=True))
+        letters = st.sampled_from(pool)
         arr = np.array(draw(st.lists(letters, min_size=1, max_size=300)))
     else:
         word = draw(st.sampled_from(SMOOTH_PREFIXES))
@@ -207,13 +212,9 @@ def test_factor_count_never_exceeds_window():
         assert idx.distinct_count(length) <= len(w) - length + 1
 
 
-def test_contains_and_window_queries():
+def test_window_queries():
     arr = np.array([1, 2, 2, 1, 1, 2, 1, 2, 2])
     idx = FactorIndex(arr, 4)
-    assert idx.contains((2, 2, 1))
-    assert not idx.contains((2, 2, 2))
-    with pytest.raises(ValueError):
-        idx.contains((1,) * 5)
     window = idx.groups_starting_in(2, 0, 3)
     factors = {idx.factor_of_group(2, int(g)) for g in window}
     assert factors == {(1, 2), (2, 2), (2, 1)}
@@ -229,6 +230,9 @@ def test_non_integer_words_are_rejected(scanner):
         scanner(np.array([[1, 2], [2, 1]]), 1)
     with pytest.raises(ValueError, match="1-D"):
         scanner(np.int64(3), 1)
+    with pytest.raises(ValueError, match="int64"):
+        scanner(np.array([2**63, 1, 2**63, 5], dtype=np.uint64), 1)
+    assert scanner(np.array([2**63 - 1, 1], dtype=np.uint64), 1).distinct_count(1) == 2
     assert scanner(np.array([1, 2, 2], dtype=np.uint8), 1).distinct_count(1) == 2
 
 

@@ -577,17 +577,15 @@ def test_word_equality_ignores_alphabet_and_mark():
     assert Word((1, 2), A12, is_prefix=True) == (1, 2)
 
 
-def test_word_file_roundtrip():
-    import io
-
-    from smoothwords import read_words, write_words
-
-    words = [Word((1, 2, 2)), Word((2,) * 3 + (4,) * 2)]
+def test_word_file_roundtrip(tmp_path):
+    pair = [Word((1, 2, 2)), Word((2,) * 3 + (4,) * 2)]
     buf = io.StringIO()
-    write_words(words, buf)
+    write_words(pair, buf)
     assert buf.getvalue() == "1 2 2\n2 2 2 4 4\n"
-    back = read_words(io.StringIO("# header comment\n1 2 2\n2^3 4^2\n\n"))
-    assert back == words
+    path = tmp_path / "words.txt"
+    for w, line in zip(pair, ["1 2 2", "2^3 4^2"]):
+        path.write_text(f"# header comment\n\n{line}\n1 1\n")
+        assert words.read_data_line(str(path)) == w
 
 
 # ---------------------------------------------------------------------------
