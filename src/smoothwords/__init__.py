@@ -43,7 +43,7 @@ from .expansion import (
     pseudo_inverse_chain,
     pseudo_inverse_with_base,
 )
-from .factors import FactorIndex, NaiveFactorScan
+from .factors import FactorIndex, NaiveFactorScan, PieceSource
 from .kolakoski import (
     BaseSequenceSpec,
     KolakoskiStream,

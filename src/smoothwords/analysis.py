@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, groupby, islice
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -29,7 +29,7 @@ from .expansion import (
     pseudo_inverse,
     pseudo_inverse_with_base,
 )
-from .factors import FactorIndex, _max_gaps
+from .factors import FactorIndex, PieceSource
 from .kolakoski import KolakoskiStream
 from .words import (
     Alphabet,
@@ -37,6 +37,7 @@ from .words import (
     Word,
     _run_arrays,
     _split,
+    _symbol_bytes,
     format_symbols,
     is_palindrome,
 )
@@ -268,20 +269,59 @@ class RecurrenceReport:
     def to_csv(self, out: TextIO) -> None:
         writer = csv.writer(out)
         writer.writerow(["L", "factor", "first", "second", "recurrent"])
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.length,
-                    format_symbols(r.factor),
-                    r.first,
-                    r.second if r.second is not None else "",
-                    int(r.second is not None),
-                ]
-            )
+        writer.writerows(
+            (r.length, text, r.first, "" if r.second is None else r.second,
+             int(r.second is not None))
+            for r, text in zip(self.rows, _factor_texts(self.rows))
+        )
+
+
+def _factor_texts(rows) -> list[str]:
+    """``format_symbols`` of each row's factor, one byte-kernel call per
+    run of rows of one length."""
+    texts: list[str] = []
+    for length, block in groupby((r.factor for r in rows), key=len):
+        block = list(block)
+        flat = np.fromiter(chain.from_iterable(block), np.int64, len(block) * length)
+        text = _symbol_bytes(flat)
+        # every length-th space ends a factor
+        text[np.flatnonzero(text == ord(" "))[length - 1 :: length]] = ord("\n")
+        texts += text.tobytes().decode("ascii").split("\n")[:-1]
+    return texts
+
+
+def _index(
+    w: Word | PieceSource, l_max: int, index: FactorIndex | None, least: int, why: str
+) -> FactorIndex:
+    """``index``, else the index of ``w``; raises ``why`` if ``w`` is
+    shorter than ``least``.  A source's length is known once it is read,
+    so it is checked when the build reaches its end."""
+    if index is None:
+        if isinstance(w, PieceSource):
+            read = w.read
+
+            def checked():
+                size = 0
+                for piece in read():
+                    size += len(piece)
+                    yield piece
+                if size < least:
+                    raise ValueError(why)
+
+            w = PieceSource(w.alphabet, checked)
+        elif len(w) < least:
+            raise ValueError(why)
+        index = FactorIndex(w, l_max)
+    if len(index) < least:
+        raise ValueError(why)
+    return index
+
+
+_TOO_SHORT = "word too short for the requested l_max"
 
 
 def recurrence_report(
-    w: Word,
+    w: Word | PieceSource,
     l_max: int,
     *,
     scan_len: int | None = None,
@@ -293,28 +333,24 @@ def recurrence_report(
     shorter one raises ``ValueError``, since it would scan no factor of
     the longer lengths.
     """
-    n = len(w)
-    if n < 2 * l_max:
-        raise ValueError("word too short for the requested l_max")
+    idx = _index(w, l_max, index, 2 * l_max, _TOO_SHORT)
+    n = len(idx)
     if scan_len is None:
         scan_len = max(l_max, n // 100)
     if scan_len < l_max:
         raise ValueError(f"scan_len {scan_len} is shorter than l_max {l_max}")
-    idx = index if index is not None else FactorIndex(w, l_max)
     rows: list[RecurrenceRow] = []
     for length in range(1, l_max + 1):
         groups = idx.groups(length)
-        for g in idx.groups_starting_in(length, 0, scan_len - length + 1):
-            first = int(groups.first[g])
-            second = int(groups.second[g])
-            rows.append(
-                RecurrenceRow(
-                    length,
-                    idx.factor_at(first, length),
-                    first + 1,
-                    second + 1 if second >= 0 else None,
-                )
+        chosen = idx.groups_starting_in(length, 0, scan_len - length + 1)
+        rows.extend(
+            RecurrenceRow(length, tuple(f), a + 1, b + 1 if b >= 0 else None)
+            for f, a, b in zip(
+                idx.factors(length, chosen).tolist(),
+                groups.first[chosen].tolist(),
+                groups.second[chosen].tolist(),
             )
+        )
     return RecurrenceReport(n, l_max, scan_len, rows)
 
 
@@ -337,36 +373,32 @@ class GapReport:
     def to_csv(self, out: TextIO) -> None:
         writer = csv.writer(out)
         writer.writerow(["L", "factor", "occurrences", "max_gap"])
-        for r in self.rows:
-            writer.writerow(
-                [r.length, format_symbols(r.factor), r.occurrences, r.max_gap]
-            )
+        writer.writerows(
+            (r.length, text, r.occurrences, r.max_gap)
+            for r, text in zip(self.rows, _factor_texts(self.rows))
+        )
 
 
 def max_gap_report(
-    w: Word,
+    w: Word | PieceSource,
     l_max: int,
     *,
     index: FactorIndex | None = None,
 ) -> GapReport:
     """Occurrence counts and maximal gaps for every factor up to l_max."""
-    n = len(w)
-    if n < 2 * l_max:
-        raise ValueError("word too short for the requested l_max")
-    idx = index if index is not None else FactorIndex(w, l_max)
+    idx = _index(w, l_max, index, 2 * l_max, _TOO_SHORT)
     rows: list[GapRow] = []
     for length in range(1, l_max + 1):
         groups = idx.groups(length)
         rows.extend(
-            GapRow(
-                length,
-                idx.factor_of_group(length, g),
-                int(groups.count[g]),
-                int(groups.max_gap[g]),
+            GapRow(length, tuple(f), count, gap)
+            for f, count, gap in zip(
+                idx.factors(length).tolist(),
+                groups.count.tolist(),
+                groups.max_gap.tolist(),
             )
-            for g in range(groups.group_count)
         )
-    return GapReport(n, l_max, rows)
+    return GapReport(len(idx), l_max, rows)
 
 
 @dataclass
@@ -391,29 +423,28 @@ class GapStability:
 
 
 def gap_stability_check(
-    w: Word,
+    w: Word | PieceSource,
     l_max: int,
     *,
     index: FactorIndex | None = None,
 ) -> GapStability:
     """Compare max gaps per factor measured at |w|/2 and |w|, on one index."""
-    n = len(w)
+    idx = _index(w, l_max, index, 2 * l_max, "half prefix shorter than l_max")
+    n = len(idx)
     half = n // 2
-    if half < l_max:
-        raise ValueError("half prefix shorter than l_max")
-    idx = index if index is not None else FactorIndex(w, l_max)
     mismatches = []
     compared = 0
     for length in range(1, l_max + 1):
         full = idx.groups(length)
-        present, gap_half = _max_gaps(
-            full.ids[: half - length + 1], full.group_count
-        )
+        # the factors of the half prefix start before half - L + 1
+        present = np.flatnonzero(full.first < half - length + 1)
         compared += present.size
-        gap_full = full.max_gap[present]
-        for g in np.flatnonzero(gap_half != gap_full):
-            factor = idx.factor_of_group(length, present[g])
-            mismatches.append((length, factor, int(gap_half[g]), int(gap_full[g])))
+        gap_half, gap_full = full.half_max_gap[present], full.max_gap[present]
+        moved = np.flatnonzero(gap_half != gap_full)
+        factors = idx.factors(length, present[moved]).tolist()
+        for g, factor in zip(moved.tolist(), factors):
+            before, after = int(gap_half[g]), int(gap_full[g])
+            mismatches.append((length, tuple(factor), before, after))
     return GapStability(half, n, l_max, compared, mismatches)
 
 
@@ -442,7 +473,7 @@ def _closure_op(
 
 
 def closure_check(
-    w: Word,
+    w: Word | PieceSource,
     op: str | Permutation,
     l_max: int,
     *,
@@ -456,17 +487,16 @@ def closure_check(
     witnesses.  An empty list means the prefix looks closed under the
     operation at this scale.
     """
-    n = len(w)
-    if n < 3 * l_max:
-        raise ValueError("word too short for the middle-third protocol")
+    why = "word too short for the middle-third protocol"
+    idx = _index(w, l_max, index, 3 * l_max, why)
     label, transform = _closure_op(op)
-    idx = index if index is not None else FactorIndex(w, l_max)
-    lo, hi = _middle_third(n)
+    lo, hi = _middle_third(len(idx))
     misses: list[ClosureWitness] = []
     for length in range(1, l_max + 1):
         fset = idx.factor_set(length)
-        for pos in idx.window(length, lo, hi)[1].tolist():
-            factor = idx.factor_at(pos, length)
+        chosen, starts = idx.window(length, lo, hi)
+        for factor, pos in zip(idx.factors(length, chosen).tolist(), starts.tolist()):
+            factor = tuple(factor)
             image = transform(factor)
             if image not in fset:
                 misses.append(ClosureWitness(label, factor, image, pos + 1))

@@ -24,14 +24,14 @@ import numpy as np
 
 from . import analysis
 from .errors import ExpansionBudgetExceeded, SmoothwordError
-from .factors import FactorIndex
+from .factors import FactorIndex, PieceSource
 from .expansion import (
     DEFAULT_BUDGET,
     CyclicOrder,
     phi_inverse_prefix,
     pseudo_inverse_chain,
 )
-from .kolakoski import BaseSequenceSpec, kolakoski_prefix, kolakoski_stream
+from .kolakoski import BaseSequenceSpec, kolakoski_stream
 from .substitution import (
     build_substitution,
     flatten,
@@ -174,11 +174,26 @@ def _base_spec(args, alphabet: Alphabet) -> BaseSequenceSpec:
     return BaseSequenceSpec(alphabet, period, preperiod)
 
 
-def _word(args, alphabet: Alphabet) -> Word:
-    """The ``--input`` word, else ``--length`` letters of the fixpoint."""
+def _admitted(pieces: Iterator[np.ndarray], alphabet: Alphabet) -> Iterator[np.ndarray]:
+    """The pieces of a word file, each checked against the alphabet."""
+    for piece in pieces:
+        if not alphabet.admits(piece):
+            raise ValueError("word contains symbols outside its alphabet")
+        yield piece
+
+
+def _source(args, alphabet: Alphabet) -> PieceSource:
+    """The ``--input`` word, else ``--length`` letters of the fixpoint,
+    read in pieces each time the reports need it."""
     if args.input:
-        return _read_word(args, alphabet)
-    return kolakoski_prefix(_base_spec(args, alphabet), args.length)
+        path = args.input
+        return PieceSource(
+            alphabet, lambda: _admitted(data_line_pieces(path), alphabet)
+        )
+    spec, m = _base_spec(args, alphabet), args.length
+    if m < 1:
+        raise ValueError("m must be positive")
+    return PieceSource(alphabet, lambda: kolakoski_stream(spec).pieces(m))
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +272,8 @@ def _samples(args, length: int) -> list[int]:
 
 def _file_frequencies(args, alphabet: Alphabet) -> analysis.FrequencyReport:
     """``freq --input``: each parsed piece is checked and counted as it comes."""
-
-    def admitted(pieces: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        for piece in pieces:
-            if not alphabet.admits(piece):
-                raise ValueError("word contains symbols outside its alphabet")
-            yield piece
-
     ks = sorted({int(s) for s in args.samples.split(",")}) if args.samples else []
-    pieces = admitted(data_line_pieces(args.input))
+    pieces = _admitted(data_line_pieces(args.input), alphabet)
     counts, length = analysis.letter_counts(pieces, ks, alphabet.largest + 1)
     return analysis.frequency_report(counts, _samples(args, length), alphabet)
 
@@ -289,11 +297,9 @@ def cmd_freq(args) -> int:
 
 
 def cmd_recur(args) -> int:
-    word = _word(args, _alphabet(args))
-    report = analysis.recurrence_report(
-        word, args.l_max, scan_len=args.scan_len
-    )
-    positions = _starts(min(report.scan_len, len(word)), args.l_max)
+    source = _source(args, _alphabet(args))
+    report = analysis.recurrence_report(source, args.l_max, scan_len=args.scan_len)
+    positions = _starts(min(report.scan_len, report.word_length), args.l_max)
     with _sink(args, positions=positions, factors=len(report.rows)) as out:
         report.to_csv(out)
     if args.expect == "recurrent" and not report.all_recurrent:
@@ -306,14 +312,14 @@ def cmd_recur(args) -> int:
 
 
 def cmd_gaps(args) -> int:
-    word = _word(args, _alphabet(args))
-    index = FactorIndex(word, args.l_max)
-    report = analysis.max_gap_report(word, args.l_max, index=index)
-    positions = _starts(len(word), args.l_max)
+    source = _source(args, _alphabet(args))
+    index = FactorIndex(source, args.l_max)
+    report = analysis.max_gap_report(source, args.l_max, index=index)
+    positions = _starts(report.word_length, args.l_max)
     with _sink(args, positions=positions, factors=len(report.rows)) as out:
         report.to_csv(out)
     if args.expect == "stable":
-        stability = analysis.gap_stability_check(word, args.l_max, index=index)
+        stability = analysis.gap_stability_check(source, args.l_max, index=index)
         if not stability.all_stable:
             length, factor, before, after = stability.mismatches[0]
             return _mismatch(
@@ -325,7 +331,7 @@ def cmd_gaps(args) -> int:
 
 def cmd_closure(args) -> int:
     alphabet = _alphabet(args)
-    word = _word(args, alphabet)
+    source = _source(args, alphabet)
     if args.op == "reversal":
         op: str | Permutation = "reversal"
     elif args.op == "complement":
@@ -340,9 +346,9 @@ def cmd_closure(args) -> int:
         op = Permutation(mapping)
     else:  # pragma: no cover - argparse constrains choices
         raise _UsageError(f"unknown op {args.op}")
-    index = FactorIndex(word, args.l_max)
-    witnesses = analysis.closure_check(word, op, args.l_max, index=index)
-    lo, hi = analysis._middle_third(len(word))
+    index = FactorIndex(source, args.l_max)
+    witnesses = analysis.closure_check(source, op, args.l_max, index=index)
+    lo, hi = analysis._middle_third(len(index))
     positions = args.l_max * (hi - lo)
     factors = sum(
         index.groups_starting_in(L, lo, hi).size for L in range(1, args.l_max + 1)

@@ -1,46 +1,52 @@
-"""Exact factor indexing for long words.
+"""Exact factor indexing for long words, read in pieces.
 
 Each start position gets an exact key: its next l_max letters, ranked
-1..b and padded with 0 past the end, packed as base-(b+1) digits into
-as few uint64 columns as hold them.  Key order is lexicographic factor
-order, so one sort of the keys gives the positions sorted by their
-first l_max letters (a truncated suffix order).  The runs of equal keys
-are the *fine groups*: the distinct factors of length l_max, plus one
-singleton per position too close to the end to start one.  Adjacent
-runs share as many letters as their keys share leading digits (the
-capped LCP), and one reduction over the order gives each fine group's
-first, second and last start and its size.
+1..b and padded with 0 past the end, as base-(b+1) digits in one
+``uint64`` (a record of several when they need more bits).  Key order is
+factor order.  The distinct keys are the *fine groups*: the distinct
+factors of length l_max, plus a singleton per position too close to the
+end to start one.  The index keeps only them, in order, with their
+first, second and last start, size, and capped LCP with the previous key
+(equal leading digits); factor letters are decoded from the digits.
+
+The word is read once, in pieces of at most 2¹⁶ positions that carry
+l_max - 1 letters over from the next.  Each piece becomes a sorted run
+of distinct keys, and runs merge like a binary counter, two of one size
+at a time (Bentley & Saxe, "Decomposable searching problems I", 1980):
+a stable sort of the pair, then a min / min-of-others / max / sum
+reduction over equal keys.  No per-letter array outlives its piece.
 
 The groups of a shorter length L are LCP intervals too, so they are
 runs of adjacent fine groups: a fine group starts a new group where its
 LCP with the previous one is below L, and a singleton whose start is
 past n - L is dropped (Abouelhoda, Kurtz & Ohlebusch, "Replacing suffix
-trees with enhanced suffix arrays", 2004).  Each length is therefore a
-merge of O(#fine groups) entries, in lexicographic factor order, with no
-pass over the word.  Group ids per start position are a gather through
-the length's fine-to-group table, made only when read, and so are the
-maximal gaps that need them.  Two positions share an id iff the factors
-are equal, so all the statistics (occurrence counts, first/second/last
-occurrence, maximal gaps) are exact.
+trees with enhanced suffix arrays", 2004).  Each length is a merge of
+O(#fine groups) entries, in lexicographic factor order.
 
-A deliberately naive quadratic scanner with the same interface is kept
-as a test oracle.
-
-Indexes are read-only after construction; scans over disjoint lengths
-are independent, and reports built from them are merged by length then
-lexicographic factor order, so results do not depend on scan order.
+Queries about positions read the word again, piece by piece, and look
+each key up among the fine keys: group ids, first starts in a window,
+and maximal gaps, which one pass gives for every length, over the whole
+word and its first half, by sorting each piece's ids and carrying each
+group's last start to the next piece.  Two positions share an id iff
+the factors are equal, so all the statistics are exact.  A naive
+quadratic scanner with the same answers is kept as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, Iterable, Iterator
+from weakref import WeakValueDictionary
 
 import numpy as np
 
-from .words import Word
+from .words import Alphabet, Word, _split
 
-__all__ = ["FactorGroups", "FactorIndex", "NaiveFactorScan"]
+__all__ = ["FactorGroups", "FactorIndex", "NaiveFactorScan", "PieceSource"]
+
+_NONE = np.iinfo(np.int64).max  # no second start yet
+_END = 1 << 62  # past every position
 
 
 def _word_array(word: Word | np.ndarray) -> np.ndarray:
@@ -55,12 +61,26 @@ def _word_array(word: Word | np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class PieceSource:
+    """A word over ``alphabet`` that can be read as often as needed.
+
+    Each call of ``read()`` yields the word's letters from the first on,
+    as 1-D integer arrays of any sizes, all of them letters of
+    ``alphabet``.
+    """
+
+    alphabet: Alphabet
+    read: Callable[[], Iterable[np.ndarray]]
+
+
+@dataclass(frozen=True)
 class FactorGroups:
     """Per-distinct-factor occurrence statistics for one length.
 
     Group g collects the start positions (0-based) of the g-th distinct
-    factor in lexicographic order; ``second`` is -1 and ``max_gap`` 0 if
-    it occurs once.  ``ids`` and ``max_gap`` are computed when first read.
+    factor in lexicographic order; ``second`` is -1 if it occurs once.
+    ``ids``, ``max_gap`` and ``half_max_gap`` read the word again when
+    first read.
     """
 
     length: int
@@ -68,9 +88,9 @@ class FactorGroups:
     second: np.ndarray
     last: np.ndarray
     count: np.ndarray
-    # the group of every fine group, and the fine group of every position
+    # the group of every fine group, and the index that owns them
     _table: np.ndarray = field(repr=False, compare=False, kw_only=True)
-    _fine: np.ndarray = field(repr=False, compare=False, kw_only=True)
+    _index: "FactorIndex" = field(repr=False, compare=False, kw_only=True)
 
     @property
     def group_count(self) -> int:
@@ -79,114 +99,233 @@ class FactorGroups:
     @cached_property
     def ids(self) -> np.ndarray:
         """Group id per start position, in the smallest unsigned dtype."""
-        return self._table[self._fine[: self._fine.size - self.length + 1]]
+        pieces = self._index._fine_pieces(0, self._index.starts(self.length))
+        return np.concatenate([self._table[fine] for _, fine in pieces])
 
-    @cached_property
+    @property
     def max_gap(self) -> np.ndarray:
-        return _max_gaps(self.ids, self.group_count)[1]
+        """Largest distance between consecutive starts (0 if one)."""
+        return self._index._gaps()[self.length][0]
+
+    @property
+    def half_max_gap(self) -> np.ndarray:
+        """``max_gap`` over the starts of the word's first n // 2 letters."""
+        return self._index._gaps()[self.length][1]
 
 
-def _max_gaps(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(present, max_gap)``: the ids (< size) present, and for each in
-    order the largest distance between consecutive positions holding it."""
-    order = np.argsort(ids, kind="stable")  # radix sort for 8/16-bit ids
-    count = np.bincount(ids, minlength=size)
-    present = np.flatnonzero(count)
-    ends = np.cumsum(count[present])
-    # gaps between consecutive occurrences; zeros at group boundaries
-    gaps = np.empty_like(order)
-    np.subtract(order[1:], order[:-1], out=gaps[:-1])
-    gaps[ends - 1] = 0
-    return present, np.maximum.reduceat(gaps, ends - count[present])
+def _column(keys: np.ndarray, c: int) -> np.ndarray:
+    return keys if keys.dtype.names is None else keys[keys.dtype.names[c]]
+
+
+def _combine(stats: tuple[np.ndarray, ...], new: np.ndarray):
+    """``(first, second, last, count)`` of the runs of entries that
+    ``new`` marks the starts of."""
+    if new.all():  # every run one entry
+        return stats
+    heads = np.flatnonzero(new)
+    first, second, last, count = stats
+    least = np.minimum.reduceat(first, heads)
+    # the second start: the least first of the other entries, or the
+    # second of the entry holding the run's first start
+    spread = np.repeat(least, np.diff(heads, append=new.size))
+    others = np.where(first == spread, second, first)
+    return (
+        least,
+        np.minimum.reduceat(others, heads),
+        np.maximum.reduceat(last, heads),
+        np.add.reduceat(count, heads),
+    )
+
+
+def _changes(values: np.ndarray) -> np.ndarray:
+    """Which entries of a sorted array differ from the one before."""
+    new = np.empty(values.size, dtype=bool)
+    new[0] = True
+    new[1:] = values[1:] != values[:-1]
+    return new
+
+
+def _distinct(keys: np.ndarray, kind: str):
+    """``(order, distinct, new)``: the order that sorts ``keys``, the
+    distinct keys in order, and which sorted keys differ from the last."""
+    order = np.argsort(keys, kind=kind)
+    new = _changes(keys := keys[order])
+    return order, keys[new], new
+
+
+def _merge_runs(a, b):
+    """One sorted run of the distinct keys of two, with combined stats."""
+    # two sorted runs: the stable sort merges them in linear time
+    order, keys, new = _distinct(np.concatenate((a[0], b[0])), "stable")
+    stats = tuple(np.concatenate(pair)[order] for pair in zip(a[1], b[1]))
+    return keys, _combine(stats, new)
+
+
+def _fold_gaps(ids, start: int, cut: int, last, gap, half) -> None:
+    """Fold the starts ``start, start + 1, ...`` with group ``ids`` into
+    each group's last start and largest gap, and ``half``: its largest
+    gap between starts before ``cut``."""
+    # one value sort orders the offsets in the piece by group, then offset
+    shift = ids.size.bit_length()
+    dtype = np.uint32 if last.size << shift <= 1 << 32 else np.uint64
+    packed = ids.astype(dtype) << shift | np.arange(ids.size, dtype=dtype)
+    packed.sort()
+    ids, off = packed >> shift, packed & dtype((1 << shift) - 1)
+    heads = np.flatnonzero(_changes(ids))
+    tails = np.append(heads[1:], ids.size) - 1
+    g = ids[heads]
+    step = np.empty(ids.size, dtype=np.int64)
+    np.subtract(off[1:], off[:-1], out=step[1:], casting="unsafe")
+    prev = last[g]
+    step[heads] = np.where(prev >= 0, off[heads] + start - prev, 0)
+    gap[g] = np.maximum(gap[g], np.maximum.reduceat(step, heads))
+    if start < cut:
+        step[off >= min(cut - start, ids.size)] = 0
+        half[g] = np.maximum(half[g], np.maximum.reduceat(step, heads))
+    last[g] = off[tails] + start
 
 
 class FactorIndex:
     """Exact factor ids and occurrence statistics for lengths 1..l_max.
 
-    ``order`` holds the start positions sorted by their first l_max
-    letters, ties in any order (int32 below 2^31 letters), and ``fine``
-    the fine group of every position, in text order.  Letters rank as
-    dense ranks + 1 and the word is padded with rank 0, so a position
-    near the end sorts below every factor it is a proper prefix of, in a
-    fine group of its own.
+    ``word`` is a Word, an integer array or a :class:`PieceSource`.
+    Letters rank 1..b in the order of the Word's or source's alphabet,
+    else of the array's distinct letters, and the word is padded with
+    rank 0, so a position near the end sorts below every factor it is a
+    proper prefix of, in a fine group of its own.
     """
 
-    def __init__(self, word: Word | np.ndarray, l_max: int):
-        arr = _word_array(word)
+    def __init__(self, word: Word | np.ndarray | PieceSource, l_max: int):
+        if isinstance(word, PieceSource):
+            letters = np.array(word.alphabet.letters)
+            self._read = word.read
+        else:
+            arr = _word_array(word)
+            alphabet = word.alphabet if isinstance(word, Word) else None
+            letters = np.array(alphabet.letters) if alphabet else np.unique(arr)
+            self._read = lambda: (arr,)
         if l_max < 1:
             raise ValueError("l_max must be positive")
-        if arr.size < l_max:
-            raise ValueError("word shorter than l_max")
-        self.arr = arr.astype(np.int64, copy=False)
         self.l_max = l_max
-        self._groups_cache: dict[int, FactorGroups] = {}
-        self._sets_cache: dict[int, set[tuple[int, ...]]] = {}
-        self._from_cache: dict[int, np.ndarray] = {}
-        n = self.arr.size
-        distinct = np.unique(self.arr)
-        base = distinct.size + 1  # rank 0 is the padding
-        rank = np.searchsorted(distinct, self.arr) + 1
-        letters = np.pad(rank.astype(np.min_scalar_type(base - 1)), (0, l_max))
-        del distinct, rank
+        self._letters = letters
+        base = self._base = letters.size + 1  # rank 0 is the padding
+        self._rank_dtype = np.min_scalar_type(letters.size)
+        if letters.size and letters[0] >= 0 and letters[-1] < 1 << 16:
+            table = np.zeros(int(letters[-1]) + 1, dtype=self._rank_dtype)
+            table[letters] = np.arange(1, letters.size + 1)
+            self._rank = table.__getitem__
+        else:
+            rank = np.arange(1, letters.size + 1, dtype=self._rank_dtype)
+            self._rank = lambda part: rank[np.searchsorted(letters, part)]
         # key columns: each packs the next ``per`` ranks as an exact
         # base-(b+1) number below 2^64, so key order is factor order
         per = 1
         while per < l_max and base ** (per + 1) <= 1 << 64:
             per += 1
-        digits = [min(per, l_max - lo) for lo in range(0, l_max, per)]
-        cols = []
-        for lo, d in zip(range(0, l_max, per), digits):
-            key = letters[lo : lo + n].astype(np.uint64)
-            for t in range(lo + 1, lo + d):
-                key *= base
-                key += letters[t : t + n]
-            cols.append(key)
-        del letters
-        # no stable sort: every fine-group statistic is a min, max or count
-        order = np.argsort(cols[0]) if len(cols) == 1 else np.lexsort(cols[::-1])
-        order = order.astype(np.int32 if n < 2**31 else np.int64)
-        # fine groups: the runs of equal keys, which share at least l_max
-        # letters; adjacent positions in different runs share fewer
-        new = np.zeros(n, dtype=bool)
-        new[0] = True
-        for key in cols:
-            ranked = key[order]
-            new[1:] |= ranked[1:] != ranked[:-1]
-            del ranked
-        self._starts = np.flatnonzero(new)
-        del new
-        # the capped LCP with the previous run: equal leading digits
-        a, b = order[self._starts[1:] - 1], order[self._starts[1:]]
-        self._lcp = np.zeros(self._starts.size, dtype=np.min_scalar_type(l_max))
-        same = np.ones(a.size, dtype=bool)
-        for key, d in zip(cols, digits):
-            x, y = key[a], key[b]
+        self._per = per
+        self._digits = [min(per, l_max - lo) for lo in range(0, l_max, per)]
+        if len(self._digits) > 1:  # records compare field by field
+            fields = [(f"c{c}", np.uint64) for c in range(len(self._digits))]
+            self._key_dtype = np.dtype(fields)
+        else:
+            self._key_dtype = np.dtype(np.uint64)
+        # groups are kept while a caller holds them; they hold the index
+        self._groups_cache: WeakValueDictionary = WeakValueDictionary()
+        # one length at a time: reports scan the lengths in turn
+        self._sets_cache: dict[int, set[tuple[int, ...]]] = {}
+        self._from_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._gap_cache: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+        # sorted runs, as a binary counter: (pieces merged, run)
+        stack: list[tuple[int, tuple]] = []
+        n = 0
+        for start, keys in self._key_pieces(0, _END):
+            n = start + keys.size
+            pos, distinct, new = _distinct(keys, "quicksort")
+            del keys
+            pos += start  # each key is one start, and its own run
+            none = np.broadcast_to(np.int64(_NONE), pos.shape)
+            stats = (pos, none, pos, np.broadcast_to(np.int64(1), pos.shape))
+            run, size = (distinct, _combine(stats, new)), 1
+            while stack and stack[-1][0] == size:
+                run, size = _merge_runs(stack.pop()[1], run), 2 * size
+            stack.append((size, run))
+        if n < l_max:
+            raise ValueError("word shorter than l_max")
+        self._n = n
+        run = stack.pop()[1]
+        while stack:
+            run = _merge_runs(stack.pop()[1], run)
+        self._keys, self._stats = run
+        # the capped LCP with the previous key: equal leading digits
+        self._lcp = np.zeros(self._keys.size, dtype=np.min_scalar_type(l_max))
+        same = np.ones(self._keys.size - 1, dtype=bool)
+        for c, d in enumerate(self._digits):
+            key = _column(self._keys, c)
             for e in reversed(range(d)):
-                same &= x // base**e == y // base**e
+                same &= key[1:] // base**e == key[:-1] // base**e
                 self._lcp[1:] += same
-        del cols, key, a, b, x, y, same
-        count = np.diff(self._starts, append=n)
-        first = np.minimum.reduceat(order, self._starts)
-        fine = np.repeat(
-            np.arange(count.size, dtype=np.min_scalar_type(count.size - 1)), count
-        )
-        # the second start is the least one left once the first is masked
-        masked = np.where(order == first[fine], n, order)
-        self._second = np.minimum.reduceat(masked, self._starts).astype(np.int64)
-        del masked
-        self._first = first.astype(np.int64)
-        self._last = np.maximum.reduceat(order, self._starts).astype(np.int64)
-        self._count = count
-        self.order = order
-        self.fine = np.empty_like(fine)
-        self.fine[order] = fine
 
     def __len__(self) -> int:
-        return self.arr.size
+        return self._n
 
     def starts(self, length: int) -> int:
         """Number of start positions for factors of this length."""
-        return self.arr.size - length + 1
+        return self._n - length + 1
+
+    def _key_pieces(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, keys)`` of the positions in [lo, hi), in runs of at
+        most 2¹⁶, from a fresh read of the word."""
+        carry = self.l_max - 1
+        held = np.zeros(0, dtype=self._rank_dtype)  # letters of unkeyed starts
+        start = 0
+        for part in self._ranked():
+            held = np.concatenate((held, part))
+            m = held.size - carry  # the starts whose letters are all read
+            a, b = max(lo - start, 0), min(hi - start, m)
+            if a < b:
+                yield start + a, self._pack(held[a:], b - a)
+            if m > 0:
+                start, held = start + m, held[m:]
+            if start >= hi:
+                return
+
+    def _ranked(self) -> Iterator[np.ndarray]:
+        for piece in self._read():
+            ranks = self._rank(np.asarray(piece))
+            del piece  # only its ranks are held
+            yield from _split(ranks)
+        yield np.zeros(self.l_max - 1, dtype=self._rank_dtype)  # past the end
+
+    def _pack(self, ranks: np.ndarray, m: int) -> np.ndarray:
+        """The keys of the first ``m`` starts of ``ranks``."""
+        cols = []
+        for lo, d in zip(range(0, self.l_max, self._per), self._digits):
+            # ``block`` holds the keys of p digits at every start, for
+            # p = 1, 2, 4, ...; the column joins those the bits of d pick
+            block = ranks[lo : lo + m + d - 1].astype(np.uint64)
+            key, width, p = None, 0, 1
+            while True:
+                if d & p:
+                    tail = block[width : width + m]
+                    key = tail if key is None else key * self._base**p + tail
+                    width += p
+                if 2 * p > d:
+                    break
+                block = block[:-p] * self._base**p + block[p:]
+                p *= 2
+            cols.append(key)
+        if len(cols) == 1:
+            return cols[0]
+        keys = np.empty(m, dtype=self._key_dtype)
+        for name, key in zip(self._key_dtype.names, cols):
+            keys[name] = key
+        return keys
+
+    def _fine_pieces(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, fine groups)`` of the positions in [lo, hi), piece
+        by piece, from a fresh read of the word."""
+        for start, keys in self._key_pieces(lo, hi):
+            yield start, np.searchsorted(self._keys, keys)
 
     def ids(self, length: int) -> np.ndarray:
         """Group id at every start position, for one length."""
@@ -196,69 +335,74 @@ class FactorIndex:
         """Occurrence statistics per distinct factor of one length."""
         if not 1 <= length <= self.l_max:
             raise ValueError(f"length must be in 1..{self.l_max}")
-        cached = self._groups_cache.get(length)
-        if cached is not None:
-            return cached
-        n = self.arr.size
-        members, cuts = self._merge(length)
-        first = self._first[members]
-        group_first = np.minimum.reduceat(first, cuts)
-        group_of = np.repeat(np.arange(cuts.size), np.diff(cuts, append=members.size))
-        # the second start: the least first of the other fine groups, or
-        # the second of the fine group holding the group's first start
-        others = np.where(first == group_first[group_of], self._second[members], first)
-        second = np.minimum.reduceat(others, cuts)
-        second[second == n] = -1
-        table = np.zeros(self._first.size, dtype=np.min_scalar_type(cuts.size - 1))
-        table[members] = group_of
-        groups = FactorGroups(
-            length,
-            group_first,
-            second,
-            np.maximum.reduceat(self._last[members], cuts),
-            np.add.reduceat(self._count[members], cuts),
-            _table=table,
-            _fine=self.fine,
-        )
-        self._groups_cache[length] = groups
+        groups = self._groups_cache.get(length)
+        if groups is None:
+            members, new = self._merge(length)
+            first, second, last, count = _combine(
+                tuple(s[members] for s in self._stats), new
+            )
+            second[second == _NONE] = -1
+            groups = FactorGroups(
+                length,
+                first,
+                second,
+                last,
+                count,
+                _table=self._table(members, new),
+                _index=self,
+            )
+            self._groups_cache[length] = groups
         return groups
 
     def _merge(self, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(members, cuts)`` for one length: the fine groups kept, in
-        order, and where each group begins among them."""
+        """``(members, new)`` for one length: the fine groups kept, in
+        order, and which of them begin a group."""
         # a fine group starting past n - L is a near-end singleton
-        members = np.flatnonzero(self._first < self.starts(length))
+        members = np.flatnonzero(self._stats[0] < self.starts(length))
         new = self._lcp[members] < length
         new[0] = True
-        return members, np.flatnonzero(new)
+        return members, new
 
-    def factor_at(self, pos: int, length: int) -> tuple[int, ...]:
-        return tuple(self.arr[pos : pos + length].tolist())
+    def _table(self, members: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """The group of every fine group (0 for those not kept)."""
+        owner = np.cumsum(new) - 1
+        table = np.zeros(self._keys.size, dtype=np.min_scalar_type(owner[-1]))
+        table[members] = owner
+        return table
+
+    def factors(self, length: int, groups: np.ndarray | None = None) -> np.ndarray:
+        """The letters of each group's factor (of every group, or of the
+        listed ones), one row per group, decoded from the key digits."""
+        members, new = self._merge(length)
+        fine = members[new] if groups is None else members[new][groups]
+        ranks = np.empty((fine.size, length), dtype=np.int64)
+        for j in range(length):
+            c, e = divmod(j, self._per)
+            key = _column(self._keys, c)[fine]
+            ranks[:, j] = key // self._base ** (self._digits[c] - 1 - e) % self._base
+        return self._letters[ranks - 1]
 
     def factor_of_group(self, length: int, g: int) -> tuple[int, ...]:
-        return self.factor_at(int(self.groups(length).first[g]), length)
+        return tuple(self.factors(length, np.array([g]))[0].tolist())
 
     def distinct_count(self, length: int) -> int:
         return self.groups(length).group_count
 
     def factor_set(self, length: int) -> set[tuple[int, ...]]:
         """All distinct factors of one length, as tuples."""
-        cached = self._sets_cache.get(length)
-        if cached is not None:
-            return cached
-        g = self.groups(length)
-        out = {self.factor_at(int(p), length) for p in g.first}
-        self._sets_cache[length] = out
-        return out
+        if length not in self._sets_cache:
+            factors = self.factors(length).tolist()
+            self._sets_cache = {length: set(map(tuple, factors))}
+        return self._sets_cache[length]
 
-    def _first_from(self, lo: int) -> np.ndarray:
-        """Per fine group, its least start >= lo (n if none)."""
-        cached = self._from_cache.get(lo)
+    def _first_from(self, lo: int, hi: int) -> np.ndarray:
+        """Per fine group, its least start in [lo, hi) (n if none)."""
+        cached = self._from_cache.get((lo, hi))
         if cached is None:
-            n = self.arr.size
-            later = np.where(self.order >= lo, self.order, n)
-            cached = np.minimum.reduceat(later, self._starts).astype(np.int64)
-            self._from_cache = {lo: cached}  # windows of one scan share lo
+            cached = np.full(self._keys.size, self._n, dtype=np.int64)
+            for start, fine in self._fine_pieces(lo, hi):
+                np.minimum.at(cached, fine, np.arange(start, start + fine.size))
+            self._from_cache = {(lo, hi): cached}  # windows of one scan share it
         return cached
 
     def window(self, length: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,14 +413,37 @@ class FactorIndex:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
         start = self.groups(length).first
         if lo > 0:
-            members, cuts = self._merge(length)
-            start = np.minimum.reduceat(self._first_from(lo)[members], cuts)
+            members, new = self._merge(length)
+            first = self._first_from(lo, hi)[members]
+            start = np.minimum.reduceat(first, np.flatnonzero(new))
         chosen = np.flatnonzero(start < hi)
         return chosen, start[chosen]
 
     def groups_starting_in(self, length: int, lo: int, hi: int) -> np.ndarray:
         """Group indices with at least one occurrence starting in [lo, hi)."""
         return self.window(length, lo, hi)[0]
+
+    def _gaps(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per length, ``(max_gap, half_max_gap)`` of every group, from
+        one pass over the word."""
+        if self._gap_cache is None:
+            half = self._n // 2
+            dtype = np.min_scalar_type(-self._n)
+            state = []  # per length: table, last start, max gap, half max gap
+            for length in range(1, self.l_max + 1):
+                members, new = self._merge(length)
+                size = np.count_nonzero(new)
+                zeros = [np.zeros(size, dtype=dtype) for _ in range(2)]
+                table = self._table(members, new)
+                state.append((table, np.full(size, -1, dtype=dtype), *zeros))
+            for start, fine in self._fine_pieces(0, self._n):
+                for length, (table, last, gap, gap_half) in enumerate(state, 1):
+                    ids = table[fine[: max(self.starts(length) - start, 0)]]
+                    if ids.size:
+                        cut = half - length + 1
+                        _fold_gaps(ids, start, cut, last, gap, gap_half)
+            self._gap_cache = {L: s[2:] for L, s in enumerate(state, 1)}
+        return self._gap_cache
 
 
 class NaiveFactorScan:

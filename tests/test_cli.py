@@ -632,6 +632,48 @@ def test_generate_and_freq_input_run_in_flat_memory(tmp_path, capsys, m):
     assert capsys.readouterr().out.splitlines()[-1].startswith(f"{m},2,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recur", "--base-period", "1,2"],
+        ["gaps", "--base-period", "3,6,9", "--expect", "stable"],
+        ["closure", "--base-period", "1,3", "--op", "reversal"],
+    ],
+)
+def test_factor_reports_run_in_flat_memory(tmp_path, argv):
+    # the word's int64 array alone is 32 MB at 4*10^6 letters; the reports
+    # read it from the cursor in pieces and keep only its distinct factors
+    out = ["--length", str(4 * 10**6), "--output", str(tmp_path / "report.csv")]
+    assert _traced_peak(argv + out) < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recur", "--l-max", "10"],
+        ["gaps", "--l-max", "6", "--expect", "stable"],
+        ["closure", "--l-max", "8", "--op", "complement"],
+    ],
+)
+def test_factor_reports_read_word_files_as_they_read_the_cursor(
+    argv, tmp_path, capsys, monkeypatch
+):
+    m = 3 * P + 5
+    word_file = tmp_path / "word.txt"
+    with open(word_file, "w") as handle:
+        spec = BaseSequenceSpec(Alphabet((2, 4)), (2, 4))
+        write_words([kolakoski_prefix(spec, m)], handle)
+    # short parser spans: the file comes in pieces of 64 letters
+    monkeypatch.setattr(words, "_PARSE_CHUNK", 128)
+    cursor = main(argv + ["--base-period", "2,4", "--length", str(m)])
+    from_cursor = capsys.readouterr().out.splitlines()
+    from_file = main(argv + ["--alphabet", "2,4", "--input", str(word_file)])
+    lines = capsys.readouterr().out.splitlines()
+    assert from_file == cursor
+    assert lines[1:] == from_cursor[1:]
+    assert len(lines) > 2
+
+
 P = words._WRITE_CHUNK
 
 

@@ -9,11 +9,17 @@ from smoothwords import (
     FactorIndex,
     NaiveFactorScan,
     Permutation,
+    PieceSource,
     Word,
     closure_check,
     gap_stability_check,
     kolakoski_prefix,
+    max_gap_report,
+    recurrence_report,
+    words,
+    write_words,
 )
+from smoothwords.words import data_line_pieces
 
 
 def test_index_matches_naive_on_random_words():
@@ -242,3 +248,105 @@ def test_length_bounds():
     idx = FactorIndex(np.array([1, 2, 1]), 2)
     with pytest.raises(ValueError):
         idx.ids(3)
+
+
+# ---------------------------------------------------------------------------
+# piece sources: the word is read in pieces, as often as a query needs
+
+
+def _cut(arr, offsets):
+    """``arr`` in pieces that end at the given offsets."""
+    edges = [0, *sorted(set(offsets)), arr.size]
+    return [arr[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _check_against_naive(idx, arr, l_max, lo, hi):
+    ref = NaiveFactorScan(arr, l_max)
+    half = NaiveFactorScan(arr[: arr.size // 2], l_max)
+    assert len(idx) == arr.size
+    for length in range(1, l_max + 1):
+        factors = sorted(ref.factor_set(length))
+        occ = [ref.occurrences(f) for f in factors]
+        groups = idx.groups(length)
+        assert [tuple(f) for f in idx.factors(length).tolist()] == factors
+        assert groups.first.tolist() == [o[0] for o in occ]
+        assert groups.second.tolist() == [o[1] if len(o) > 1 else -1 for o in occ]
+        assert groups.last.tolist() == [o[-1] for o in occ]
+        assert groups.count.tolist() == [len(o) for o in occ]
+        expected_ids = np.empty(idx.starts(length), dtype=np.int64)
+        for g, positions in enumerate(occ):
+            expected_ids[positions] = g
+        assert np.array_equal(groups.ids, expected_ids)
+        assert groups.max_gap.tolist() == [ref.max_gap(f) for f in factors]
+        # the half-prefix gaps of the factors that start in the first half
+        in_half = groups.first < arr.size // 2 - length + 1
+        assert [f for f, kept in zip(factors, in_half) if kept] == sorted(
+            half.factor_set(length)
+        )
+        gaps = groups.half_max_gap[in_half].tolist()
+        assert gaps == [half.max_gap(f) for f in sorted(half.factor_set(length))]
+        window = _first_in_window(ref, length, lo, hi)
+        chosen, starts = idx.window(length, lo, hi)
+        assert [factors[g] for g in chosen] == list(window)
+        assert starts.tolist() == list(window.values())
+
+
+@st.composite
+def piece_sources(draw):
+    """A word over an alphabet that may hold letters it lacks, cut into
+    pieces at drawn offsets, an index piece size of 1..8 positions, an
+    l_max that may need several key columns, and a window."""
+    alphabets = [(1, 2), (1, 2, 3), (2, 6, 10, 14), tuple(range(3, 22, 2))]
+    letters = draw(st.sampled_from(alphabets))
+    used = sorted(draw(st.sets(st.sampled_from(letters), min_size=1)))
+    arr = np.array(draw(st.lists(st.sampled_from(used), min_size=1, max_size=120)))
+    offsets = draw(st.lists(st.integers(0, arr.size), max_size=6))
+    l_max = draw(st.integers(1, arr.size))
+    bound = st.integers(0, arr.size)
+    chunk = draw(st.integers(1, 8))
+    return Alphabet(letters), arr, offsets, chunk, l_max, draw(bound), draw(bound)
+
+
+@settings(max_examples=120, deadline=None)
+@given(piece_sources())
+def test_piece_source_matches_naive_scan(case):
+    alphabet, arr, offsets, chunk, l_max, lo, hi = case
+    source = PieceSource(alphabet, lambda: _cut(arr, offsets))
+    with pytest.MonkeyPatch.context() as patch:
+        # index pieces of a few positions: a cut at every offset mod chunk
+        patch.setattr(words, "_WRITE_CHUNK", chunk)
+        idx = FactorIndex(source, l_max)
+        _check_against_naive(idx, arr, l_max, lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(piece_sources())
+def test_word_file_source_matches_naive_scan(tmp_path_factory, case):
+    alphabet, arr, _, chunk, l_max, lo, hi = case
+    path = tmp_path_factory.mktemp("source") / "word.txt"
+    with open(path, "w") as handle:
+        handle.write("# a comment line\n")
+        write_words([Word(arr)], handle)
+    source = PieceSource(alphabet, lambda: data_line_pieces(str(path)))
+    with pytest.MonkeyPatch.context() as patch:
+        # parser spans of 16 bytes: 5 to 8 letters a piece
+        patch.setattr(words, "_PARSE_CHUNK", 16)
+        patch.setattr(words, "_WRITE_CHUNK", chunk)
+        idx = FactorIndex(source, l_max)
+        _check_against_naive(idx, arr, l_max, lo, hi)
+
+
+def test_piece_source_reads_the_word_only_for_position_queries():
+    w = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 5000)
+    reads = []
+
+    def read():
+        reads.append(1)
+        return iter([w.to_array()])
+
+    idx = FactorIndex(PieceSource(w.alphabet, read), 12)
+    recurrence_report(w, 12, index=idx)  # starts, counts and factors only
+    assert len(reads) == 1
+    max_gap_report(w, 12, index=idx)
+    gap_stability_check(w, 12, index=idx)  # one pass gives every length's gaps
+    assert len(reads) == 2

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from smoothwords import Word, cli, verify
+from smoothwords import Word, cli, phi_inverse_prefix, verify
 from smoothwords.cli import main
 from smoothwords.verify import ALL_CHECKS, CheckResult
 
@@ -284,3 +284,16 @@ def test_verify_all_output_written_on_every_run(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     # a passing run replaces the older failure with its bare config line
     assert out_file.read_text() == "# smoothwords command=verify-all seed=5\n"
+
+
+def test_prefix_monotonicity_expands_each_directive_word_once(monkeypatch):
+    calls = []
+
+    def counted(v, order):
+        calls.append(v.symbols)
+        return phi_inverse_prefix(v, order)
+
+    monkeypatch.setattr(verify, "phi_inverse_prefix", counted)
+    verify._suite_prefix_monotone()
+    # every word of length 1..10 over {1, 2}, each once
+    assert len(calls) == len(set(calls)) == 2**11 - 2
