@@ -267,13 +267,13 @@ class RecurrenceReport:
         return not self.non_recurrent
 
     def to_csv(self, out: TextIO) -> None:
-        writer = csv.writer(out)
-        writer.writerow(["L", "factor", "first", "second", "recurrent"])
-        writer.writerows(
-            (r.length, text, r.first, "" if r.second is None else r.second,
-             int(r.second is not None))
+        # no field needs quoting, so the csv module's lines are built directly
+        lines = [
+            f"{r.length},{text},{r.first},{'' if r.second is None else r.second},"
+            f"{int(r.second is not None)}\r\n"
             for r, text in zip(self.rows, _factor_texts(self.rows))
-        )
+        ]
+        out.write("".join(["L,factor,first,second,recurrent\r\n", *lines]))
 
 
 def _factor_texts(rows) -> list[str]:
@@ -371,12 +371,12 @@ class GapReport:
     rows: list[GapRow]
 
     def to_csv(self, out: TextIO) -> None:
-        writer = csv.writer(out)
-        writer.writerow(["L", "factor", "occurrences", "max_gap"])
-        writer.writerows(
-            (r.length, text, r.occurrences, r.max_gap)
+        # no field needs quoting, so the csv module's lines are built directly
+        lines = [
+            f"{r.length},{text},{r.occurrences},{r.max_gap}\r\n"
             for r, text in zip(self.rows, _factor_texts(self.rows))
-        )
+        ]
+        out.write("".join(["L,factor,occurrences,max_gap\r\n", *lines]))
 
 
 def max_gap_report(
