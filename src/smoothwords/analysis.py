@@ -268,26 +268,26 @@ class RecurrenceReport:
 
     def to_csv(self, out: TextIO) -> None:
         # no field needs quoting, so the csv module's lines are built directly
-        lines = [
-            f"{r.length},{text},{r.first},{'' if r.second is None else r.second},"
-            f"{int(r.second is not None)}\r\n"
-            for r, text in zip(self.rows, _factor_texts(self.rows))
-        ]
-        out.write("".join(["L,factor,first,second,recurrent\r\n", *lines]))
+        out.write("L,factor,first,second,recurrent\r\n")
+        for rows, texts in _by_length(self.rows):
+            lines = [
+                f"{r.length},{text},{r.first},{'' if r.second is None else r.second},"
+                f"{int(r.second is not None)}\r\n"
+                for r, text in zip(rows, texts)
+            ]
+            out.write("".join(lines))
 
 
-def _factor_texts(rows) -> list[str]:
-    """``format_symbols`` of each row's factor, one byte-kernel call per
-    run of rows of one length."""
-    texts: list[str] = []
-    for length, block in groupby((r.factor for r in rows), key=len):
-        block = list(block)
-        flat = np.fromiter(chain.from_iterable(block), np.int64, len(block) * length)
-        text = _symbol_bytes(flat)
+def _by_length(rows) -> Iterator[tuple[list, list[str]]]:
+    """Runs of rows of one length, each with the ``format_symbols`` text
+    of its factors, made by one byte-kernel call per run."""
+    for length, run in groupby(rows, key=lambda r: r.length):
+        run = list(run)
+        flat = chain.from_iterable(r.factor for r in run)
+        text = _symbol_bytes(np.fromiter(flat, np.int64, len(run) * length))
         # every length-th space ends a factor
         text[np.flatnonzero(text == ord(" "))[length - 1 :: length]] = ord("\n")
-        texts += text.tobytes().decode("ascii").split("\n")[:-1]
-    return texts
+        yield run, text.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def _index(
@@ -372,11 +372,13 @@ class GapReport:
 
     def to_csv(self, out: TextIO) -> None:
         # no field needs quoting, so the csv module's lines are built directly
-        lines = [
-            f"{r.length},{text},{r.occurrences},{r.max_gap}\r\n"
-            for r, text in zip(self.rows, _factor_texts(self.rows))
-        ]
-        out.write("".join(["L,factor,occurrences,max_gap\r\n", *lines]))
+        out.write("L,factor,occurrences,max_gap\r\n")
+        for rows, texts in _by_length(self.rows):
+            lines = [
+                f"{r.length},{text},{r.occurrences},{r.max_gap}\r\n"
+                for r, text in zip(rows, texts)
+            ]
+            out.write("".join(lines))
 
 
 def max_gap_report(
