@@ -270,12 +270,11 @@ class RecurrenceReport:
         # no field needs quoting, so the csv module's lines are built directly
         out.write("L,factor,first,second,recurrent\r\n")
         for rows, texts in _by_length(self.rows):
-            lines = [
+            out.write("".join(
                 f"{r.length},{text},{r.first},{'' if r.second is None else r.second},"
                 f"{int(r.second is not None)}\r\n"
                 for r, text in zip(rows, texts)
-            ]
-            out.write("".join(lines))
+            ))
 
 
 def _by_length(rows) -> Iterator[tuple[list, list[str]]]:
@@ -374,11 +373,10 @@ class GapReport:
         # no field needs quoting, so the csv module's lines are built directly
         out.write("L,factor,occurrences,max_gap\r\n")
         for rows, texts in _by_length(self.rows):
-            lines = [
+            out.write("".join(
                 f"{r.length},{text},{r.occurrences},{r.max_gap}\r\n"
                 for r, text in zip(rows, texts)
-            ]
-            out.write("".join(lines))
+            ))
 
 
 def max_gap_report(
