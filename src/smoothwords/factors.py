@@ -148,7 +148,10 @@ def _changes(values: np.ndarray) -> np.ndarray:
 def _distinct(keys: np.ndarray, kind: str):
     """``(order, distinct, new)``: the order that sorts ``keys``, the
     distinct keys in order, and which sorted keys differ from the last."""
-    order = np.argsort(keys, kind=kind)
+    if keys.dtype.names is None:
+        order = np.argsort(keys, kind=kind)
+    else:  # stable; much faster than sorting the records field by field
+        order = np.lexsort([keys[name] for name in reversed(keys.dtype.names)])
     new = _changes(keys := keys[order])
     return order, keys[new], new
 
