@@ -9,8 +9,8 @@ end to start one.  The index keeps only them, in order, with their
 first, second and last start, size, and capped LCP with the previous key
 (equal leading digits); factor letters are decoded from the digits.
 
-The word is read once, in pieces of at most 2¹⁶ positions that carry
-l_max - 1 letters over from the next.  Each piece becomes a sorted run
+The index is built from one read of the word, in pieces of at most 2¹⁶
+positions that carry l_max - 1 letters over from the next.  Each piece becomes a sorted run
 of distinct keys, and runs merge like a binary counter, two of one size
 at a time (Bentley & Saxe, "Decomposable searching problems I", 1980):
 a stable sort of the pair, then a min / min-of-others / max / sum
@@ -150,7 +150,7 @@ def _distinct(keys: np.ndarray, kind: str):
     distinct keys in order, and which sorted keys differ from the last."""
     if keys.dtype.names is None:
         order = np.argsort(keys, kind=kind)
-    else:  # stable; much faster than sorting the records field by field
+    else:  # stable, and faster than numpy's generic comparison of records
         order = np.lexsort([keys[name] for name in reversed(keys.dtype.names)])
     new = _changes(keys := keys[order])
     return order, keys[new], new
