@@ -658,7 +658,7 @@ def test_factor_reports_run_in_flat_memory(tmp_path, argv):
 def test_factor_reports_read_word_files_as_they_read_the_cursor(
     argv, tmp_path, capsys, monkeypatch
 ):
-    m = 3 * P + 5
+    m = 3 * words._WRITE_CHUNK + 5
     word_file = tmp_path / "word.txt"
     with open(word_file, "w") as handle:
         spec = BaseSequenceSpec(Alphabet((2, 4)), (2, 4))
