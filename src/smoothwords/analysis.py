@@ -10,15 +10,18 @@ drawn from the middle third of the prefix while images are searched in
 the whole prefix, so a factor whose image merely falls off the edge of
 the window is not reported as a miss.
 
-Report rows use 1-based positions and are ordered by length, then
-lexicographically by factor, so output is deterministic.
+Reports keep the factor index's arrays per length and decode letters
+one length at a time; rows use 1-based positions and are ordered by
+length, then lexicographically by factor, so output is deterministic.
+Closure images are mapped as letter-rank arrays and looked up by key.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -236,6 +239,46 @@ def exact_frequency_check(u: Word, v: Word) -> bool:
 # recurrence and gaps
 
 
+@dataclass(eq=False)
+class _FactorColumns:
+    """A factor report's columns: per length, the index's groups it lists
+    (``None``: every group) and two statistics of each.  ``rows`` is
+    built on first read."""
+
+    _index: FactorIndex = field(repr=False, kw_only=True)
+    _columns: list[tuple] = field(repr=False, kw_only=True)
+
+    @property
+    def factor_count(self) -> int:
+        return sum(a.size for _, a, _ in self._columns)
+
+    def _lengths(self, keep: Callable | None = None) -> Iterator[tuple]:
+        """Per length: the letters of the factors listed, or of those that
+        ``keep`` picks by their ``b``, as a 2-D array, and ``a`` and ``b``."""
+        for length, (groups, a, b) in enumerate(self._columns, 1):
+            if keep is not None:
+                pick = keep(b)
+                groups, a, b = groups[pick], a[pick], b[pick]
+            yield length, self._index.factors(length, groups), a.tolist(), b.tolist()
+
+    def _rows(self, row: Callable, keep: Callable | None = None) -> list:
+        """``row(length, factor, a, b)`` per factor that ``_lengths`` gives."""
+        return [
+            row(length, tuple(f), x, y)
+            for length, letters, a, b in self._lengths(keep)
+            for f, x, y in zip(letters.tolist(), a, b)
+        ]
+
+    def _texts(self) -> Iterator[tuple[int, list[str], list, list]]:
+        """Per length: the ``format_symbols`` text of each factor listed,
+        made by one byte-kernel call, and the statistics ``a`` and ``b``."""
+        for length, letters, a, b in self._lengths():
+            text = _symbol_bytes(letters.reshape(-1))
+            # every length-th space ends a factor
+            text[np.flatnonzero(text == ord(" "))[length - 1 :: length]] = ord("\n")
+            yield length, text.tobytes().decode("ascii").split("\n")[:-1], a, b
+
+
 @dataclass(frozen=True)
 class RecurrenceRow:
     length: int
@@ -244,49 +287,46 @@ class RecurrenceRow:
     second: int | None  # 1-based, None if no second occurrence found
 
 
-@dataclass
-class RecurrenceReport:
+@dataclass(eq=False)
+class RecurrenceReport(_FactorColumns):
     """Recurrence of every factor seen early in the prefix.
 
     A row per distinct factor (length <= l_max) that occurs fully inside
     the first ``scan_len`` letters, with the position of its second
-    occurrence anywhere in the whole prefix, if one exists.
+    occurrence anywhere in the whole prefix, if one exists.  The columns
+    are the first and second starts (0-based, -1 if none).
     """
 
     word_length: int
     l_max: int
     scan_len: int
-    rows: list[RecurrenceRow]
+
+    @staticmethod
+    def _row(length: int, factor: tuple[int, ...], a: int, b: int) -> RecurrenceRow:
+        return RecurrenceRow(length, factor, a + 1, b + 1 if b >= 0 else None)
+
+    @cached_property
+    def rows(self) -> list[RecurrenceRow]:
+        return self._rows(self._row)
 
     @property
     def non_recurrent(self) -> list[RecurrenceRow]:
-        return [r for r in self.rows if r.second is None]
+        return self._rows(self._row, lambda second: second < 0)
 
     @property
     def all_recurrent(self) -> bool:
-        return not self.non_recurrent
+        return all((second >= 0).all() for _, _, second in self._columns)
 
     def to_csv(self, out: TextIO) -> None:
         # no field needs quoting, so the csv module's lines are built directly
         out.write("L,factor,first,second,recurrent\r\n")
-        for rows, texts in _by_length(self.rows):
-            out.write("".join(
-                f"{r.length},{text},{r.first},{'' if r.second is None else r.second},"
-                f"{int(r.second is not None)}\r\n"
-                for r, text in zip(rows, texts)
-            ))
-
-
-def _by_length(rows) -> Iterator[tuple[list, list[str]]]:
-    """Runs of rows of one length, each with the ``format_symbols`` text
-    of its factors, made by one byte-kernel call per run."""
-    for length, run in groupby(rows, key=lambda r: r.length):
-        run = list(run)
-        flat = chain.from_iterable(r.factor for r in run)
-        text = _symbol_bytes(np.fromiter(flat, np.int64, len(run) * length))
-        # every length-th space ends a factor
-        text[np.flatnonzero(text == ord(" "))[length - 1 :: length]] = ord("\n")
-        yield run, text.tobytes().decode("ascii").split("\n")[:-1]
+        for length, texts, first, second in self._texts():
+            out.write("".join([
+                f"{length},{text},{a + 1},{b + 1},1\r\n"
+                if b >= 0
+                else f"{length},{text},{a + 1},,0\r\n"
+                for text, a, b in zip(texts, first, second)
+            ]))
 
 
 def _index(
@@ -338,19 +378,12 @@ def recurrence_report(
         scan_len = max(l_max, n // 100)
     if scan_len < l_max:
         raise ValueError(f"scan_len {scan_len} is shorter than l_max {l_max}")
-    rows: list[RecurrenceRow] = []
+    columns = []
     for length in range(1, l_max + 1):
-        groups = idx.groups(length)
-        chosen = idx.groups_starting_in(length, 0, scan_len - length + 1)
-        rows.extend(
-            RecurrenceRow(length, tuple(f), a + 1, b + 1 if b >= 0 else None)
-            for f, a, b in zip(
-                idx.factors(length, chosen).tolist(),
-                groups.first[chosen].tolist(),
-                groups.second[chosen].tolist(),
-            )
-        )
-    return RecurrenceReport(n, l_max, scan_len, rows)
+        groups = idx.groups(length)  # held, so the window reuses it
+        chosen, first = idx.window(length, 0, scan_len - length + 1)
+        columns.append((chosen, first, groups.second[chosen]))
+    return RecurrenceReport(n, l_max, scan_len, _index=idx, _columns=columns)
 
 
 @dataclass(frozen=True)
@@ -361,22 +394,25 @@ class GapRow:
     max_gap: int  # 0 when the factor occurs once
 
 
-@dataclass
-class GapReport:
-    """Maximal gap between consecutive occurrences, per distinct factor."""
+@dataclass(eq=False)
+class GapReport(_FactorColumns):
+    """Maximal gap between consecutive occurrences, per distinct factor:
+    the columns are every group's count and maximal gap."""
 
     word_length: int
     l_max: int
-    rows: list[GapRow]
+
+    @cached_property
+    def rows(self) -> list[GapRow]:
+        return self._rows(GapRow)
 
     def to_csv(self, out: TextIO) -> None:
         # no field needs quoting, so the csv module's lines are built directly
         out.write("L,factor,occurrences,max_gap\r\n")
-        for rows, texts in _by_length(self.rows):
-            out.write("".join(
-                f"{r.length},{text},{r.occurrences},{r.max_gap}\r\n"
-                for r, text in zip(rows, texts)
-            ))
+        for length, texts, count, gap in self._texts():
+            out.write("".join([
+                f"{length},{text},{c},{g}\r\n" for text, c, g in zip(texts, count, gap)
+            ]))
 
 
 def max_gap_report(
@@ -387,18 +423,9 @@ def max_gap_report(
 ) -> GapReport:
     """Occurrence counts and maximal gaps for every factor up to l_max."""
     idx = _index(w, l_max, index, 2 * l_max, _TOO_SHORT)
-    rows: list[GapRow] = []
-    for length in range(1, l_max + 1):
-        groups = idx.groups(length)
-        rows.extend(
-            GapRow(length, tuple(f), count, gap)
-            for f, count, gap in zip(
-                idx.factors(length).tolist(),
-                groups.count.tolist(),
-                groups.max_gap.tolist(),
-            )
-        )
-    return GapReport(len(idx), l_max, rows)
+    groups = map(idx.groups, range(1, l_max + 1))
+    columns = [(None, g.count, g.max_gap) for g in groups]
+    return GapReport(len(idx), l_max, _index=idx, _columns=columns)
 
 
 @dataclass
@@ -462,16 +489,6 @@ class ClosureWitness:
     factor_position: int  # 1-based, inside the middle third
 
 
-def _closure_op(
-    op: str | Permutation,
-) -> tuple[str, Callable[[tuple[int, ...]], tuple[int, ...]]]:
-    if op == "reversal":
-        return "reversal", lambda f: f[::-1]
-    if isinstance(op, Permutation):
-        return op.label(), lambda f: tuple(op(x) for x in f)
-    raise ValueError("op must be 'reversal' or a Permutation")
-
-
 def closure_check(
     w: Word | PieceSource,
     op: str | Permutation,
@@ -489,17 +506,28 @@ def closure_check(
     """
     why = "word too short for the middle-third protocol"
     idx = _index(w, l_max, index, 3 * l_max, why)
-    label, transform = _closure_op(op)
+    if op == "reversal":
+        label, image = "reversal", lambda ranks: ranks[:, ::-1]
+    elif isinstance(op, Permutation):
+        letters = idx.letters.tolist()
+        rank = {a: r for r, a in enumerate(letters, 1)}
+        # rank 0: no image in the alphabet, so the factor is a miss, and
+        # building its witness raises for a letter outside the domain
+        table = [rank.get(op.mapping.get(a), 0) for a in letters]
+        label, image = op.label(), np.array([0, *table]).__getitem__
+    else:
+        raise ValueError("op must be 'reversal' or a Permutation")
     lo, hi = _middle_third(len(idx))
     misses: list[ClosureWitness] = []
     for length in range(1, l_max + 1):
-        fset = idx.factor_set(length)
         chosen, starts = idx.window(length, lo, hi)
-        for factor, pos in zip(idx.factors(length, chosen).tolist(), starts.tolist()):
+        ranks = idx.ranks(length, chosen)
+        absent = np.flatnonzero(~idx.occurs(image(ranks)))
+        factors = idx.letters[ranks[absent] - 1].tolist()
+        for factor, pos in zip(factors, starts[absent].tolist()):
             factor = tuple(factor)
-            image = transform(factor)
-            if image not in fset:
-                misses.append(ClosureWitness(label, factor, image, pos + 1))
+            mapped = factor[::-1] if op == "reversal" else tuple(map(op, factor))
+            misses.append(ClosureWitness(label, factor, mapped, pos + 1))
     return misses
 
 
@@ -549,28 +577,15 @@ def equal_run_blocks(
     every block, which is only sensible for short inputs.
     """
     arr = w.to_array()
-    lengths, letters = _run_arrays(arr)
-    if lengths.size == 0:
-        return []
-    run_starts = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1])
-    )
-    change = np.flatnonzero(lengths[1:] != lengths[:-1])
-    grp_start = np.concatenate((np.zeros(1, dtype=np.int64), change + 1))
-    grp_end = np.concatenate((change, np.array([lengths.size - 1])))
+    # the maximal blocks are the runs of the run lengths
+    runs, exponents = _run_arrays(_run_arrays(arr)[0])
+    ends = np.cumsum(runs * exponents).tolist()
     out: list[EqualRunBlock] = []
-    for a, b in zip(grp_start, grp_end):
-        exponent = int(lengths[a])
-        runs = int(b - a + 1)
-        if exponent < min_exponent or runs < min_runs:
-            continue
-        start = int(run_starts[a])
-        end = int(run_starts[b] + lengths[b])  # exclusive
-        out.append(
-            EqualRunBlock(
-                tuple(arr[start:end].tolist()), exponent, runs, start + 1, end
-            )
-        )
+    for count, exponent, end in zip(runs.tolist(), exponents.tolist(), ends):
+        if exponent >= min_exponent and count >= min_runs:
+            start = end - count * exponent
+            block = tuple(arr[start:end].tolist())
+            out.append(EqualRunBlock(block, exponent, count, start + 1, end))
     return out
 
 

@@ -300,7 +300,7 @@ def cmd_recur(args) -> int:
     source = _source(args, _alphabet(args))
     report = analysis.recurrence_report(source, args.l_max, scan_len=args.scan_len)
     positions = _starts(min(report.scan_len, report.word_length), args.l_max)
-    with _sink(args, positions=positions, factors=len(report.rows)) as out:
+    with _sink(args, positions=positions, factors=report.factor_count) as out:
         report.to_csv(out)
     if args.expect == "recurrent" and not report.all_recurrent:
         bad = report.non_recurrent[0]
@@ -316,7 +316,7 @@ def cmd_gaps(args) -> int:
     index = FactorIndex(source, args.l_max)
     report = analysis.max_gap_report(source, args.l_max, index=index)
     positions = _starts(report.word_length, args.l_max)
-    with _sink(args, positions=positions, factors=len(report.rows)) as out:
+    with _sink(args, positions=positions, factors=report.factor_count) as out:
         report.to_csv(out)
     if args.expect == "stable":
         stability = analysis.gap_stability_check(source, args.l_max, index=index)
@@ -350,9 +350,7 @@ def cmd_closure(args) -> int:
     witnesses = analysis.closure_check(source, op, args.l_max, index=index)
     lo, hi = analysis._middle_third(len(index))
     positions = args.l_max * (hi - lo)
-    factors = sum(
-        index.groups_starting_in(L, lo, hi).size for L in range(1, args.l_max + 1)
-    )
+    factors = sum(index.window(L, lo, hi)[0].size for L in range(1, args.l_max + 1))
     extra = {"misses": len(witnesses), "positions": positions, "factors": factors}
     with _sink(args, **extra) as out:
         analysis.write_witness_csv(witnesses, out)

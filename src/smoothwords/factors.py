@@ -6,15 +6,17 @@ Each start position gets an exact key: its next l_max letters, ranked
 factor order.  The distinct keys are the *fine groups*: the distinct
 factors of length l_max, plus a singleton per position too close to the
 end to start one.  The index keeps only them, in order, with their
-first, second and last start, size, and capped LCP with the previous key
-(equal leading digits); factor letters are decoded from the digits.
+first and second start, size, and capped LCP with the previous key
+(equal leading digits).  Factors are decoded from the digits as 2-D
+arrays of letter ranks, and looked up as keys packed from such arrays.
 
 The index is built from one read of the word, in pieces of at most 2¹⁶
-positions that carry l_max - 1 letters over from the next.  Each piece becomes a sorted run
-of distinct keys, and runs merge like a binary counter, two of one size
-at a time (Bentley & Saxe, "Decomposable searching problems I", 1980):
-a stable sort of the pair, then a min / min-of-others / max / sum
-reduction over equal keys.  No per-letter array outlives its piece.
+positions that carry l_max - 1 letters over from the next.  Each piece
+becomes a sorted run of distinct keys, and runs merge like a binary
+counter, two of one size at a time (Bentley & Saxe, "Decomposable
+searching problems I", 1980): a stable sort of the pair, then a min /
+min-of-others / sum reduction over equal keys.  No per-letter array
+outlives its piece.
 
 The groups of a shorter length L are LCP intervals too, so they are
 runs of adjacent fine groups: a fine group starts a new group where its
@@ -86,10 +88,7 @@ class FactorGroups:
     length: int
     first: np.ndarray
     second: np.ndarray
-    last: np.ndarray
     count: np.ndarray
-    # the group of every fine group, and the index that owns them
-    _table: np.ndarray = field(repr=False, compare=False, kw_only=True)
     _index: "FactorIndex" = field(repr=False, compare=False, kw_only=True)
 
     @property
@@ -99,8 +98,10 @@ class FactorGroups:
     @cached_property
     def ids(self) -> np.ndarray:
         """Group id per start position, in the smallest unsigned dtype."""
-        pieces = self._index._fine_pieces(0, self._index.starts(self.length))
-        return np.concatenate([self._table[fine] for _, fine in pieces])
+        index = self._index
+        table = index._table(*index._merge(self.length))
+        pieces = index._fine_pieces(0, index.starts(self.length))
+        return np.concatenate([table[fine] for _, fine in pieces])
 
     @property
     def max_gap(self) -> np.ndarray:
@@ -118,12 +119,12 @@ def _column(keys: np.ndarray, c: int) -> np.ndarray:
 
 
 def _combine(stats: tuple[np.ndarray, ...], new: np.ndarray):
-    """``(first, second, last, count)`` of the runs of entries that
-    ``new`` marks the starts of."""
+    """``(first, second, count)`` of the runs of entries that ``new``
+    marks the starts of."""
     if new.all():  # every run one entry
         return stats
     heads = np.flatnonzero(new)
-    first, second, last, count = stats
+    first, second, count = stats
     least = np.minimum.reduceat(first, heads)
     # the second start: the least first of the other entries, or the
     # second of the entry holding the run's first start
@@ -132,7 +133,6 @@ def _combine(stats: tuple[np.ndarray, ...], new: np.ndarray):
     return (
         least,
         np.minimum.reduceat(others, heads),
-        np.maximum.reduceat(last, heads),
         np.add.reduceat(count, heads),
     )
 
@@ -193,9 +193,9 @@ class FactorIndex:
 
     ``word`` is a Word, an integer array or a :class:`PieceSource`.
     Letters rank 1..b in the order of the Word's or source's alphabet,
-    else of the array's distinct letters, and the word is padded with
-    rank 0, so a position near the end sorts below every factor it is a
-    proper prefix of, in a fine group of its own.
+    else of the array's distinct letters (``letters``), and the word is
+    padded with rank 0, so a position near the end sorts below every
+    factor it is a proper prefix of, in a fine group of its own.
     """
 
     def __init__(self, word: Word | np.ndarray | PieceSource, l_max: int):
@@ -210,7 +210,7 @@ class FactorIndex:
         if l_max < 1:
             raise ValueError("l_max must be positive")
         self.l_max = l_max
-        self._letters = letters
+        self.letters = letters
         base = self._base = letters.size + 1  # rank 0 is the padding
         self._rank_dtype = np.min_scalar_type(letters.size)
         if letters.size and letters[0] >= 0 and letters[-1] < 1 << 16:
@@ -234,8 +234,6 @@ class FactorIndex:
             self._key_dtype = np.dtype(np.uint64)
         # groups are kept while a caller holds them; they hold the index
         self._groups_cache: WeakValueDictionary = WeakValueDictionary()
-        # one length at a time: reports scan the lengths in turn
-        self._sets_cache: dict[int, set[tuple[int, ...]]] = {}
         self._from_cache: dict[tuple[int, int], np.ndarray] = {}
         self._gap_cache: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
         # sorted runs, as a binary counter: (pieces merged, run)
@@ -247,7 +245,7 @@ class FactorIndex:
             del keys
             pos += start  # each key is one start, and its own run
             none = np.broadcast_to(np.int64(_NONE), pos.shape)
-            stats = (pos, none, pos, np.broadcast_to(np.int64(1), pos.shape))
+            stats = (pos, none, np.broadcast_to(np.int64(1), pos.shape))
             run, size = (distinct, _combine(stats, new)), 1
             while stack and stack[-1][0] == size:
                 run, size = _merge_runs(stack.pop()[1], run), 2 * size
@@ -262,11 +260,11 @@ class FactorIndex:
         # the capped LCP with the previous key: equal leading digits
         self._lcp = np.zeros(self._keys.size, dtype=np.min_scalar_type(l_max))
         same = np.ones(self._keys.size - 1, dtype=bool)
-        for c, d in enumerate(self._digits):
-            key = _column(self._keys, c)
-            for e in reversed(range(d)):
-                same &= key[1:] // base**e == key[:-1] // base**e
-                self._lcp[1:] += same
+        for j in range(l_max):
+            c, place = self._place(j)
+            lead = _column(self._keys, c) // place  # its digits up to letter j
+            same &= lead[1:] == lead[:-1]
+            self._lcp[1:] += same
 
     def __len__(self) -> int:
         return self._n
@@ -317,9 +315,13 @@ class FactorIndex:
                 block = block[:-p] * self._base**p + block[p:]
                 p *= 2
             cols.append(key)
-        if len(cols) == 1:
+        return self._record(cols)
+
+    def _record(self, cols: list[np.ndarray]) -> np.ndarray:
+        """Keys from their leading columns; the columns left out are 0."""
+        if self._key_dtype.names is None:
             return cols[0]
-        keys = np.empty(m, dtype=self._key_dtype)
+        keys = np.zeros(cols[0].size, dtype=self._key_dtype)
         for name, key in zip(self._key_dtype.names, cols):
             keys[name] = key
         return keys
@@ -341,19 +343,11 @@ class FactorIndex:
         groups = self._groups_cache.get(length)
         if groups is None:
             members, new = self._merge(length)
-            first, second, last, count = _combine(
+            first, second, count = _combine(
                 tuple(s[members] for s in self._stats), new
             )
             second[second == _NONE] = -1
-            groups = FactorGroups(
-                length,
-                first,
-                second,
-                last,
-                count,
-                _table=self._table(members, new),
-                _index=self,
-            )
+            groups = FactorGroups(length, first, second, count, _index=self)
             self._groups_cache[length] = groups
         return groups
 
@@ -373,30 +367,50 @@ class FactorIndex:
         table[members] = owner
         return table
 
-    def factors(self, length: int, groups: np.ndarray | None = None) -> np.ndarray:
-        """The letters of each group's factor (of every group, or of the
-        listed ones), one row per group, decoded from the key digits."""
+    def _place(self, j: int) -> tuple[int, int]:
+        """The key column that holds letter j (from 0) of a factor, and
+        its place value there, as ``_pack`` lays keys out: the one map of
+        letters to digits that the LCP, decoding and lookups share."""
+        c, e = divmod(j, self._per)
+        return c, self._base ** (self._digits[c] - 1 - e)
+
+    def _heads(self, length: int) -> np.ndarray:
+        """The key of each group of one length: its least fine key."""
         members, new = self._merge(length)
-        fine = members[new] if groups is None else members[new][groups]
-        ranks = np.empty((fine.size, length), dtype=np.int64)
+        return self._keys[members[new]]
+
+    def ranks(self, length: int, groups: np.ndarray | None = None) -> np.ndarray:
+        """The letter ranks of each group's factor (of every group, or of
+        the listed ones), one row per group, decoded from the key digits;
+        rank r stands for ``letters[r - 1]``."""
+        keys = self._heads(length)
+        keys = keys if groups is None else keys[groups]
+        ranks = np.empty((keys.size, length), dtype=self._rank_dtype)
         for j in range(length):
-            c, e = divmod(j, self._per)
-            key = _column(self._keys, c)[fine]
-            ranks[:, j] = key // self._base ** (self._digits[c] - 1 - e) % self._base
-        return self._letters[ranks - 1]
+            c, place = self._place(j)
+            ranks[:, j] = _column(keys, c) // place % self._base
+        return ranks
 
-    def factor_of_group(self, length: int, g: int) -> tuple[int, ...]:
-        return tuple(self.factors(length, np.array([g]))[0].tolist())
+    def factors(self, length: int, groups: np.ndarray | None = None) -> np.ndarray:
+        """The letters of each group's factor, as :meth:`ranks` lists them."""
+        return self.letters[self.ranks(length, groups) - 1]
 
-    def distinct_count(self, length: int) -> int:
-        return self.groups(length).group_count
-
-    def factor_set(self, length: int) -> set[tuple[int, ...]]:
-        """All distinct factors of one length, as tuples."""
-        if length not in self._sets_cache:
-            factors = self.factors(length).tolist()
-            self._sets_cache = {length: set(map(tuple, factors))}
-        return self._sets_cache[length]
+    def occurs(self, ranks: np.ndarray) -> np.ndarray:
+        """Whether each row of ``ranks`` (as :meth:`ranks` gives them; a 0,
+        for a letter outside the alphabet, matches no group) is a factor."""
+        length = ranks.shape[1]
+        end, place = self._place(length - 1)
+        # the group keys and the rows as keys, all digits past ``length`` 0
+        heads = self._heads(length)
+        cut = [_column(heads, c) for c in range(end)]
+        cut = self._record([*cut, _column(heads, end) // place * place])
+        cols = [np.zeros(len(ranks), dtype=np.uint64) for _ in range(end + 1)]
+        for j in range(length):
+            c, place = self._place(j)
+            cols[c] += ranks[:, j].astype(np.uint64) * place
+        keys = self._record(cols)
+        at = np.minimum(np.searchsorted(cut, keys), cut.size - 1)
+        return cut[at] == keys
 
     def _first_from(self, lo: int, hi: int) -> np.ndarray:
         """Per fine group, its least start in [lo, hi) (n if none)."""
@@ -421,10 +435,6 @@ class FactorIndex:
             start = np.minimum.reduceat(first, np.flatnonzero(new))
         chosen = np.flatnonzero(start < hi)
         return chosen, start[chosen]
-
-    def groups_starting_in(self, length: int, lo: int, hi: int) -> np.ndarray:
-        """Group indices with at least one occurrence starting in [lo, hi)."""
-        return self.window(length, lo, hi)[0]
 
     def _gaps(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per length, ``(max_gap, half_max_gap)`` of every group, from

@@ -235,7 +235,7 @@ def check_recurrence(seed: int = 0) -> str:
     for period in _FOUR_BASES:
         w = _prefix(period, 10**6)
         report = recurrence_report(w, 24, scan_len=10**4)
-        total += len(report.rows)
+        total += report.factor_count
         if not report.all_recurrent:
             bad = report.non_recurrent[0]
             raise _Failure(

@@ -195,6 +195,8 @@ def test_recurrence_positions_are_one_based():
     report = recurrence_report(w, 2, scan_len=3)
     row = next(r for r in report.rows if r.factor == (1, 2))
     assert row.first == 1 and row.second == 3
+    assert report.factor_count == len(report.rows) == 4
+    assert [r.factor for r in report.non_recurrent] == [(2, 1)]
 
 
 def test_recurrence_on_four_letter_word():
@@ -277,9 +279,11 @@ def test_gap_stability_reuses_a_given_index():
 def test_gap_report_csv():
     w = Word((1, 2, 1, 2, 2, 1), A12)
     buf = io.StringIO()
-    max_gap_report(w, 2).to_csv(buf)
+    report = max_gap_report(w, 2)
+    report.to_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "L,factor,occurrences,max_gap"
+    assert len(lines) == 1 + report.factor_count == 1 + len(report.rows) == 6
     assert "1 2,2,2" in "\n".join(lines)
 
 

@@ -31,18 +31,22 @@ def test_index_matches_naive_on_random_words():
         idx = FactorIndex(arr, l_max)
         ref = NaiveFactorScan(arr, l_max)
         for length in range(1, l_max + 1):
-            assert idx.distinct_count(length) == ref.distinct_count(length)
-            assert idx.factor_set(length) == ref.factor_set(length)
             groups = idx.groups(length)
-            for g in range(groups.group_count):
-                factor = idx.factor_of_group(length, g)
+            assert groups.group_count == ref.distinct_count(length)
+            factors = _factor_tuples(idx, length)
+            assert factors == sorted(ref.factor_set(length))
+            for g, factor in enumerate(factors):
                 occ = ref.occurrences(factor)
                 assert groups.count[g] == len(occ)
                 assert groups.first[g] == occ[0]
-                assert groups.last[g] == occ[-1]
                 expected_second = occ[1] if len(occ) > 1 else -1
                 assert groups.second[g] == expected_second
                 assert groups.max_gap[g] == ref.max_gap(factor)
+
+
+def _factor_tuples(idx, length, groups=None):
+    """The factors of the index's groups of one length, in group order."""
+    return [tuple(f) for f in idx.factors(length, groups).tolist()]
 
 
 SMOOTH_PREFIXES = (
@@ -92,12 +96,11 @@ def test_index_matches_naive_scan(case):
         assert np.array_equal(groups.ids, expected_ids)
         assert groups.first.tolist() == [o[0] for o in occ]
         assert groups.second.tolist() == [o[1] if len(o) > 1 else -1 for o in occ]
-        assert groups.last.tolist() == [o[-1] for o in occ]
         assert groups.count.tolist() == [len(o) for o in occ]
         assert groups.max_gap.tolist() == [ref.max_gap(f) for f in factors]
         assert idx.ids(length) is groups.ids
-        assert idx.distinct_count(length) == ref.distinct_count(length)
-        assert idx.factor_set(length) == ref.factor_set(length)
+        assert groups.group_count == ref.distinct_count(length)
+        assert _factor_tuples(idx, length) == factors
 
 
 def _first_in_window(ref, length, lo, hi):
@@ -124,9 +127,8 @@ def test_window_matches_naive_scan(case, data):
         expected = _first_in_window(ref, length, lo, hi)
         rank = {f: g for g, f in enumerate(sorted(ref.factor_set(length)))}
         chosen, starts = idx.window(length, lo, hi)
-        assert np.array_equal(idx.groups_starting_in(length, lo, hi), chosen)
         assert chosen.tolist() == [rank[f] for f in expected]
-        assert [idx.factor_of_group(length, g) for g in chosen] == list(expected)
+        assert _factor_tuples(idx, length, chosen) == list(expected)
         assert starts.tolist() == list(expected.values())
 
 
@@ -151,6 +153,7 @@ def test_closure_middle_third_matches_naive_scan(case):
         listed += [(factor, pos + 1) for factor, pos in window.items()]
     misses = closure_check(w, away, l_max)
     assert [(m.factor, m.factor_position) for m in misses] == listed
+    assert [m.image for m in misses] == [tuple(map(away, f)) for f, _ in listed]
     reversal = [
         (factor, pos)
         for factor, pos in listed
@@ -158,6 +161,30 @@ def test_closure_middle_third_matches_naive_scan(case):
     ]
     misses = closure_check(w, "reversal", l_max, index=FactorIndex(arr, l_max))
     assert [(m.factor, m.factor_position) for m in misses] == reversal
+    # a rotation of the word's own letters: images in the alphabet, some
+    # of them factors of the word and some not
+    ordered = sorted(letters)
+    rotate = Permutation(dict(zip(ordered, ordered[1:] + ordered[:1])))
+    rotated = [
+        (factor, tuple(map(rotate, factor)), pos)
+        for factor, pos in listed
+        if tuple(map(rotate, factor)) not in ref.factor_set(len(factor))
+    ]
+    misses = closure_check(w, rotate, l_max)
+    assert [(m.factor, m.image, m.factor_position) for m in misses] == rotated
+
+
+def test_closure_raises_only_for_letters_outside_the_domain_it_scans():
+    # 60 letters: the middle third holds the factors starting in [20, 40)
+    swap = Permutation({1: 2, 2: 1})
+    arr = np.tile([1, 2, 2, 1], 15)
+    arr[[0, 59]] = 3  # outside every middle-third factor
+    assert closure_check(Word(arr), swap, 4) == []
+    for pos in (30, 41):  # 41 is only in factors that start before 40
+        inside = arr.copy()
+        inside[pos] = 3
+        with pytest.raises(ValueError, match="symbol 3 outside the permutation"):
+            closure_check(Word(inside), swap, 4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -186,10 +213,10 @@ def test_index_matches_naive_on_smooth_prefix():
     idx = FactorIndex(w, 12)
     ref = NaiveFactorScan(w, 12)
     for length in (1, 2, 5, 12):
-        assert idx.factor_set(length) == ref.factor_set(length)
+        factors = _factor_tuples(idx, length)
+        assert factors == sorted(ref.factor_set(length))
         groups = idx.groups(length)
-        for g in range(groups.group_count):
-            factor = idx.factor_of_group(length, g)
+        for g, factor in enumerate(factors):
             assert groups.max_gap[g] == ref.max_gap(factor)
 
 
@@ -207,7 +234,7 @@ def test_groups_are_in_lexicographic_factor_order():
         ref = NaiveFactorScan(w, 13)
         for length in range(1, 14):
             count = idx.groups(length).group_count
-            factors = [idx.factor_of_group(length, g) for g in range(count)]
+            factors = [_factor_tuples(idx, length, [g])[0] for g in range(count)]
             assert factors == sorted(ref.factor_set(length))
 
 
@@ -215,15 +242,14 @@ def test_factor_count_never_exceeds_window():
     w = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 5000)
     idx = FactorIndex(w, 10)
     for length in range(1, 11):
-        assert idx.distinct_count(length) <= len(w) - length + 1
+        assert idx.groups(length).group_count <= len(w) - length + 1
 
 
 def test_window_queries():
     arr = np.array([1, 2, 2, 1, 1, 2, 1, 2, 2])
     idx = FactorIndex(arr, 4)
-    window = idx.groups_starting_in(2, 0, 3)
-    factors = {idx.factor_of_group(2, int(g)) for g in window}
-    assert factors == {(1, 2), (2, 2), (2, 1)}
+    window, _ = idx.window(2, 0, 3)
+    assert set(_factor_tuples(idx, 2, window)) == {(1, 2), (2, 2), (2, 1)}
 
 
 @pytest.mark.parametrize("scanner", [FactorIndex, NaiveFactorScan])
@@ -238,8 +264,15 @@ def test_non_integer_words_are_rejected(scanner):
         scanner(np.int64(3), 1)
     with pytest.raises(ValueError, match="int64"):
         scanner(np.array([2**63, 1, 2**63, 5], dtype=np.uint64), 1)
-    assert scanner(np.array([2**63 - 1, 1], dtype=np.uint64), 1).distinct_count(1) == 2
-    assert scanner(np.array([1, 2, 2], dtype=np.uint8), 1).distinct_count(1) == 2
+
+    def distinct(arr):
+        index = scanner(arr, 1)
+        if scanner is FactorIndex:
+            return index.groups(1).group_count
+        return index.distinct_count(1)
+
+    assert distinct(np.array([2**63 - 1, 1], dtype=np.uint64)) == 2
+    assert distinct(np.array([1, 2, 2], dtype=np.uint8)) == 2
 
 
 def test_length_bounds():
@@ -271,7 +304,6 @@ def _check_against_naive(idx, arr, l_max, lo, hi):
         assert [tuple(f) for f in idx.factors(length).tolist()] == factors
         assert groups.first.tolist() == [o[0] for o in occ]
         assert groups.second.tolist() == [o[1] if len(o) > 1 else -1 for o in occ]
-        assert groups.last.tolist() == [o[-1] for o in occ]
         assert groups.count.tolist() == [len(o) for o in occ]
         expected_ids = np.empty(idx.starts(length), dtype=np.int64)
         for g, positions in enumerate(occ):

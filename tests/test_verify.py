@@ -127,7 +127,7 @@ FAILURES = [
         "7-recurrence",
         {
             "recurrence_report": lambda w, l_max, scan_len: SimpleNamespace(
-                rows=[],
+                factor_count=0,
                 all_recurrent=3 not in w[:10].symbols,
                 non_recurrent=[SimpleNamespace(length=5, factor=(1, 2, 2, 3, 3))],
             )
