@@ -250,6 +250,7 @@ class _FactorColumns:
 
     @property
     def factor_count(self) -> int:
+        """The number of factors listed: ``len(rows)``, without the rows."""
         return sum(a.size for _, a, _ in self._columns)
 
     def _lengths(self, keep: Callable | None = None) -> Iterator[tuple]:
