@@ -428,11 +428,12 @@ class FactorIndex:
         lo, hi = max(lo, 0), min(hi, self.starts(length))
         if lo >= hi:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
-        start = self.groups(length).first
         if lo > 0:
             members, new = self._merge(length)
             first = self._first_from(lo, hi)[members]
             start = np.minimum.reduceat(first, np.flatnonzero(new))
+        else:
+            start = self.groups(length).first
         chosen = np.flatnonzero(start < hi)
         return chosen, start[chosen]
 
