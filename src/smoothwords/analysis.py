@@ -262,13 +262,14 @@ class _FactorColumns:
                 groups, a, b = groups[pick], a[pick], b[pick]
             yield length, self._index.factors(length, groups), a.tolist(), b.tolist()
 
-    def _rows(self, row: Callable, keep: Callable | None = None) -> list:
-        """``row(length, factor, a, b)`` per factor that ``_lengths`` gives."""
-        return [
+    def _rows(self, row: Callable, keep: Callable | None = None) -> Iterator:
+        """``row(length, factor, a, b)`` per factor that ``_lengths`` gives,
+        as they are read."""
+        return (
             row(length, tuple(f), x, y)
             for length, letters, a, b in self._lengths(keep)
             for f, x, y in zip(letters.tolist(), a, b)
-        ]
+        )
 
     def _texts(self) -> Iterator[tuple[int, list[str], list, list]]:
         """Per length: the ``format_symbols`` text of each factor listed,
@@ -308,10 +309,12 @@ class RecurrenceReport(_FactorColumns):
 
     @cached_property
     def rows(self) -> list[RecurrenceRow]:
-        return self._rows(self._row)
+        return list(self._rows(self._row))
 
     @property
-    def non_recurrent(self) -> list[RecurrenceRow]:
+    def non_recurrent(self) -> Iterator[RecurrenceRow]:
+        """The rows of the factors with no second occurrence, decoded one
+        length at a time as they are read."""
         return self._rows(self._row, lambda second: second < 0)
 
     @property
@@ -333,23 +336,11 @@ class RecurrenceReport(_FactorColumns):
 def _index(
     w: Word | PieceSource, l_max: int, index: FactorIndex | None, least: int, why: str
 ) -> FactorIndex:
-    """``index``, else the index of ``w``; raises ``why`` if ``w`` is
-    shorter than ``least``.  A source's length is known once it is read,
-    so it is checked when the build reaches its end."""
+    """``index``, else the index of ``w``; raises ``why`` if the word is
+    shorter than ``least``.  A source's length is known once the index
+    is built; a source shorter than ``l_max`` fails the build itself."""
     if index is None:
-        if isinstance(w, PieceSource):
-            read = w.read
-
-            def checked():
-                size = 0
-                for piece in read():
-                    size += len(piece)
-                    yield piece
-                if size < least:
-                    raise ValueError(why)
-
-            w = PieceSource(w.alphabet, checked)
-        elif len(w) < least:
+        if not isinstance(w, PieceSource) and len(w) < least:
             raise ValueError(why)
         index = FactorIndex(w, l_max)
     if len(index) < least:
@@ -381,9 +372,9 @@ def recurrence_report(
         raise ValueError(f"scan_len {scan_len} is shorter than l_max {l_max}")
     columns = []
     for length in range(1, l_max + 1):
-        groups = idx.groups(length)  # held, so the window reuses it
-        chosen, first = idx.window(length, 0, scan_len - length + 1)
-        columns.append((chosen, first, groups.second[chosen]))
+        groups = idx.groups(length)
+        chosen = np.flatnonzero(groups.first < scan_len - length + 1)
+        columns.append((chosen, groups.first[chosen], groups.second[chosen]))
     return RecurrenceReport(n, l_max, scan_len, _index=idx, _columns=columns)
 
 
@@ -405,7 +396,7 @@ class GapReport(_FactorColumns):
 
     @cached_property
     def rows(self) -> list[GapRow]:
-        return self._rows(GapRow)
+        return list(self._rows(GapRow))
 
     def to_csv(self, out: TextIO) -> None:
         # no field needs quoting, so the csv module's lines are built directly
@@ -424,8 +415,10 @@ def max_gap_report(
 ) -> GapReport:
     """Occurrence counts and maximal gaps for every factor up to l_max."""
     idx = _index(w, l_max, index, 2 * l_max, _TOO_SHORT)
-    groups = map(idx.groups, range(1, l_max + 1))
-    columns = [(None, g.count, g.max_gap) for g in groups]
+    columns = [
+        (None, idx.groups(length).count, idx.max_gaps(length)[0])
+        for length in range(1, l_max + 1)
+    ]
     return GapReport(len(idx), l_max, _index=idx, _columns=columns)
 
 
@@ -463,11 +456,10 @@ def gap_stability_check(
     mismatches = []
     compared = 0
     for length in range(1, l_max + 1):
-        full = idx.groups(length)
         # the factors of the half prefix start before half - L + 1
-        present = np.flatnonzero(full.first < half - length + 1)
+        present = np.flatnonzero(idx.groups(length).first < half - length + 1)
         compared += present.size
-        gap_half, gap_full = full.half_max_gap[present], full.max_gap[present]
+        gap_full, gap_half = (gaps[present] for gaps in idx.max_gaps(length))
         moved = np.flatnonzero(gap_half != gap_full)
         factors = idx.factors(length, present[moved]).tolist()
         for g, factor in zip(moved.tolist(), factors):

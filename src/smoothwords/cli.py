@@ -303,7 +303,7 @@ def cmd_recur(args) -> int:
     with _sink(args, positions=positions, factors=report.factor_count) as out:
         report.to_csv(out)
     if args.expect == "recurrent" and not report.all_recurrent:
-        bad = report.non_recurrent[0]
+        bad = next(iter(report.non_recurrent))
         return _mismatch(
             f"non-recurrent factor of length {bad.length}: "
             f"{format_symbols(bad.factor)} (first at {bad.first})"

@@ -26,20 +26,19 @@ trees with enhanced suffix arrays", 2004).  Each length is a merge of
 O(#fine groups) entries, in lexicographic factor order.
 
 Queries about positions read the word again, piece by piece, and look
-each key up among the fine keys: group ids, first starts in a window,
-and maximal gaps, which one pass gives for every length, over the whole
-word and its first half, by sorting each piece's ids and carrying each
-group's last start to the next piece.  Two positions share an id iff
-the factors are equal, so all the statistics are exact.  A naive
-quadratic scanner with the same answers is kept as a test oracle.
+each key up among the fine keys: first starts in a window, and maximal
+gaps (``max_gaps``), which one pass gives for every length, over the
+whole word and its first half, by mapping each piece's fine groups to
+the length's groups, sorting them and carrying each group's last start
+to the next piece.  Two positions share a group iff the factors are
+equal, so all the statistics are exact.  A naive quadratic scanner with
+the same answers is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
-from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -81,37 +80,16 @@ class FactorGroups:
 
     Group g collects the start positions (0-based) of the g-th distinct
     factor in lexicographic order; ``second`` is -1 if it occurs once.
-    ``ids``, ``max_gap`` and ``half_max_gap`` read the word again when
-    first read.
     """
 
     length: int
     first: np.ndarray
     second: np.ndarray
     count: np.ndarray
-    _index: "FactorIndex" = field(repr=False, compare=False, kw_only=True)
 
     @property
     def group_count(self) -> int:
         return self.first.size
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """Group id per start position, in the smallest unsigned dtype."""
-        index = self._index
-        table = index._table(*index._merge(self.length))
-        pieces = index._fine_pieces(0, index.starts(self.length))
-        return np.concatenate([table[fine] for _, fine in pieces])
-
-    @property
-    def max_gap(self) -> np.ndarray:
-        """Largest distance between consecutive starts (0 if one)."""
-        return self._index._gaps()[self.length][0]
-
-    @property
-    def half_max_gap(self) -> np.ndarray:
-        """``max_gap`` over the starts of the word's first n // 2 letters."""
-        return self._index._gaps()[self.length][1]
 
 
 def _column(keys: np.ndarray, c: int) -> np.ndarray:
@@ -189,7 +167,10 @@ def _fold_gaps(ids, start: int, cut: int, last, gap, half) -> None:
 
 
 class FactorIndex:
-    """Exact factor ids and occurrence statistics for lengths 1..l_max.
+    """Exact factor groups and occurrence statistics for lengths 1..l_max:
+    per group its first and second start and count (``groups``), its
+    letters (``factors``), its first start in a window (``window``) and
+    its maximal gaps (``max_gaps``).
 
     ``word`` is a Word, an integer array or a :class:`PieceSource`.
     Letters rank 1..b in the order of the Word's or source's alphabet,
@@ -232,8 +213,6 @@ class FactorIndex:
             self._key_dtype = np.dtype(fields)
         else:
             self._key_dtype = np.dtype(np.uint64)
-        # groups are kept while a caller holds them; they hold the index
-        self._groups_cache: WeakValueDictionary = WeakValueDictionary()
         self._from_cache: dict[tuple[int, int], np.ndarray] = {}
         self._gap_cache: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
         # sorted runs, as a binary counter: (pieces merged, run)
@@ -332,40 +311,26 @@ class FactorIndex:
         for start, keys in self._key_pieces(lo, hi):
             yield start, np.searchsorted(self._keys, keys)
 
-    def ids(self, length: int) -> np.ndarray:
-        """Group id at every start position, for one length."""
-        return self.groups(length).ids
-
     def groups(self, length: int) -> FactorGroups:
         """Occurrence statistics per distinct factor of one length."""
+        members, new = self._merge(length)
+        first, second, count = _combine(tuple(s[members] for s in self._stats), new)
+        second[second == _NONE] = -1
+        return FactorGroups(length, first, second, count)
+
+    def _check(self, length: int) -> None:
         if not 1 <= length <= self.l_max:
             raise ValueError(f"length must be in 1..{self.l_max}")
-        groups = self._groups_cache.get(length)
-        if groups is None:
-            members, new = self._merge(length)
-            first, second, count = _combine(
-                tuple(s[members] for s in self._stats), new
-            )
-            second[second == _NONE] = -1
-            groups = FactorGroups(length, first, second, count, _index=self)
-            self._groups_cache[length] = groups
-        return groups
 
     def _merge(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """``(members, new)`` for one length: the fine groups kept, in
         order, and which of them begin a group."""
+        self._check(length)
         # a fine group starting past n - L is a near-end singleton
         members = np.flatnonzero(self._stats[0] < self.starts(length))
         new = self._lcp[members] < length
         new[0] = True
         return members, new
-
-    def _table(self, members: np.ndarray, new: np.ndarray) -> np.ndarray:
-        """The group of every fine group (0 for those not kept)."""
-        owner = np.cumsum(new) - 1
-        table = np.zeros(self._keys.size, dtype=np.min_scalar_type(owner[-1]))
-        table[members] = owner
-        return table
 
     def _place(self, j: int) -> tuple[int, int]:
         """The key column that holds letter j (from 0) of a factor, and
@@ -399,9 +364,9 @@ class FactorIndex:
         """Whether each row of ``ranks`` (as :meth:`ranks` gives them; a 0,
         for a letter outside the alphabet, matches no group) is a factor."""
         length = ranks.shape[1]
-        end, place = self._place(length - 1)
-        # the group keys and the rows as keys, all digits past ``length`` 0
         heads = self._heads(length)
+        # the group keys and the rows as keys, all digits past ``length`` 0
+        end, place = self._place(length - 1)
         cut = [_column(heads, c) for c in range(end)]
         cut = self._record([*cut, _column(heads, end) // place * place])
         cols = [np.zeros(len(ranks), dtype=np.uint64) for _ in range(end + 1)]
@@ -424,40 +389,42 @@ class FactorIndex:
 
     def window(self, length: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Groups with an occurrence starting in [lo, hi), in group order,
-        and the first such start of each."""
+        and the first such start of each, from a read of the word."""
+        members, new = self._merge(length)
         lo, hi = max(lo, 0), min(hi, self.starts(length))
         if lo >= hi:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
-        if lo > 0:
-            members, new = self._merge(length)
-            first = self._first_from(lo, hi)[members]
-            start = np.minimum.reduceat(first, np.flatnonzero(new))
-        else:
-            start = self.groups(length).first
+        first = self._first_from(lo, hi)[members]
+        start = np.minimum.reduceat(first, np.flatnonzero(new))
         chosen = np.flatnonzero(start < hi)
         return chosen, start[chosen]
 
-    def _gaps(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per length, ``(max_gap, half_max_gap)`` of every group, from
-        one pass over the word."""
+    def max_gaps(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(max_gap, half_max_gap)`` per group of one length: the
+        largest distance between consecutive starts (0 if one), over the
+        whole word and over the starts of its first n // 2 letters.  The
+        first call makes one pass over the word for every length."""
+        self._check(length)
         if self._gap_cache is None:
             half = self._n // 2
             dtype = np.min_scalar_type(-self._n)
             state = []  # per length: table, last start, max gap, half max gap
-            for length in range(1, self.l_max + 1):
-                members, new = self._merge(length)
-                size = np.count_nonzero(new)
+            for L in range(1, self.l_max + 1):
+                members, new = self._merge(L)
+                # the group of every fine group (0 for those not kept)
+                owner = np.cumsum(new) - 1
+                size = owner[-1] + 1
+                table = np.zeros(self._keys.size, dtype=np.min_scalar_type(owner[-1]))
+                table[members] = owner
                 zeros = [np.zeros(size, dtype=dtype) for _ in range(2)]
-                table = self._table(members, new)
                 state.append((table, np.full(size, -1, dtype=dtype), *zeros))
             for start, fine in self._fine_pieces(0, self._n):
-                for length, (table, last, gap, gap_half) in enumerate(state, 1):
-                    ids = table[fine[: max(self.starts(length) - start, 0)]]
+                for L, (table, last, gap, gap_half) in enumerate(state, 1):
+                    ids = table[fine[: max(self.starts(L) - start, 0)]]
                     if ids.size:
-                        cut = half - length + 1
-                        _fold_gaps(ids, start, cut, last, gap, gap_half)
+                        _fold_gaps(ids, start, half - L + 1, last, gap, gap_half)
             self._gap_cache = {L: s[2:] for L, s in enumerate(state, 1)}
-        return self._gap_cache
+        return self._gap_cache[length]
 
 
 class NaiveFactorScan:

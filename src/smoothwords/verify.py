@@ -237,7 +237,7 @@ def check_recurrence(seed: int = 0) -> str:
         report = recurrence_report(w, 24, scan_len=10**4)
         total += report.factor_count
         if not report.all_recurrent:
-            bad = report.non_recurrent[0]
+            bad = next(iter(report.non_recurrent))
             raise _Failure(
                 f"factor of length {bad.length} over {w.alphabet.letters} "
                 "never recurs",

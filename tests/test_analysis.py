@@ -12,6 +12,7 @@ from smoothwords import (
     FactorIndex,
     NaiveFactorScan,
     Permutation,
+    PieceSource,
     Word,
     closure_check,
     equal_run_blocks,
@@ -27,6 +28,7 @@ from smoothwords import (
     rle_encode,
 )
 from smoothwords.analysis import letter_counts
+from smoothwords.cli import main
 from smoothwords.words import _WRITE_CHUNK
 
 A12 = Alphabet((1, 2))
@@ -285,6 +287,30 @@ def test_gap_report_csv():
     assert lines[0] == "L,factor,occurrences,max_gap"
     assert len(lines) == 1 + report.factor_count == 1 + len(report.rows) == 6
     assert "1 2,2,2" in "\n".join(lines)
+
+
+@pytest.mark.parametrize("n", [5, 23, 24, 47])
+def test_short_piece_sources_are_rejected(n, capsys):
+    # a source's length is known only once it is read: below l_max the
+    # index build fails, below the report's least length the report does
+    w = kolakoski_prefix(BaseSequenceSpec(A12, (1, 2)), n)
+    source = PieceSource(A12, lambda: iter([w.to_array()]))
+    reports = [
+        (recurrence_report, "word too short for the requested l_max"),
+        (max_gap_report, "word too short for the requested l_max"),
+        (gap_stability_check, "half prefix shorter than l_max"),
+        (lambda s, l_max: closure_check(s, "reversal", l_max), "middle-third protocol"),
+    ]
+    for report, why in reports:
+        if n < 24:
+            why = "^word shorter than l_max$"
+        with pytest.raises(ValueError, match=why):
+            report(source, 24)
+    code = main(["recur", "--base-period", "1,2", "--length", str(n), "--l-max", "24"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert ("too short" if n >= 24 else "word shorter than l_max") in captured.err
 
 
 # ---------------------------------------------------------------------------

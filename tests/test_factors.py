@@ -32,6 +32,7 @@ def test_index_matches_naive_on_random_words():
         ref = NaiveFactorScan(arr, l_max)
         for length in range(1, l_max + 1):
             groups = idx.groups(length)
+            max_gap, _ = idx.max_gaps(length)
             assert groups.group_count == ref.distinct_count(length)
             factors = _factor_tuples(idx, length)
             assert factors == sorted(ref.factor_set(length))
@@ -41,7 +42,7 @@ def test_index_matches_naive_on_random_words():
                 assert groups.first[g] == occ[0]
                 expected_second = occ[1] if len(occ) > 1 else -1
                 assert groups.second[g] == expected_second
-                assert groups.max_gap[g] == ref.max_gap(factor)
+                assert max_gap[g] == ref.max_gap(factor)
 
 
 def _factor_tuples(idx, length, groups=None):
@@ -89,16 +90,11 @@ def test_index_matches_naive_scan(case):
         occ = [ref.occurrences(f) for f in factors]
         groups = idx.groups(length)
         assert groups.length == length
-        assert groups.ids.dtype == np.min_scalar_type(len(factors) - 1)
-        expected_ids = np.empty(idx.starts(length), dtype=np.int64)
-        for g, positions in enumerate(occ):
-            expected_ids[positions] = g
-        assert np.array_equal(groups.ids, expected_ids)
         assert groups.first.tolist() == [o[0] for o in occ]
         assert groups.second.tolist() == [o[1] if len(o) > 1 else -1 for o in occ]
         assert groups.count.tolist() == [len(o) for o in occ]
-        assert groups.max_gap.tolist() == [ref.max_gap(f) for f in factors]
-        assert idx.ids(length) is groups.ids
+        max_gap, _ = idx.max_gaps(length)
+        assert max_gap.tolist() == [ref.max_gap(f) for f in factors]
         assert groups.group_count == ref.distinct_count(length)
         assert _factor_tuples(idx, length) == factors
 
@@ -208,6 +204,27 @@ def test_gap_stability_half_prefix_matches_naive_scan(case):
     assert stability.mismatches == mismatches
 
 
+@settings(max_examples=100, deadline=None)
+@given(words_and_l_max(), st.data())
+def test_recurrence_scan_matches_naive_scan(case, data):
+    arr, l_max = case
+    assume(arr.size >= 2)
+    l_max = min(l_max, arr.size // 2)
+    scan_len = data.draw(st.integers(l_max, arr.size))
+    ref = NaiveFactorScan(arr, l_max)
+    expected = []  # the factors that fit in the scan, with 1-based starts
+    for length in range(1, l_max + 1):
+        for factor in sorted(ref.factor_set(length)):
+            occ = ref.occurrences(factor)
+            if occ[0] + length <= scan_len:
+                second = occ[1] + 1 if len(occ) > 1 else None
+                expected.append((length, factor, occ[0] + 1, second))
+    report = recurrence_report(Word(arr), l_max, scan_len=scan_len)
+    assert [(r.length, r.factor, r.first, r.second) for r in report.rows] == expected
+    missed = [(length, f) for length, f, _, second in expected if second is None]
+    assert [(r.length, r.factor) for r in report.non_recurrent] == missed
+
+
 def test_index_matches_naive_on_smooth_prefix():
     w = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 10**4)
     idx = FactorIndex(w, 12)
@@ -215,9 +232,9 @@ def test_index_matches_naive_on_smooth_prefix():
     for length in (1, 2, 5, 12):
         factors = _factor_tuples(idx, length)
         assert factors == sorted(ref.factor_set(length))
-        groups = idx.groups(length)
+        max_gap, _ = idx.max_gaps(length)
         for g, factor in enumerate(factors):
-            assert groups.max_gap[g] == ref.max_gap(factor)
+            assert max_gap[g] == ref.max_gap(factor)
 
 
 def test_groups_are_in_lexicographic_factor_order():
@@ -278,9 +295,19 @@ def test_non_integer_words_are_rejected(scanner):
 def test_length_bounds():
     with pytest.raises(ValueError):
         FactorIndex(np.array([1, 2, 1]), 5)
-    idx = FactorIndex(np.array([1, 2, 1]), 2)
-    with pytest.raises(ValueError):
-        idx.ids(3)
+    idx = FactorIndex(np.array([1, 2, 2, 1, 1, 2, 1, 2, 2, 1]), 3)
+    queries = [
+        idx.groups,
+        idx.max_gaps,
+        lambda length: idx.window(length, 1, 6),
+        idx.ranks,
+        idx.factors,
+        lambda length: idx.occurs(np.ones((1, length), dtype=np.uint8)),
+    ]
+    for query in queries:
+        for length in (0, 4):
+            with pytest.raises(ValueError, match=r"length must be in 1\.\.3"):
+                query(length)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +332,14 @@ def _check_against_naive(idx, arr, l_max, lo, hi):
         assert groups.first.tolist() == [o[0] for o in occ]
         assert groups.second.tolist() == [o[1] if len(o) > 1 else -1 for o in occ]
         assert groups.count.tolist() == [len(o) for o in occ]
-        expected_ids = np.empty(idx.starts(length), dtype=np.int64)
-        for g, positions in enumerate(occ):
-            expected_ids[positions] = g
-        assert np.array_equal(groups.ids, expected_ids)
-        assert groups.max_gap.tolist() == [ref.max_gap(f) for f in factors]
+        max_gap, half_max_gap = idx.max_gaps(length)
+        assert max_gap.tolist() == [ref.max_gap(f) for f in factors]
         # the half-prefix gaps of the factors that start in the first half
         in_half = groups.first < arr.size // 2 - length + 1
         assert [f for f, kept in zip(factors, in_half) if kept] == sorted(
             half.factor_set(length)
         )
-        gaps = groups.half_max_gap[in_half].tolist()
+        gaps = half_max_gap[in_half].tolist()
         assert gaps == [half.max_gap(f) for f in sorted(half.factor_set(length))]
         window = _first_in_window(ref, length, lo, hi)
         chosen, starts = idx.window(length, lo, hi)
