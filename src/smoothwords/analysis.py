@@ -142,14 +142,14 @@ def letter_counts(
 def frequency_report(
     counts: dict[int, np.ndarray], samples: Sequence[int], alphabet: Alphabet
 ) -> FrequencyReport:
-    """The report of :func:`letter_counts` counts at the sampled lengths."""
+    """The report of :func:`letter_counts` rank counts at the sampled lengths."""
     ks = _sample_points(samples)
     n = alphabet.size
     rows = []
     for k in ks:
         total = 0
-        for letter in alphabet:
-            c = int(counts[k][letter])
+        for rank, letter in enumerate(alphabet, 1):
+            c = int(counts[k][rank])
             total += c
             ratio = c / k
             rows.append(
@@ -161,7 +161,7 @@ def frequency_report(
 
 
 def _pieces(stream, m: int) -> Iterator[np.ndarray]:
-    """The stream's next ``m`` letters, fewer if it ends, as int64 pieces."""
+    """The stream's next ``m`` letters, fewer if it ends, as integer pieces."""
     if isinstance(stream, KolakoskiStream):
         return stream.pieces(m)
     if isinstance(stream, Word):
@@ -178,11 +178,13 @@ def letter_frequencies(
 
     A Word or a :class:`KolakoskiStream` is counted in the data plane's
     pieces of 2¹⁶ letters up to the largest sample, so memory stays flat
-    in the sample size; the stream is read on from its position, one take
-    per piece.  Any other iterable is read into one array first.
+    in the sample size; the stream is read on from its position.  Any
+    other iterable is read into one array first.  The letters' ranks are
+    counted, so the counts take a slot per letter, not per letter value.
     """
     ks = _sample_points(samples)
-    counts, length = letter_counts(_pieces(stream, ks[-1]), ks, alphabet.largest + 1)
+    ranks = map(alphabet.ranks, _pieces(stream, ks[-1]))
+    counts, length = letter_counts(ranks, ks, alphabet.size + 1)
     if length < ks[-1]:
         raise ValueError("stream exhausted before the largest sample")
     return frequency_report(counts, ks, alphabet)
@@ -228,11 +230,12 @@ def exact_frequency_check(u: Word, v: Word) -> bool:
     if len(u) == 0:
         return True
     expansion = pseudo_inverse_with_base(u, v).to_array()
-    counts = np.bincount(expansion, minlength=alphabet.largest + 1)
+    ranks = map(alphabet.ranks, _split(expansion))
+    counts = sum(np.bincount(r, minlength=n + 1) for r in ranks)
     share, rem = divmod(expansion.size, n)
     if rem:
         return False
-    return all(int(counts[a]) == share for a in alphabet)
+    return bool((counts[1:] == share).all())
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,8 @@ def _samples(args, length: int) -> list[int]:
 def _file_frequencies(args, alphabet: Alphabet) -> analysis.FrequencyReport:
     """``freq --input``: each parsed piece is checked and counted as it comes."""
     ks = sorted({int(s) for s in args.samples.split(",")}) if args.samples else []
-    pieces = _admitted(data_line_pieces(args.input), alphabet)
-    counts, length = analysis.letter_counts(pieces, ks, alphabet.largest + 1)
+    ranks = map(alphabet.ranks, _admitted(data_line_pieces(args.input), alphabet))
+    counts, length = analysis.letter_counts(ranks, ks, alphabet.size + 1)
     return analysis.frequency_report(counts, _samples(args, length), alphabet)
 
 

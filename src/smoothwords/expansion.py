@@ -179,7 +179,8 @@ def _expand_chunks(
         if exps.sum() <= _CHUNK:
             yield bases.repeat(exps)
             continue
-        ends = exps.cumsum()
+        # int64: a uint8 chunk's cumsum is uint64, which searchsorted(lo) converts whole
+        ends = exps.cumsum(dtype=np.int64)
         total = int(ends[-1])
         for lo in range(0, total, _CHUNK):
             hi = min(lo + _CHUNK, total)

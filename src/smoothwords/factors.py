@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .words import Alphabet, Word, _split
+from .words import Alphabet, Word, _rank_map, _split
 
 __all__ = ["FactorGroups", "FactorIndex", "NaiveFactorScan", "PieceSource"]
 
@@ -181,26 +181,23 @@ class FactorIndex:
 
     def __init__(self, word: Word | np.ndarray | PieceSource, l_max: int):
         if isinstance(word, PieceSource):
-            letters = np.array(word.alphabet.letters)
+            alphabet = word.alphabet
             self._read = word.read
         else:
             arr = _word_array(word)
             alphabet = word.alphabet if isinstance(word, Word) else None
-            letters = np.array(alphabet.letters) if alphabet else np.unique(arr)
             self._read = lambda: (arr,)
+        if alphabet:
+            letters, self._rank = np.array(alphabet.letters), alphabet.ranks
+        else:
+            letters = np.unique(arr)
+            self._rank = _rank_map(letters.astype(np.int64))
         if l_max < 1:
             raise ValueError("l_max must be positive")
         self.l_max = l_max
         self.letters = letters
         base = self._base = letters.size + 1  # rank 0 is the padding
         self._rank_dtype = np.min_scalar_type(letters.size)
-        if letters.size and letters[0] >= 0 and letters[-1] < 1 << 16:
-            table = np.zeros(int(letters[-1]) + 1, dtype=self._rank_dtype)
-            table[letters] = np.arange(1, letters.size + 1)
-            self._rank = table.__getitem__
-        else:
-            rank = np.arange(1, letters.size + 1, dtype=self._rank_dtype)
-            self._rank = lambda part: rank[np.searchsorted(letters, part)]
         # key columns: each packs the next ``per`` ranks as an exact
         # base-(b+1) number below 2^64, so key order is factor order
         per = 1
@@ -271,9 +268,7 @@ class FactorIndex:
 
     def _ranked(self) -> Iterator[np.ndarray]:
         for piece in self._read():
-            ranks = self._rank(np.asarray(piece))
-            del piece  # only its ranks are held
-            yield from _split(ranks)
+            yield from map(self._rank, _split(np.asarray(piece)))
         yield np.zeros(self.l_max - 1, dtype=self._rank_dtype)  # past the end
 
     def _pack(self, ranks: np.ndarray, m: int) -> np.ndarray:

@@ -96,7 +96,10 @@ class KolakoskiStream:
     first read, so ``m`` letters with mean run length r take about
     log_r(m/H) levels of one chunk (at most ``expansion._CHUNK`` letters)
     each.  ``levels`` counts them; ``peak_buffered`` sums each level's
-    largest chunk.  Single-owner mutable state: one thread at a time.
+    largest chunk.  Chunks hold letters in the smallest unsigned dtype of
+    the alphabet's largest letter (uint8 up to 255, one byte a letter;
+    int64 from 2³² on); ``take`` returns int64 Words.  Single-owner
+    mutable state: one thread at a time.
     """
 
     def __init__(self, spec: BaseSequenceSpec) -> None:
@@ -112,17 +115,22 @@ class KolakoskiStream:
             run = letter if j == len(lengths) else lengths[j]
             lengths.extend([letter] * min(run, head))
         self._peaks: list[int] = []
+        # the smallest unsigned dtype of the letters, int64 from 2^32 on, as
+        # numpy repeats no uint64 counts; letters past int64 raise OverflowError
+        largest = np.int64(spec.alphabet.largest)
+        dtype = np.min_scalar_type(largest) if largest < 1 << 32 else np.int64
+        head_runs = (np.array(lengths[:head], dtype),)
+        period = np.array(spec.period, dtype)
         # the levels hold no reference to the cursor, so dropping it frees
         # their chunks at once instead of at the next cycle collection
-        period = np.asarray(spec.period, dtype=np.int64)
         self._chunks = _level(
-            partial(_expand_chunks, np.array(bases), 0, (np.array(lengths[:head]),)),
+            partial(_expand_chunks, np.array(bases, dtype), 0, head_runs),
             partial(_expand_chunks, period, (head - len(spec.preperiod)) % period.size),
             head,
             0,
             self._peaks,
         )
-        self._pending = np.empty(0, dtype=np.int64)
+        self._pending = np.empty(0, dtype)
 
     @property
     def levels(self) -> int:
@@ -147,9 +155,10 @@ class KolakoskiStream:
         )
 
     def pieces(self, m: int) -> Iterator[np.ndarray]:
-        """The next ``m`` letters as takes of at most 2¹⁶ letters each."""
+        """The next ``m`` letters in fresh arrays of at most 2¹⁶ letters,
+        in the levels' dtype."""
         for done in range(0, m, _WRITE_CHUNK):
-            yield self.take(min(_WRITE_CHUNK, m - done)).to_array()
+            yield np.concatenate(list(self._advance(min(_WRITE_CHUNK, m - done))))
 
     def skip(self, m: int) -> None:
         """Move past the next ``m`` letters without copying them out."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -96,21 +96,18 @@ class Alphabet:
         return tuple((x - r) // n for x in self.letters)
 
     @cached_property
-    def _membership(self) -> np.ndarray:
-        # slot a is True iff a is a letter; the extra final slot is False
-        table = np.zeros(self.largest + 2, dtype=bool)
-        table[list(self.letters)] = True
-        return table
+    def ranks(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Map of an integer array to each entry's rank among the letters:
+        1 for ``a_1`` up to n for ``a_n``, 0 for an entry that is no letter."""
+        return _rank_map(np.array(self.letters, dtype=np.int64))
 
     def admits(self, arr: np.ndarray) -> bool:
         """Whether every entry of an integer array is a letter."""
-        # clipping sends negatives to slot 0 and values past a_n to the
-        # final slot, both False; take copies a read-only index array,
-        # so long arrays go through in bounded pieces
-        table = self._membership
+        # take copies a read-only index array, so long arrays go through
+        # in bounded pieces
         if len(arr) <= _WRITE_CHUNK:
-            return bool(table.take(arr, mode="clip").all())
-        return all(table.take(piece, mode="clip").all() for piece in _split(arr))
+            return bool(self.ranks(arr).all())
+        return all(self.ranks(piece).all() for piece in _split(arr))
 
     def __contains__(self, letter: int) -> bool:
         return letter in self.letters
@@ -120,6 +117,24 @@ class Alphabet:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
+
+
+def _rank_map(letters: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """:attr:`Alphabet.ranks` for the sorted distinct int64 ``letters``."""
+    dtype = np.min_scalar_type(letters.size)
+    if letters.size and letters[0] >= 1 and letters[-1] < 1 << 16:
+        # slot a holds a's rank; clipping sends negatives to slot 0 and
+        # values past the last letter to the final slot, both 0
+        table = np.zeros(int(letters[-1]) + 2, dtype=dtype)
+        table[letters] = np.arange(1, letters.size + 1)
+        return partial(table.take, mode="clip")
+    return partial(_searched_ranks, letters, dtype)
+
+
+def _searched_ranks(letters: np.ndarray, dtype: np.dtype, arr: np.ndarray):
+    arr = arr.astype(np.int64, copy=False)  # uint64 against int64 is float
+    at = letters.searchsorted(arr).clip(max=letters.size - 1)
+    return np.where(letters.take(at) == arr, at + 1, 0).astype(dtype)
 
 
 class Word:
@@ -451,22 +466,24 @@ def is_palindrome(w: Word) -> bool:
 # whitespace; "b^e" run tokens accepted on input, flat form on output.  Both
 # directions work on bytes with numpy, in pieces of bounded size.
 #
-# Output formats one piece of at most _WRITE_CHUNK symbols at a time, so a
-# word given in pieces (a generator's takes) is written without being held.
-# Input goes through one piece reader, _symbol_pieces, which reads at most
-# _PARSE_CHUNK bytes at a time.  In a word file it reads line by line, never
-# past a line's end: it skips blank and "#" lines in bounded parts, holding no
-# line whole, and then parses the first data line only.  Each span it
-# tokenises is the next _PARSE_CHUNK bytes of the line (or text), cut after
-# their last whitespace, the rest carried into the next span; these are the
-# spans the line would give if it were held whole, so tokens, errors and the
-# per-span run budget do not depend on where reads end.  A non-ASCII byte
+# Output formats one piece of at most _WRITE_CHUNK symbols at a time, in any
+# integer dtype, so a word given in pieces (a generator's, one byte a letter
+# up to letter 255) is written without being held.  Input goes through one
+# piece reader, _symbol_pieces, which reads at most _PARSE_CHUNK bytes (64 KiB)
+# at a time.  In a word file it reads line by line, never past a line's end:
+# it skips blank and "#" lines in bounded parts, holding no line whole, and
+# then parses the first data line only.  Each span it tokenises is the next
+# _PARSE_CHUNK bytes of the line (or text), cut after their last whitespace,
+# the rest carried into the next span; these are the spans the line would give
+# if it were held whole, so tokens, errors and the per-span run budget do not
+# depend on where reads end.  A non-ASCII byte
 # anywhere in the line is reported before any other fault: a span that fails
 # to parse has the rest of its line scanned for one first.
 
 # text bytes read and tokenised per step; more than the longest valid token
-# (39 bytes), so a span too long to hold a space is one invalid token
-_PARSE_CHUNK = 2**18
+# (39 bytes), so a span too long to hold a space is one invalid token; a
+# span's temporaries take about 24 bytes per text byte
+_PARSE_CHUNK = 2**16
 _MAX_DIGITS = 18  # every 18-digit number fits in int64
 
 # byte classes of the text format; class 0 marks a byte no token may hold
@@ -641,7 +658,7 @@ def parse_symbols(text: str | bytes) -> Word:
     number of at most 18 ASCII digits with an optional ``+`` or ``-``
     sign, or a run ``b^e`` of two such numbers, which repeats ``b``
     ``e >= 0`` times.  Any other text raises ``ValueError``, and so do
-    runs of more than ``DEFAULT_BUDGET`` symbols within one 256 KiB span
+    runs of more than ``DEFAULT_BUDGET`` symbols within one 64 KiB span
     of the text.
 
     >>> parse_symbols("2^3 4^2 1") == (2, 2, 2, 4, 4, 1)
@@ -655,7 +672,7 @@ def data_line_pieces(path: str) -> Iterator[np.ndarray]:
     """Symbols of a word file's first data line, in pieces of bounded size.
 
     Blank lines and ``#`` comment lines before it are skipped; the file
-    is read in 256 KiB blocks, so neither it nor the line is held whole.
+    is read in 64 KiB blocks, so neither it nor the line is held whole.
     A file without a data line gives no pieces (the empty word).
     """
     with open(path, "rb") as handle:

@@ -632,6 +632,31 @@ def test_generate_and_freq_input_run_in_flat_memory(tmp_path, capsys, m):
     assert capsys.readouterr().out.splitlines()[-1].startswith(f"{m},2,")
 
 
+def test_freq_takes_a_slot_per_letter_not_per_letter_value(tmp_path, capsys):
+    # letters are counted and checked by rank: tables indexed by letter
+    # value peaked at 793 MB (--input) and 1.5 GB (stream) over {1, 10^8+1}
+    word_file = tmp_path / "word.txt"
+    word_file.write_text("1 100000001 1 1\n")
+    cases = [
+        ["--base-period", "1,100000001", "--length", "10"],
+        ["--alphabet", "1,100000001", "--input", str(word_file)],
+        ["--base-period", "1,1099511627776", "--length", "10"],
+    ]
+    rows = []
+    for argv in cases:
+        assert _traced_peak(["freq", *argv]) < 20 * 2**20
+        rows.append(capsys.readouterr().out.splitlines()[1:])
+    header = "k,letter,count,ratio,deviation"
+    assert rows == [
+        [header, "10,1,1,0.100000000,0.400000000",
+         "10,100000001,9,0.900000000,0.400000000"],
+        [header, "4,1,3,0.750000000,0.250000000",
+         "4,100000001,1,0.250000000,0.250000000"],
+        [header, "10,1,1,0.100000000,0.400000000",
+         "10,1099511627776,9,0.900000000,0.400000000"],
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -696,7 +721,8 @@ def _freq_csv(argv, capsys):
     return capsys.readouterr().out.splitlines()[1:]
 
 
-@pytest.mark.parametrize("chunk", [64, words._PARSE_CHUNK])
+# spans of a few bytes, of the default size and of four times that
+@pytest.mark.parametrize("chunk", [64, words._PARSE_CHUNK, 2**18])
 def test_freq_input_matches_letter_frequencies_at_piece_ends(
     tmp_path, capsys, monkeypatch, chunk
 ):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from smoothwords import (
 )
 from smoothwords.expansion import _CHUNK
 from smoothwords.kolakoski import _HEAD, _level
+from smoothwords.words import _WRITE_CHUNK
 
 A12 = Alphabet((1, 2))
 A123 = Alphabet((1, 2, 3))
@@ -224,3 +226,60 @@ def test_slowly_growing_word_stops_at_the_level_cap():
     chunks = _level(lambda: iter([np.array([1, 1])]), lambda deeper: deeper, 1, 0, [])
     with pytest.raises(ValueError, match="grows too slowly"):
         list(itertools.islice(chunks, 2000))
+
+
+@pytest.mark.parametrize(
+    "period, dtype",
+    [((1, 255), np.uint8), ((1, 256), np.uint16), ((1, 65535), np.uint16),
+     ((1, 65536), np.uint32)],
+)
+@pytest.mark.parametrize("with_preperiod", [False, True])
+def test_cursor_at_dtype_boundaries(period, dtype, with_preperiod):
+    # the levels hold letters in the smallest unsigned dtype of the largest
+    # letter; pieces keep it, takes widen to int64 Words
+    preperiod = (period[1],) if with_preperiod else ()
+    spec = BaseSequenceSpec(Alphabet(period), period, preperiod)
+    m = 3 * _WRITE_CHUNK + _CHUNK + 7
+    expected = np.array(_oracle(spec, m), dtype=np.int64)
+    for k in (1, _CHUNK - 1, _CHUNK + 1, _WRITE_CHUNK + 1, m):
+        pieces = list(kolakoski_stream(spec).pieces(k))
+        assert all(p.dtype == dtype and p.size <= _WRITE_CHUNK for p in pieces)
+        assert np.array_equal(np.concatenate(pieces), expected[:k])
+        word = kolakoski_stream(spec).take(k)
+        assert word.to_array().dtype == np.int64
+        assert np.array_equal(word.to_array(), expected[:k])
+    # takes, skips and pieces continue one another across chunk ends
+    stream = kolakoski_stream(spec)
+    first = stream.take(_CHUNK + 3).to_array()
+    stream.skip(_WRITE_CHUNK)
+    rest = np.concatenate(list(stream.pieces(m - stream.position)))
+    assert np.array_equal(first, expected[: _CHUNK + 3])
+    assert np.array_equal(rest, expected[_CHUNK + 3 + _WRITE_CHUNK :])
+
+
+def test_cursor_letters_past_uint32_and_int64():
+    big = 2**40
+    spec = BaseSequenceSpec(Alphabet((1, big)), (1, big))
+    (piece,) = kolakoski_stream(spec).pieces(10)
+    # int64, not uint64: numpy repeats and bincounts no uint64 arrays
+    assert piece.dtype == np.int64 and piece.tolist() == [1] + [big] * 9
+    assert kolakoski_prefix(spec, 10) == [1] + [big] * 9
+    # letters that do not fit int64 are rejected, not held as objects
+    huge = BaseSequenceSpec(Alphabet((1, 2**63)), (1, 2**63))
+    with pytest.raises(OverflowError):
+        kolakoski_stream(huge)
+
+
+def test_pieces_run_in_bounded_memory():
+    # one byte a letter in each level's chunk; int64 levels and a Word per
+    # piece traced 3.8 MB
+    stream = kolakoski_stream(BaseSequenceSpec(Alphabet((1, 3)), (1, 3)))
+    tracemalloc.start()
+    try:
+        for _ in stream.pieces(10**6):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stream.position == 10**6
+    assert peak <= 2 * 10**6

@@ -742,6 +742,23 @@ def test_piece_reader_holds_one_block(tmp_path):
     assert peak < 16 * 2**20  # the word's int64 array alone is 32 MB
 
 
+def test_piece_reader_span_temporaries_stay_small(tmp_path):
+    # a span's temporaries take about 24 bytes per text byte, so the peak
+    # follows the span size: 256 KiB spans traced about 8.7 MB here
+    path = tmp_path / "word.txt"
+    path.write_bytes(b"1 3 " * 10**6 + b"\n")
+    tracemalloc.start()
+    try:
+        total = 0
+        for piece in words.data_line_pieces(str(path)):
+            total += piece.size
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == 2 * 10**6
+    assert peak <= 3 * 10**6
+
+
 @pytest.mark.parametrize("chunk", [40, 64])
 def test_leading_whitespace_keeps_the_whole_line_spans(tmp_path, monkeypatch, chunk):
     # two 30-letter runs pass a budget of 50 only when they share a span,
