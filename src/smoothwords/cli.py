@@ -16,28 +16,25 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+import tempfile
 from contextlib import contextmanager
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from . import analysis
 from .errors import ExpansionBudgetExceeded, SmoothwordError
 from .factors import FactorIndex, PieceSource
-from .expansion import (
-    DEFAULT_BUDGET,
-    CyclicOrder,
-    phi_inverse_prefix,
-    pseudo_inverse_chain,
-)
+from .expansion import DEFAULT_BUDGET, CyclicOrder, _chain_pieces, _phi_inverse_pieces
 from .kolakoski import BaseSequenceSpec, kolakoski_stream
 from .substitution import (
+    _gather,
+    _iterate_codes,
     build_substitution,
-    flatten,
     incidence_matrix,
     is_primitive,
-    iterate,
     verify_substitution_fixpoint,
 )
 from .verify import ALL_CHECKS, run_check
@@ -136,14 +133,50 @@ def _starts(m: int, l_max: int) -> int:
 
 @contextmanager
 def _sink(args, **extra) -> Iterator[TextIO]:
-    """The ``--output`` file, else stdout, opened with the config line."""
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            print(_config_line(args, **extra), file=handle)
-            yield handle
-    else:
+    """The ``--output`` file, else stdout, opened with the config line.
+
+    The file is written beside its path and moved there when the block
+    ends; an error in the block removes it, so a failure found while
+    writing leaves no file, or the older file unchanged.
+    """
+    if not getattr(args, "output", None):
         print(_config_line(args, **extra))
         yield sys.stdout
+        return
+    path, folder = args.output, os.path.dirname(args.output) or "."
+    with _naming(path):
+        handle = tempfile.NamedTemporaryFile(
+            "w", encoding="utf-8", newline="", dir=folder, delete=False
+        )
+    try:
+        with handle:
+            print(_config_line(args, **extra), file=handle)
+            yield handle
+        os.chmod(handle.name, _file_mode(path))
+        with _naming(path):
+            os.replace(handle.name, path)
+    except BaseException:
+        os.unlink(handle.name)
+        raise
+
+
+@contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Re-raise an OSError naming ``path``, as ``open(path, "w")`` would."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _file_mode(path: str) -> int:
+    """The mode ``open(path, "w")`` leaves: the file's own if it exists."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _mismatch(message: str) -> int:
@@ -160,10 +193,20 @@ def _check_stdout(args, size: int) -> None:
         )
 
 
-def _emit_word(args, word: Word) -> None:
-    _check_stdout(args, len(word))
+def _emit_pieces(args, pieces: Iterable[np.ndarray]) -> None:
+    """Write a word given in pieces: streamed to ``--output``; for stdout
+    counted whole first, so the budget fails before the stdout limit, and
+    held only while within that limit."""
+    if not getattr(args, "output", None):
+        held, size = [], 0
+        for piece in pieces:
+            size += piece.size
+            if size <= STDOUT_SYMBOL_LIMIT:
+                held.append(piece)
+        _check_stdout(args, size)
+        pieces = held
     with _sink(args) as out:
-        write_words([word], out)
+        write_word_pieces(pieces, out)
 
 
 def _base_spec(args, alphabet: Alphabet) -> BaseSequenceSpec:
@@ -239,7 +282,7 @@ def cmd_derive(args) -> int:
     word = _read_word(args, alphabet)
     for _ in range(min(args.times, len(word))):  # each step shortens the word
         word = derivative(word)
-    _emit_word(args, word)
+    _emit_pieces(args, [word.to_array()])
     return 0
 
 
@@ -249,16 +292,14 @@ def cmd_expand(args) -> int:
         raise _UsageError("--alphabet disagrees with --order letters")
     target = _symbols(args.target)
     chain = _letters(args.chain) if args.chain else ()
-    word = pseudo_inverse_chain(chain, target, order, budget=_budget())
-    _emit_word(args, word)
+    _emit_pieces(args, _chain_pieces(chain, target, order, _budget()))
     return 0
 
 
 def cmd_phi_inverse(args) -> int:
     order = CyclicOrder.from_letters(_letters(args.order))
     directive = Word(_symbols(args.u), order.alphabet)
-    word = phi_inverse_prefix(directive, order, budget=_budget())
-    _emit_word(args, word)
+    _emit_pieces(args, _phi_inverse_pieces(directive, order, _budget()))
     return 0
 
 
@@ -402,12 +443,16 @@ def cmd_subst(args) -> int:
         if size > budget:
             raise ExpansionBudgetExceeded(f"iterate exceeds budget of {budget} symbols")
         _check_stdout(args, size)
-        bw = iterate(sub, seed, args.t)
+        codes = _iterate_codes(sub, seed, args.t)
         with _sink(args, seed=sub.seed) as out:
             if args.blocks:
-                print(" ".join(bw), file=out)
+                names, sep = sub.symbols, ""
+                for c in codes:  # the block names, a chunk at a time
+                    out.write(sep + " ".join([names[i] for i in c.tolist()]))
+                    sep = " "
+                out.write("\n")
             else:
-                write_words([flatten(sub, bw)], out)
+                write_word_pieces((_gather(sub._letters, c) for c in codes), out)
         return 0
     if action == "check-primitive":
         primitive, k = is_primitive(sub)

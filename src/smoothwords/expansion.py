@@ -128,15 +128,7 @@ def pseudo_inverse_chain(
     letters = tuple(p)
     if not letters:
         return u
-    chunks: list[np.ndarray] = []
-    total = 0
-    for chunk in _chain_chunks(letters, u, order):
-        total += chunk.size
-        if total > budget:
-            raise ExpansionBudgetExceeded(
-                f"expansion exceeds budget of {budget} symbols"
-            )
-        chunks.append(chunk)
+    chunks = list(_chain_pieces(letters, u, order, budget))
     return Word.from_array(np.concatenate(chunks), order.alphabet, validate=False)
 
 
@@ -202,6 +194,28 @@ def _chain_chunks(
     return chunks
 
 
+def _chain_pieces(
+    p: tuple[int, ...], u: Word, order: CyclicOrder, budget: int
+) -> Iterator[np.ndarray]:
+    """The letters of ``chain(p, u)`` in chunks, ``u`` whole if ``p`` is
+    empty.  The arguments are checked on the call, the budget as chunks
+    arrive: the chunk that passes it raises instead."""
+    if not p:
+        return iter((u.to_array(),))
+    return _budgeted(_chain_chunks(p, u, order), budget)
+
+
+def _budgeted(chunks: Iterator[np.ndarray], budget: int) -> Iterator[np.ndarray]:
+    total = 0
+    for chunk in chunks:
+        total += chunk.size
+        if total > budget:
+            raise ExpansionBudgetExceeded(
+                f"expansion exceeds budget of {budget} symbols"
+            )
+        yield chunk
+
+
 def expand_stream(
     p: Word | Iterable[int], u: Word, order: CyclicOrder
 ) -> Iterator[int]:
@@ -231,13 +245,21 @@ def phi_inverse_prefix(
     the prefix relation, so growing directive words trace out prefixes of
     a single smooth infinite word.
     """
+    chunks = _phi_inverse_pieces(u, order, budget)
+    return Word.from_array(np.concatenate(list(chunks)), order.alphabet, validate=False)
+
+
+def _phi_inverse_pieces(
+    u: Word, order: CyclicOrder, budget: int
+) -> Iterator[np.ndarray]:
+    """:func:`phi_inverse_prefix` in chunks, as :func:`_chain_pieces`."""
     if not u:
         raise ValueError("directive word must be nonempty")
     arr = u.to_array()
     if not order.alphabet.admits(arr):
         raise ValueError("directive word has letters outside the cyclic order")
     last = Word.from_array(arr[-1:], order.alphabet, validate=False)
-    return pseudo_inverse_chain(arr[:-1].tolist(), last, order, budget=budget)
+    return _chain_pieces(tuple(arr[:-1].tolist()), last, order, budget)
 
 
 def phi_prefix(w: Word, order: CyclicOrder, m: int) -> Word:

@@ -27,6 +27,7 @@ Substitutions are immutable after construction; iteration is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -142,14 +143,37 @@ def apply(sub: Substitution, bw: Sequence[str]) -> BlockWord:
 
 def iterate(sub: Substitution, seed: str, t: int) -> BlockWord:
     """Apply the substitution ``t`` times to the single symbol ``seed``."""
-    if seed not in sub.rules:
-        raise ValueError(f"unknown block symbol {seed}")
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    _check_iterate(sub, seed, t)
     bw: BlockWord = (seed,)
     for _ in range(t):
         bw = apply(sub, bw)
     return bw
+
+
+def _check_iterate(sub: Substitution, seed: str, t: int) -> None:
+    if seed not in sub.rules:
+        raise ValueError(f"unknown block symbol {seed}")
+    if t < 0:
+        raise ValueError("t must be non-negative")
+
+
+def _iterate_codes(sub: Substitution, seed: str, t: int) -> Iterator[np.ndarray]:
+    """The symbol codes of :func:`iterate`, level by level in chunks of at
+    most _CHUNK symbols, so memory is one chunk per level.  The arguments
+    are checked on the call."""
+    _check_iterate(sub, seed, t)
+    chunks: Iterator[np.ndarray] = iter((np.array([sub._code[seed]]),))
+    for _ in range(t):
+        chunks = _images(sub, chunks)
+    return chunks
+
+
+def _images(sub: Substitution, chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The rule images of code chunks, in pieces of at most _CHUNK symbols."""
+    step = max(_CHUNK // sub._images[0].shape[1], 1)
+    for chunk in chunks:
+        for lo in range(0, chunk.size, step):
+            yield _gather(sub._images, chunk[lo : lo + step])
 
 
 def flatten(sub: Substitution, bw: Sequence[str]) -> Word:
@@ -387,15 +411,8 @@ def verify_substitution_fixpoint(
         reads, head = head.size, _gather(sub._images, head)
         if head.size == reads:
             raise ValueError("substitution does not grow from its seed")
-    step = max(_CHUNK // sub._images[0].shape[1], 1)
-
-    def images(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        for chunk in chunks:  # pieces whose images hold at most _CHUNK symbols
-            for lo in range(0, chunk.size, step):
-                yield _gather(sub._images, chunk[lo : lo + step])
-
     target = KolakoskiStream(spec)
-    for chunk in _level(lambda: iter((head,)), images, reads, 0, []):
+    for chunk in _level(lambda: iter((head,)), partial(_images, sub), reads, 0, []):
         # m < 1 leaves no letters, and taking none raises ValueError
         letters = _gather(sub._letters, chunk)[: max(m - target.position, 0)]
         if not np.array_equal(letters, target.take(letters.size).to_array()):

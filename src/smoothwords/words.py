@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -297,15 +297,6 @@ class Permutation:
         a, b = alphabet.letters
         return cls({a: b, b: a})
 
-    @classmethod
-    def all_of(cls, alphabet: Alphabet) -> Iterator["Permutation"]:
-        """All permutations of the alphabet, identity first."""
-        import itertools
-
-        letters = alphabet.letters
-        for image in sorted(itertools.permutations(letters)):
-            yield cls(dict(zip(letters, image)))
-
     def __call__(self, letter: int) -> int:
         try:
             return self.mapping[letter]
@@ -313,9 +304,6 @@ class Permutation:
             raise ValueError(
                 f"symbol {letter} outside the permutation's domain"
             ) from None
-
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self.mapping.items())
 
     def label(self) -> str:
         """Deterministic textual form, e.g. 'perm:1->2,2->1'."""
@@ -713,39 +701,54 @@ def _symbol_bytes(arr: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
-def _split(arr: np.ndarray) -> Iterator[np.ndarray]:
-    """An array in pieces of at most _WRITE_CHUNK symbols."""
-    return (arr[i : i + _WRITE_CHUNK] for i in range(0, arr.size, _WRITE_CHUNK))
+def _split(arr: Sequence) -> Iterator[Sequence]:
+    """An array, list or tuple in pieces of at most _WRITE_CHUNK symbols."""
+    return (arr[i : i + _WRITE_CHUNK] for i in range(0, len(arr), _WRITE_CHUNK))
 
 
 def _text_pieces(pieces: Iterable[np.ndarray]) -> Iterator[str]:
-    """Flat text of a word given as integer pieces, one string per piece."""
+    """Flat text of a word given as integer pieces, one string per slice."""
     sep = ""
     for piece in pieces:
-        if piece.size:
-            # each piece's last space is dropped and put before the next
-            yield sep + str(_symbol_bytes(piece)[:-1].data, "ascii")
+        for part in _split(piece):
+            # each part's last space is dropped and put before the next
+            yield sep + str(_symbol_bytes(part)[:-1].data, "ascii")
             sep = " "
+
+
+def _slice_text(items: Sequence) -> str:
+    """Flat text of a list or tuple slice: byte kernels if it holds only
+    ints (Python or numpy, no bools) that fit one integer dtype."""
+    types = set(map(type, items))
+    if all(t is int or issubclass(t, np.integer) for t in types):
+        arr = np.asarray(items)
+        if arr.dtype.kind in "iu":
+            return str(_symbol_bytes(arr)[:-1].data, "ascii")
+    return " ".join([str(s) for s in items])
 
 
 def format_symbols(symbols: Iterable[int] | np.ndarray) -> str:
     """Flat, space-separated decimal form of a word.
 
-    A Word or an integer array is rendered with numpy byte kernels; a
-    tuple, list or other iterable (short factors, mostly) with ``str``.
+    A Word or an integer array is rendered with numpy byte kernels, and
+    so is a list or tuple of at least _WRITE_CHUNK ints, one slice at a
+    time; other symbols and shorter sequences (factors, mostly) with
+    ``str``, whose text is the same.
     """
     if isinstance(symbols, Word):
         symbols = symbols.to_array()
     if isinstance(symbols, np.ndarray) and symbols.dtype.kind in "iu":
-        return "".join(_text_pieces(_split(symbols)))
+        return "".join(_text_pieces([symbols]))
+    if isinstance(symbols, (list, tuple)) and len(symbols) >= _WRITE_CHUNK:
+        return " ".join(map(_slice_text, _split(symbols)))
     return " ".join([str(s) for s in symbols])
 
 
 def write_word_pieces(pieces: Iterable[np.ndarray], out) -> None:
     """Write one word, given as integer pieces, as one flat line.
 
-    The pieces are formatted as they come, so a word produced piece by
-    piece is never held whole.
+    The pieces are formatted as they come, at most _WRITE_CHUNK symbols
+    at a time, so a word produced piece by piece is never held whole.
     """
     out.writelines(_text_pieces(pieces))
     out.write("\n")
@@ -758,4 +761,4 @@ def write_words(words: Iterable[Word], out) -> None:
     never exists at once.
     """
     for w in words:
-        write_word_pieces(_split(Word(w).to_array()), out)
+        write_word_pieces([Word(w).to_array()], out)

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -351,9 +352,10 @@ def test_every_nonidentical_permutation_has_witnesses():
     w = kolakoski_prefix(BaseSequenceSpec(A369, (3, 6, 9)), 10**6)
     assert is_well_proportioned_prefix(rle_encode(w).bases)
     idx = FactorIndex(w, 12)
-    for sigma in Permutation.all_of(A369):
+    for image in itertools.permutations(A369.letters):
+        sigma = Permutation(dict(zip(A369.letters, image)))
         misses = closure_check(w, sigma, 12, index=idx)
-        if sigma.is_identity():
+        if image == A369.letters:
             assert misses == []
         else:
             assert misses

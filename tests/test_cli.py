@@ -1,15 +1,21 @@
+import contextlib
 import io
 import os
+import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothwords import (
     Alphabet,
     BaseSequenceSpec,
+    Word,
     kolakoski_prefix,
     kolakoski_stream,
     letter_frequencies,
@@ -19,7 +25,7 @@ from smoothwords import (
 )
 from smoothwords import cli
 from smoothwords.cli import main
-from smoothwords.expansion import CyclicOrder
+from smoothwords.expansion import CyclicOrder, phi_inverse_prefix, pseudo_inverse_chain
 from smoothwords.substitution import build_substitution, flatten, iterate
 
 
@@ -761,3 +767,220 @@ def test_freq_input_errors(tmp_path, capsys):
     word_file.write_text("# nothing\n")
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: samples must be positive\n"
+
+
+# ---------------------------------------------------------------------------
+# word commands stream their chunks: expand, phi-inverse and subst iterate
+
+
+def _both_ways(argv):
+    """The text a command writes to stdout and to ``--output``, which must
+    be the only file left in its directory."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "out.txt")
+        with contextlib.redirect_stdout(io.StringIO()) as quiet:
+            assert main(argv + ["--output", path]) == 0
+        assert quiet.getvalue() == ""
+        assert os.listdir(d) == ["out.txt"]
+        with open(path, encoding="utf-8", newline="") as handle:
+            return buf.getvalue(), handle.read()
+
+
+def _word_text(word):
+    buf = io.StringIO()
+    write_words([word], buf)
+    return buf.getvalue()
+
+
+def _letters(xs):
+    return ",".join(map(str, xs))
+
+
+def _expand(order, chain, target):
+    return ["expand", "--order", order, "--chain", _letters(chain), "--target", target]
+
+
+def _phi_inverse(order, u):
+    return ["phi-inverse", "--order", order, "--u", _letters(u)]
+
+
+# letters 1..4, exponents up to 4 and chains of at most 6 letters keep every
+# expansion under the stdout limit, while many pass one _CHUNK of letters
+_orders = st.lists(st.integers(1, 4), min_size=2, max_size=4, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _orders.flatmap(
+        lambda order: st.tuples(
+            st.just(order),
+            st.lists(st.sampled_from(order), max_size=6),
+            st.lists(st.integers(1, 4), max_size=5),
+        )
+    )
+)
+def test_expand_streams_the_chain_word(case):
+    order, chain, target = case
+    o = CyclicOrder.from_letters(order)
+    argv = ["expand", "--order", _letters(order), "--target", _letters(target)]
+    if chain:
+        argv += ["--chain", _letters(chain)]
+    out, text = _both_ways(argv)
+    assert out == text
+    word = pseudo_inverse_chain(chain, Word(tuple(target)), o)
+    assert text.split("\n", 1)[1] == _word_text(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _orders.flatmap(
+        lambda order: st.tuples(
+            st.just(order), st.lists(st.sampled_from(order), min_size=1, max_size=7)
+        )
+    )
+)
+def test_phi_inverse_streams_the_expansion(case):
+    order, u = case
+    o = CyclicOrder.from_letters(order)
+    out, text = _both_ways(_phi_inverse(_letters(order), u))
+    assert out == text
+    word = phi_inverse_prefix(Word(tuple(u), o.alphabet), o)
+    assert text.split("\n", 1)[1] == _word_text(word)
+
+
+@pytest.mark.parametrize("order", [(6, 10, 14, 2), (1, 3), (4, 2), (3, 6, 9)])
+@pytest.mark.parametrize("t", [0, 1, 3, 5])
+@pytest.mark.parametrize("blocks", [False, True])
+def test_subst_iterate_streams_the_iterate(order, t, blocks):
+    o = CyclicOrder.from_letters(order)
+    sub = build_substitution(o.alphabet, o)
+    bw = iterate(sub, sub.seed, t)
+    expected = " ".join(bw) + "\n" if blocks else _word_text(flatten(sub, bw))
+    argv = ["subst", "iterate", "--order", _letters(order), "--t", str(t)]
+    argv += ["--blocks"] if blocks else []
+    if len(expected.split()) > cli.STDOUT_SYMBOL_LIMIT:
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "out.txt")
+            assert main(argv + ["--output", path]) == 0
+            with open(path, encoding="utf-8", newline="") as handle:
+                text = handle.read()
+    else:
+        out, text = _both_ways(argv)
+        assert out == text
+    assert text.split("\n", 1)[1] == expected
+
+
+def test_subst_iterate_seed_symbol_streams_its_iterate(capsys):
+    o = CyclicOrder.from_letters((6, 10, 14, 2))
+    sub = build_substitution(o.alphabet, o)
+    argv = ["subst", "iterate", "--order", "6,10,14,2", "--t", "3", "--seed-symbol"]
+    assert main(argv + ["B2", "--blocks"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == " ".join(iterate(sub, "B2", 3))
+    assert main(argv + ["Q"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unknown block symbol Q\n")
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        # 620109 letters, 275611 letters and 1341290 letters
+        (_expand("1,2", (1, 2) * 16, "1,2"), 300000),
+        (_expand("3,1,2", (3, 1, 2) * 5, "2,3"), 40000),
+        (_phi_inverse("2,1", (1, 2) * 18 + (1,)), 300000),
+    ],
+)
+@pytest.mark.parametrize("existing", [None, b"older file\n"], ids=["new", "existing"])
+def test_budget_passed_mid_write_leaves_no_output(
+    argv, budget, existing, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("SMOOTHWORDS_MAX_EXPANSION", str(budget))
+    written = []
+
+    def spy(pieces, out):  # counts the letters formatted before the failure
+        def counted():
+            for piece in pieces:
+                written.append(piece.size)
+                yield piece
+
+        words.write_word_pieces(counted(), out)
+
+    monkeypatch.setattr(cli, "write_word_pieces", spy)
+    target = tmp_path / "word.txt"
+    if existing is not None:
+        target.write_bytes(existing)
+    assert main(argv + ["--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: expansion exceeds budget of {budget} symbols\n"
+    assert 0 < sum(written) <= budget  # the failure came after writing began
+    assert os.listdir(tmp_path) == ([] if existing is None else ["word.txt"])
+    if existing is not None:
+        assert target.read_bytes() == existing
+
+
+def test_expand_stdout_limit_names_the_exact_size(capsys, monkeypatch):
+    argv = _expand("1,2", (1, 2) * 14, "1,2")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "122511 symbols exceed the stdout limit of 100000; pass --output FILE\n"
+    )
+    monkeypatch.setenv("SMOOTHWORDS_MAX_EXPANSION", "120000")  # the budget is first
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: expansion exceeds budget of 120000 symbols\n"
+
+
+def test_output_sink_is_atomic(tmp_path, capsys, monkeypatch):
+    argv = ["generate", "--base-period", "1,2", "--length", "200000", "--output"]
+    target = tmp_path / "word.txt"
+
+    def failing(pieces, out):
+        words.write_word_pieces(pieces, out)
+        raise OSError("no space left")
+
+    monkeypatch.setattr(cli, "write_word_pieces", failing)
+    assert main(argv + [str(target)]) == 1
+    assert capsys.readouterr().err == "error: no space left\n"
+    assert os.listdir(tmp_path) == []
+    target.write_bytes(b"older\n")
+    target.chmod(0o640)
+    assert main(argv + [str(target)]) == 1
+    assert capsys.readouterr().err == "error: no space left\n"
+    assert os.listdir(tmp_path) == ["word.txt"]
+    assert target.read_bytes() == b"older\n"
+    monkeypatch.undo()
+    # a replaced file keeps its mode; a new one gets open()'s mode
+    assert main(argv + [str(target)]) == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    fresh = tmp_path / "fresh.txt"
+    assert main(argv + [str(fresh)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+    assert fresh.read_bytes() == target.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["fresh.txt", "word.txt"]
+    missing = tmp_path / "no" / "word.txt"
+    assert main(argv + [str(missing)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        # 3.1e6 and 6.8e6 letters: the int64 words alone are 25 and 54 MB
+        (_expand("1,2", (1, 2) * 18, "1,2"), 12),
+        (_phi_inverse("2,1", (1, 2) * 20 + (1,)), 12),
+        (["subst", "iterate", "--order", "6,10,14,2", "--t", "7"], 4),
+        (["subst", "iterate", "--order", "6,10,14,2", "--t", "7", "--blocks"], 4),
+    ],
+)
+def test_word_commands_run_in_flat_memory(argv, limit, tmp_path):
+    assert _traced_peak(argv + ["--output", str(tmp_path / "word.txt")]) < limit * 2**20

@@ -150,7 +150,11 @@ def test_with_base_commutes_with_permutation_and_reversal():
 
     a123 = Alphabet((1, 2, 3))
     rng = np.random.default_rng(11)
-    perms = list(Permutation.all_of(a123))
+    letters = a123.letters
+    perms = [
+        Permutation(dict(zip(letters, image)))
+        for image in itertools.permutations(letters)
+    ]
     for _ in range(200):
         k = int(rng.integers(1, 10))
         u = Word(tuple(rng.integers(1, 5, size=k).tolist()))

@@ -335,12 +335,24 @@ def test_apply_permutation_matches_per_letter_map(symbols, domain, rnd):
     assert apply_permutation(w, sigma).to_array().tolist() == expected
 
 
+def _permutations(alphabet):
+    letters = alphabet.letters
+    return [
+        Permutation(dict(zip(letters, image)))
+        for image in itertools.permutations(letters)
+    ]
+
+
+def _is_identity(sigma):
+    return all(k == v for k, v in sigma.mapping.items())
+
+
 def test_permutation_identity_detectable():
-    assert Permutation.identity(A123).is_identity()
-    assert not Permutation.complement(A12).is_identity()
-    perms = list(Permutation.all_of(A123))
+    assert _is_identity(Permutation.identity(A123))
+    assert not _is_identity(Permutation.complement(A12))
+    perms = _permutations(A123)
     assert len(perms) == 6
-    assert sum(p.is_identity() for p in perms) == 1
+    assert sum(_is_identity(p) for p in perms) == 1
 
 
 def test_is_palindrome():
@@ -364,7 +376,7 @@ def test_palindrome_equivalence_three_letters():
 def test_coding_commutes_with_reversal_and_permutation(w):
     rd = rle_encode(w)
     assert rle_encode(reverse(w)).exponents == reverse(rd.exponents)
-    for sigma in Permutation.all_of(A123):
+    for sigma in _permutations(A123):
         assert rle_encode(apply_permutation(w, sigma)).exponents == rd.exponents
 
 
@@ -510,6 +522,35 @@ def test_format_of_narrow_and_unsigned_arrays():
     assert format_symbols(np.array([0, 7, 255], dtype=np.uint8)) == "0 7 255"
     assert format_symbols(np.array([2**64 - 1], dtype=np.uint64)) == str(2**64 - 1)
     assert format_symbols(np.array([-128, 5], dtype=np.int8)) == "-128 5"
+
+
+_N = 2**16 + 3  # one full _WRITE_CHUNK slice, then a slice of three
+
+
+@pytest.mark.parametrize(
+    "pattern, tail",
+    [
+        ([-1, -(10**17), 5], []),
+        ([-(2**63), 2**63 - 1, 0], []),  # the int64 extremes
+        ([2**63, 1, 2**63 + 5], []),  # fits uint64 only
+        ([2**63, -1, 3], []),  # fits no integer dtype: numpy makes it float
+        ([2**64, 1, 2], []),  # past uint64: numpy makes it object
+        ([True, False], []),
+        ([True, 1, 2], []),  # numpy would read True as 1
+        ([np.True_, 1, 2], []),
+        ([1.0, 2.5, 3.0], []),
+        ([np.int8(-3), np.uint64(2**64 - 1), np.int32(7)], []),
+        ([np.float64(1.5), 2, 3], []),
+        ([1, 2, 3], [2.5]),  # the only non-int sits in the last slice
+        ([1, 2, 3], [True]),
+        ([1, 2, 3], [2**64]),
+    ],
+)
+@pytest.mark.parametrize("container", [list, tuple])
+def test_format_of_long_sequences_matches_str(pattern, tail, container):
+    seq = container((pattern * _N)[: _N - len(tail)] + tail)
+    assert len(seq) == _N
+    assert format_symbols(seq) == " ".join(str(s) for s in seq)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 2**16 + 7])
