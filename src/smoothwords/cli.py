@@ -445,11 +445,10 @@ def cmd_subst(args) -> int:
         _check_stdout(args, size)
         codes = _iterate_codes(sub, seed, args.t)
         with _sink(args, seed=sub.seed) as out:
-            if args.blocks:
-                names, sep = sub.symbols, ""
-                for c in codes:  # the block names, a chunk at a time
-                    out.write(sep + " ".join([names[i] for i in c.tolist()]))
-                    sep = " "
+            if args.blocks:  # " name" per symbol; the line's first space dropped
+                names = (_gather(sub._names, c).astype(np.uint8) for c in codes)
+                out.write(next(names)[1:].tobytes().decode())
+                out.writelines(chunk.tobytes().decode() for chunk in names)
                 out.write("\n")
             else:
                 write_word_pieces((_gather(sub._letters, c) for c in codes), out)

@@ -245,8 +245,8 @@ def phi_inverse_prefix(
     the prefix relation, so growing directive words trace out prefixes of
     a single smooth infinite word.
     """
-    chunks = _phi_inverse_pieces(u, order, budget)
-    return Word.from_array(np.concatenate(list(chunks)), order.alphabet, validate=False)
+    chunks = list(_phi_inverse_pieces(u, order, budget))
+    return Word.from_array(np.concatenate(chunks), order.alphabet, validate=False)
 
 
 def _phi_inverse_pieces(

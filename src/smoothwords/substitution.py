@@ -93,10 +93,12 @@ class Substitution:
                 raise ValueError(f"no block definition for {sym}")
         if not self.seed:
             self.seed = _find_seed(self.rules)
-        # symbol codes, rule images as codes and blocks as letters, in rules order
+        # symbol codes, rule images as codes, blocks as letters and the
+        # UTF-8 bytes of " name", in rules order
         self._code = code = {s: i for i, s in enumerate(self.rules)}
         self._images = _ragged([[code[s] for s in r] for r in self.rules.values()])
         self._letters = _ragged([self.blocks[s].expansion for s in self.rules])
+        self._names = _ragged([f" {s}".encode() for s in self.rules])
 
     @property
     def symbols(self) -> tuple[str, ...]:
