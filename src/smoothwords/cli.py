@@ -135,25 +135,26 @@ def _starts(m: int, l_max: int) -> int:
 def _sink(args, **extra) -> Iterator[TextIO]:
     """The ``--output`` file, else stdout, opened with the config line.
 
-    The file is written beside its path and moved there when the block
-    ends; an error in the block removes it, so a failure found while
-    writing leaves no file, or the older file unchanged.
+    The file is written beside its path (a symlink's target) and moved
+    there when the block ends; an error in the block removes it, so a
+    failure found while writing leaves no file, or the older file
+    unchanged.
     """
     if not getattr(args, "output", None):
         print(_config_line(args, **extra))
         yield sys.stdout
         return
-    path, folder = args.output, os.path.dirname(args.output) or "."
-    with _naming(path):
+    path = os.path.realpath(args.output)
+    with _naming(args.output):
         handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", newline="", dir=folder, delete=False
+            "w", encoding="utf-8", newline="", dir=os.path.dirname(path), delete=False
         )
     try:
         with handle:
             print(_config_line(args, **extra), file=handle)
             yield handle
         os.chmod(handle.name, _file_mode(path))
-        with _naming(path):
+        with _naming(args.output):
             os.replace(handle.name, path)
     except BaseException:
         os.unlink(handle.name)

@@ -965,6 +965,13 @@ def test_output_sink_is_atomic(tmp_path, capsys, monkeypatch):
     assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
     assert fresh.read_bytes() == target.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["fresh.txt", "word.txt"]
+    # a symlink is written through, as open() writes through it
+    link = tmp_path / "link.txt"
+    link.symlink_to(target.name)
+    target.write_bytes(b"older\n")
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["fresh.txt", "link.txt", "word.txt"]
     missing = tmp_path / "no" / "word.txt"
     assert main(argv + [str(missing)]) == 1
     assert capsys.readouterr().err == (
