@@ -30,11 +30,10 @@ from .factors import FactorIndex, PieceSource
 from .expansion import DEFAULT_BUDGET, CyclicOrder, _chain_pieces, _phi_inverse_pieces
 from .kolakoski import BaseSequenceSpec, kolakoski_stream
 from .substitution import (
-    _gather,
-    _iterate_codes,
     build_substitution,
     incidence_matrix,
     is_primitive,
+    iterate_text,
     verify_substitution_fixpoint,
 )
 from .verify import ALL_CHECKS, run_check
@@ -135,39 +134,46 @@ def _starts(m: int, l_max: int) -> int:
 def _sink(args, **extra) -> Iterator[TextIO]:
     """The ``--output`` file, else stdout, opened with the config line.
 
-    The file is written beside its path (a symlink's target) and moved
-    there when the block ends; an error in the block removes it, so a
-    failure found while writing leaves no file, or the older file
-    unchanged.
+    A new or regular file is written beside its path (a symlink's
+    target) and moved there when the block ends; an error in the block
+    removes it, so a failure found while writing leaves no file, or the
+    older file unchanged.  Any other path (a device, a FIFO, a directory
+    the temporary file cannot go in) is opened and written in place.
     """
     if not getattr(args, "output", None):
         print(_config_line(args, **extra))
         yield sys.stdout
         return
-    path = os.path.realpath(args.output)
-    with _naming(args.output):
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", newline="", dir=os.path.dirname(path), delete=False
-        )
+    handle = _beside(args.output)
+    if handle is None:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            print(_config_line(args, **extra), file=handle)
+            yield handle
+        return
     try:
         with handle:
             print(_config_line(args, **extra), file=handle)
             yield handle
+        path = os.path.realpath(args.output)
         os.chmod(handle.name, _file_mode(path))
-        with _naming(args.output):
-            os.replace(handle.name, path)
+        os.replace(handle.name, path)
     except BaseException:
         os.unlink(handle.name)
         raise
 
 
-@contextmanager
-def _naming(path: str) -> Iterator[None]:
-    """Re-raise an OSError naming ``path``, as ``open(path, "w")`` would."""
+def _beside(output: str) -> TextIO | None:
+    """A temporary file beside ``output``, or None where ``output`` is
+    not a regular file or no file can be made in its directory."""
+    if os.path.exists(output) and not os.path.isfile(output):
+        return None
+    folder = os.path.dirname(os.path.realpath(output))
     try:
-        yield
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
+        return tempfile.NamedTemporaryFile(
+            "w", encoding="utf-8", newline="", dir=folder, delete=False
+        )
+    except OSError:
+        return None
 
 
 def _file_mode(path: str) -> int:
@@ -444,15 +450,10 @@ def cmd_subst(args) -> int:
         if size > budget:
             raise ExpansionBudgetExceeded(f"iterate exceeds budget of {budget} symbols")
         _check_stdout(args, size)
-        codes = _iterate_codes(sub, seed, args.t)
+        text = iterate_text(sub, seed, args.t, blocks=args.blocks)
         with _sink(args, seed=sub.seed) as out:
-            if args.blocks:  # " name" per symbol; the line's first space dropped
-                names = (_gather(sub._names, c).astype(np.uint8) for c in codes)
-                out.write(next(names)[1:].tobytes().decode())
-                out.writelines(chunk.tobytes().decode() for chunk in names)
-                out.write("\n")
-            else:
-                write_word_pieces((_gather(sub._letters, c) for c in codes), out)
+            out.writelines(text)
+            out.write("\n")
         return 0
     if action == "check-primitive":
         primitive, k = is_primitive(sub)

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NotProlongable
 from .expansion import _CHUNK, CyclicOrder
 from .kolakoski import _HEAD, BaseSequenceSpec, KolakoskiStream, _level
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _text_pieces
 
 __all__ = [
     "Block",
@@ -93,12 +93,10 @@ class Substitution:
                 raise ValueError(f"no block definition for {sym}")
         if not self.seed:
             self.seed = _find_seed(self.rules)
-        # symbol codes, rule images as codes, blocks as letters and the
-        # UTF-8 bytes of " name", in rules order
+        # symbol codes, rule images as codes and blocks as letters, in rules order
         self._code = code = {s: i for i, s in enumerate(self.rules)}
         self._images = _ragged([[code[s] for s in r] for r in self.rules.values()])
         self._letters = _ragged([self.blocks[s].expansion for s in self.rules])
-        self._names = _ragged([f" {s}".encode() for s in self.rules])
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -176,6 +174,21 @@ def _images(sub: Substitution, chunks: Iterator[np.ndarray]) -> Iterator[np.ndar
     for chunk in chunks:
         for lo in range(0, chunk.size, step):
             yield _gather(sub._images, chunk[lo : lo + step])
+
+
+def iterate_text(
+    sub: Substitution, seed: str, t: int, blocks: bool = False
+) -> Iterator[str]:
+    """The text of :func:`iterate` in pieces, with no newline: the
+    letters of its blocks, or with ``blocks`` the block names, space
+    separated.  The arguments are checked on the call."""
+    codes = _iterate_codes(sub, seed, t)
+    if not blocks:
+        return _text_pieces(_gather(sub._letters, c) for c in codes)
+    names = _ragged([f" {s}".encode() for s in sub.rules])  # UTF-8 bytes
+    text = (_gather(names, c).astype(np.uint8).tobytes().decode() for c in codes)
+    # the line's first space dropped
+    return (piece[1:] if i == 0 else piece for i, piece in enumerate(text))
 
 
 def flatten(sub: Substitution, bw: Sequence[str]) -> Word:

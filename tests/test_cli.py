@@ -979,6 +979,40 @@ def test_output_sink_is_atomic(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_output_sink_writes_other_paths_in_place(tmp_path, capsys, monkeypatch):
+    argv = ["expand", "--order", "1,2", "--chain", "1,2", "--target", "1,2", "--output"]
+    word = tmp_path / "word.txt"
+    assert main(argv + [str(word)]) == 0
+    # a device keeps its node
+    assert main(argv + [os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    # a FIFO stays a FIFO, and its reader gets the text
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(argv + [str(fifo)]) == 0
+        assert os.read(reader, 2**16) == word.read_bytes()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["pipe", "word.txt"]
+    # a directory fails with open()'s message
+    assert main(argv + [str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    )
+    # a file whose directory takes no new file is written in place
+    def refused(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "NamedTemporaryFile", refused)
+    text = word.read_bytes()
+    word.write_bytes(b"older\n")
+    assert main(argv + [str(word)]) == 0
+    assert word.read_bytes() == text
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [
