@@ -16,7 +16,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -308,28 +308,33 @@ def check_permutation_nonclosure(seed: int = 0) -> str:
 # criterion 11: property suites
 
 
-def _all_words(letters: tuple[int, ...], max_len: int):
+def _all_words(alphabet: Alphabet, max_len: int) -> Iterator[Iterator[Word]]:
+    """Every word of length 1..max_len over the alphabet, shortest first:
+    per length, views of the rows of one array in ``itertools.product``
+    order, each length checked against the alphabet once."""
     for length in range(1, max_len + 1):
-        yield from itertools.product(letters, repeat=length)
+        words = itertools.product(alphabet.letters, repeat=length)
+        flat = np.fromiter(itertools.chain.from_iterable(words), np.int64)
+        rows = Word.from_array(flat, alphabet).to_array().reshape(-1, length)
+        yield (Word.from_array(row, alphabet, validate=False) for row in rows)
 
 
 def _suite_palindrome_equivalence() -> None:
-    alphabet = Alphabet((1, 2))
-    for symbols in _all_words((1, 2), 12):
-        w = Word(symbols, alphabet)
+    for w in itertools.chain.from_iterable(_all_words(Alphabet((1, 2)), 12)):
         rd = rle_encode(w)
         lhs = is_palindrome(w)
         rhs = is_palindrome(rd.exponents) and is_palindrome(rd.bases)
         if lhs != rhs:
-            raise _Failure(f"palindrome equivalence fails on {symbols}")
+            raise _Failure(f"palindrome equivalence fails on {w.symbols}")
 
 
-def _suite_roundtrip(rng: np.random.Generator) -> None:
-    alphabet = Alphabet((1, 2))
-    for symbols in _all_words((1, 2), 14):
-        w = Word(symbols, alphabet)
+def _suite_roundtrip_exhaustive() -> None:
+    for w in itertools.chain.from_iterable(_all_words(Alphabet((1, 2)), 14)):
         if rle_reconstruct(rle_encode(w)) != w:
-            raise _Failure(f"roundtrip fails on {symbols}")
+            raise _Failure(f"roundtrip fails on {w.symbols}")
+
+
+def _suite_roundtrip_random(rng: np.random.Generator) -> None:
     a123 = Alphabet((1, 2, 3))
     for _ in range(10**4):
         length = int(rng.integers(1, 40))
@@ -402,25 +407,78 @@ def _suite_length_parity(rng: np.random.Generator) -> None:
 
 def _suite_prefix_monotone() -> None:
     order = CyclicOrder.from_letters((1, 2))
-    # words come shortest first, so each one's parent is expanded already
-    expanded: dict[tuple[int, ...], Word] = {}
-    for symbols in _all_words((1, 2), 10):
-        expansion = phi_inverse_prefix(Word(symbols, order.alphabet), order)
-        prev = expanded.get(symbols[:-1])
-        if prev is not None and expansion[: len(prev)] != prev:
-            raise _Failure(f"prefix monotonicity fails on {symbols}")
-        expanded[symbols] = expansion
+    # in itertools.product order a word less its last letter is word i // n
+    # of the length before, expanded already; the empty word is the first
+    parents = [Word(())]
+    for words in _all_words(order.alphabet, 10):
+        expanded = []
+        for i, w in enumerate(words):
+            expansion = phi_inverse_prefix(w, order)
+            prev = parents[i // order.size]
+            if expansion[: len(prev)] != prev:
+                raise _Failure(f"prefix monotonicity fails on {w.symbols}")
+            expanded.append(expansion)
+        parents = expanded
+
+
+# Criterion 11 runs its suites as two halves of about equal time, in the
+# serial order: A in the calling process, B in a forked child with the one
+# generator of the seed, so both cores work.
+
+
+def _half_a() -> None:
+    _suite_palindrome_equivalence()
+    _suite_roundtrip_exhaustive()
+
+
+def _half_b(seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    _suite_roundtrip_random(rng)
+    _suite_splitting(rng)
+    _suite_length_parity(rng)
+    _suite_prefix_monotone()
+
+
+def _send_half_b(conn, seed: int) -> None:
+    """Half B in the child: sends None, or the exception B raised."""
+    try:
+        _half_b(seed)
+        conn.send(None)
+    except Exception as exc:
+        conn.send(exc)
 
 
 @_check("11-property-suites")
 def check_property_suites(seed: int = 0) -> str:
-    """Criterion 11: exhaustive and randomized algebraic property suites."""
-    rng = np.random.default_rng(seed)
-    _suite_palindrome_equivalence()
-    _suite_roundtrip(rng)
-    _suite_splitting(rng)
-    _suite_length_parity(rng)
-    _suite_prefix_monotone()
+    """Criterion 11: exhaustive and randomized algebraic property suites.
+
+    Half B runs in a forked child while half A runs here, or after A in
+    this process where ``fork`` does not exist.  A failure in A is
+    reported first, as a serial run would; otherwise B's failure or
+    exception is raised here.
+    """
+    import multiprocessing  # the CLI imports this module; most commands never fork
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        _half_a()
+        _half_b(seed)
+    else:
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_half_b, args=(sender, seed))
+        child.start()  # flushes stdout and stderr first, so the child repeats no output
+        sender.close()
+        try:
+            _half_a()
+            outcome = receiver.recv()
+        except BaseException:
+            child.terminate()
+            raise
+        finally:
+            child.join()
+            receiver.close()
+        if outcome is not None:
+            raise outcome
     return (
         "palindrome equivalence (<=12), RLE roundtrip (<=14 plus 10^4 random), "
         "splitting and length-parity lemmas (10^3 each), prefix monotonicity "

@@ -158,6 +158,8 @@ class Word:
     Equality and hashing compare symbols only.
     """
 
+    __slots__ = ("_array", "alphabet", "is_prefix")
+
     def __init__(
         self,
         symbols: Iterable[int],
@@ -198,7 +200,7 @@ class Word:
         validate: bool,
     ) -> None:
         arr = arr.view()
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         if validate and alphabet is not None and not alphabet.admits(arr):
             raise ValueError("word contains symbols outside its alphabet")
         object.__setattr__(self, "_array", arr)
@@ -286,10 +288,6 @@ class Permutation:
             raise ValueError("mapping is not a bijection on its domain")
 
     @classmethod
-    def identity(cls, alphabet: Alphabet) -> "Permutation":
-        return cls({a: a for a in alphabet})
-
-    @classmethod
     def complement(cls, alphabet: Alphabet) -> "Permutation":
         """The unique nonidentical permutation of a 2-letter alphabet."""
         if alphabet.size != 2:
@@ -354,11 +352,11 @@ def rle_reconstruct(rd: RunDecomposition) -> Word:
     """
     exps = rd.exponents.to_array()
     bases = rd.bases.to_array()
-    if exps.size and (exps < 1).any():
+    if exps.size and exps.min() < 1:
         raise InvalidRuns("exponents must be positive")
-    if bases.size > 1 and (bases[1:] == bases[:-1]).any():
+    if bases.size > 1 and np.count_nonzero(bases[1:] == bases[:-1]):
         raise InvalidRuns("adjacent bases must differ")
-    flat = np.repeat(bases, exps)
+    flat = bases.repeat(exps)
     return Word.from_array(flat, rd.bases.alphabet, validate=False)
 
 

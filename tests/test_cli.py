@@ -936,6 +936,16 @@ def test_expand_stdout_limit_names_the_exact_size(capsys, monkeypatch):
     assert err == "error: expansion exceeds budget of 120000 symbols\n"
 
 
+def test_expand_empty_chain_checks_its_target(tmp_path, capsys):
+    argv = ["expand", "--order", "1,2", "--target", "0,-5"]
+    target = tmp_path / "word.txt"
+    for extra in [[], ["--output", str(target)], ["--chain", "1"]]:
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: exponents must be positive\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_output_sink_is_atomic(tmp_path, capsys, monkeypatch):
     argv = ["generate", "--base-period", "1,2", "--length", "200000", "--output"]
     target = tmp_path / "word.txt"

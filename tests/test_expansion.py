@@ -88,6 +88,23 @@ def test_chain_empty_is_identity():
     assert pseudo_inverse_chain((), u, ORDER_243) is u
 
 
+def test_cycle_is_built_once():
+    order = CyclicOrder.from_letters((2, 4, 3))
+    assert order.cycle is order.cycle
+    assert order.cycle.dtype == np.int64 and not order.cycle.flags.writeable
+    assert order.cycle.tolist() == [2, 4, 3]
+    # chains return int64 words, one chunk or many
+    for p in [(2,), (2, 3, 4) * 3]:
+        assert pseudo_inverse_chain(p, Word((2, 4)), order).to_array().dtype == np.int64
+
+
+def test_chain_empty_checks_exponents():
+    # the same check as a nonempty chain makes
+    for p in [(), (2,)]:
+        with pytest.raises(ValueError, match="^exponents must be positive$"):
+            pseudo_inverse_chain(p, Word((0, -5)), ORDER_243)
+
+
 @settings(max_examples=200)
 @given(
     exponent_words,

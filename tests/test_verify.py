@@ -5,7 +5,12 @@ here by replacing the module-level name the check calls, and the
 failing ``CheckResult`` is compared field by field.
 """
 
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -297,3 +302,124 @@ def test_prefix_monotonicity_expands_each_directive_word_once(monkeypatch):
     verify._suite_prefix_monotone()
     # every word of length 1..10 over {1, 2}, each once
     assert len(calls) == len(set(calls)) == 2**11 - 2
+
+
+# ---------------------------------------------------------------------------
+# criterion 11: coverage and the two halves
+
+PASS_DETAIL = (
+    "palindrome equivalence (<=12), RLE roundtrip (<=14 plus 10^4 random), "
+    "splitting and length-parity lemmas (10^3 each), prefix monotonicity "
+    "(depth <= 10) all hold"
+)
+
+
+def test_property_suites_keep_their_coverage(monkeypatch):
+    # the calls each suite makes, as the serial suites made them: a faster
+    # suite must not come from checking fewer words
+    counts = Counter()
+    encoded = []
+    for name in (
+        "rle_encode",
+        "rle_reconstruct",
+        "pseudo_inverse",
+        "phi_inverse_prefix",
+        "is_palindrome",
+    ):
+
+        def counted(*args, _name=name, _call=getattr(verify, name)):
+            counts[_name] += 1
+            if _name == "rle_encode":
+                encoded.append(args[0].symbols)
+            return _call(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    rng = np.random.default_rng(0)
+    suites = [
+        (verify._suite_palindrome_equivalence, (), {"rle_encode": 8190, "is_palindrome": 16758}),
+        (verify._suite_roundtrip_exhaustive, (), {"rle_encode": 32766, "rle_reconstruct": 32766}),
+        (verify._suite_roundtrip_random, (rng,), {"rle_encode": 10**4, "rle_reconstruct": 10**4}),
+        (verify._suite_splitting, (rng,), {"pseudo_inverse": 3000}),
+        (verify._suite_length_parity, (rng,), {"pseudo_inverse": 2000}),
+        (verify._suite_prefix_monotone, (), {"phi_inverse_prefix": 2046}),
+    ]
+    for suite, args, expected in suites:
+        counts.clear()
+        encoded.clear()
+        suite(*args)
+        assert dict(counts) == expected, suite.__name__
+        if suite in (verify._suite_palindrome_equivalence, verify._suite_roundtrip_exhaustive):
+            assert len(set(encoded)) == len(encoded)  # every word once
+    # the one generator is drawn from as the serial suites drew from it
+    assert rng.integers(0, 10**9) == 157999910
+
+
+def test_property_suites_pass_with_no_child_left():
+    assert verify.check_property_suites(0) == CheckResult(
+        "11-property-suites", True, PASS_DETAIL, 0.0
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_property_suites_report_the_earlier_failure(monkeypatch):
+    # half A (palindromes) and half B (splitting) both fail
+    monkeypatch.setattr(verify, "is_palindrome", lambda w: len(w) == 1)
+    monkeypatch.setattr(verify, "pseudo_inverse", lambda alpha, u, order: Word(()))
+    result = verify.check_property_suites(0)
+    assert (result.passed, result.detail) == (
+        False,
+        "palindrome equivalence fails on (1, 1)",
+    )
+    assert multiprocessing.active_children() == []
+
+
+def _raises(*args):
+    raise RuntimeError("suite crashed")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("is_palindrome", lambda w: len(w) == 1),  # a failure in half A
+        ("phi_inverse_prefix", lambda v, order: Word(v.symbols[::-1])),  # in B
+        ("rle_encode", _raises),  # an exception in half A
+        ("pseudo_inverse", _raises),  # in half B
+    ],
+    ids=["failure-A", "failure-B", "error-A", "error-B"],
+)
+def test_property_suites_leave_no_child(name, value, monkeypatch):
+    monkeypatch.setattr(verify, name, value)
+    if value is _raises:
+        with pytest.raises(RuntimeError, match="^suite crashed$"):
+            verify.check_property_suites(0)
+    else:
+        assert not verify.check_property_suites(0).passed
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_all_on_a_pipe_prints_each_line_once():
+    # the forked half must not repeat what the parent had buffered
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    argv = [sys.executable, "-m", "smoothwords.cli", "verify-all", "--seed", "0"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = [line.split()[1] for line in lines if not line.startswith("#")]
+    assert names == [name for name, _ in ALL_CHECKS]
+    assert all(line.startswith(("# ", "PASS ")) for line in lines)
+    assert len(lines) == len(set(lines))
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    code = "import sys, smoothwords.cli; print('multiprocessing' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout == "False\n"

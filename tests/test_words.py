@@ -348,7 +348,7 @@ def _is_identity(sigma):
 
 
 def test_permutation_identity_detectable():
-    assert _is_identity(Permutation.identity(A123))
+    assert _is_identity(Permutation({a: a for a in A123}))
     assert not _is_identity(Permutation.complement(A12))
     perms = _permutations(A123)
     assert len(perms) == 6
