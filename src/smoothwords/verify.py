@@ -309,9 +309,8 @@ def check_permutation_nonclosure(seed: int = 0) -> str:
 
 
 def _all_words(alphabet: Alphabet, max_len: int) -> Iterator[Iterator[Word]]:
-    """Every word of length 1..max_len over the alphabet, shortest first:
-    per length, views of the rows of one array in ``itertools.product``
-    order, each length checked against the alphabet once."""
+    """Per length 1..max_len, the words over the alphabet in
+    ``itertools.product`` order: rows of one array, checked once."""
     for length in range(1, max_len + 1):
         words = itertools.product(alphabet.letters, repeat=length)
         flat = np.fromiter(itertools.chain.from_iterable(words), np.int64)
@@ -421,11 +420,6 @@ def _suite_prefix_monotone() -> None:
         parents = expanded
 
 
-# Criterion 11 runs its suites as two halves of about equal time, in the
-# serial order: A in the calling process, B in a forked child with the one
-# generator of the seed, so both cores work.
-
-
 def _half_a() -> None:
     _suite_palindrome_equivalence()
     _suite_roundtrip_exhaustive()
@@ -452,10 +446,11 @@ def _send_half_b(conn, seed: int) -> None:
 def check_property_suites(seed: int = 0) -> str:
     """Criterion 11: exhaustive and randomized algebraic property suites.
 
-    Half B runs in a forked child while half A runs here, or after A in
-    this process where ``fork`` does not exist.  A failure in A is
-    reported first, as a serial run would; otherwise B's failure or
-    exception is raised here.
+    The suites run in their serial order as two halves of about equal
+    time: B in a forked child, with the seed's one generator, while A runs
+    here, so both cores work; where ``fork`` does not exist, B runs here
+    after A.  A failure in A is reported first, as a serial run would;
+    otherwise B's failure or exception is raised here.
     """
     import multiprocessing  # the CLI imports this module; most commands never fork
 

@@ -335,10 +335,18 @@ def test_property_suites_keep_their_coverage(monkeypatch):
 
         monkeypatch.setattr(verify, name, counted)
     rng = np.random.default_rng(0)
+    exhaustive = [
+        verify._suite_palindrome_equivalence,
+        verify._suite_roundtrip_exhaustive,
+    ]
     suites = [
-        (verify._suite_palindrome_equivalence, (), {"rle_encode": 8190, "is_palindrome": 16758}),
-        (verify._suite_roundtrip_exhaustive, (), {"rle_encode": 32766, "rle_reconstruct": 32766}),
-        (verify._suite_roundtrip_random, (rng,), {"rle_encode": 10**4, "rle_reconstruct": 10**4}),
+        (exhaustive[0], (), {"rle_encode": 8190, "is_palindrome": 16758}),
+        (exhaustive[1], (), {"rle_encode": 32766, "rle_reconstruct": 32766}),
+        (
+            verify._suite_roundtrip_random,
+            (rng,),
+            {"rle_encode": 10**4, "rle_reconstruct": 10**4},
+        ),
         (verify._suite_splitting, (rng,), {"pseudo_inverse": 3000}),
         (verify._suite_length_parity, (rng,), {"pseudo_inverse": 2000}),
         (verify._suite_prefix_monotone, (), {"phi_inverse_prefix": 2046}),
@@ -348,7 +356,7 @@ def test_property_suites_keep_their_coverage(monkeypatch):
         encoded.clear()
         suite(*args)
         assert dict(counts) == expected, suite.__name__
-        if suite in (verify._suite_palindrome_equivalence, verify._suite_roundtrip_exhaustive):
+        if suite in exhaustive:
             assert len(set(encoded)) == len(encoded)  # every word once
     # the one generator is drawn from as the serial suites drew from it
     assert rng.integers(0, 10**9) == 157999910
@@ -397,11 +405,29 @@ def test_property_suites_leave_no_child(name, value, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_property_suites_run_in_process_without_fork(monkeypatch):
+    started = []
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", lambda self: started.append(self)
+    )
+    monkeypatch.setattr(
+        verify, "pseudo_inverse", lambda alpha, u, order: Word(u.symbols[::-1])
+    )
+    result = verify.check_property_suites(0)
+    assert result.detail == (
+        "splitting fails: alpha=5, u=(4, 3, 2, 1, 5, 4, 5), "
+        "v=(1, 2, 3, 1, 3, 2, 1, 1, 1, 2), order=(17, 13, 9, 5)"
+    )
+    assert started == []
+
+
 def test_verify_all_on_a_pipe_prints_each_line_once():
     # the forked half must not repeat what the parent had buffered
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe's stdout is block-buffered
     argv = [sys.executable, "-m", "smoothwords.cli", "verify-all", "--seed", "0"]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
