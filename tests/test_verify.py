@@ -370,9 +370,11 @@ def test_property_suites_pass_with_no_child_left():
 
 
 def test_property_suites_report_the_earlier_failure(monkeypatch):
-    # half A (palindromes) and half B (splitting) both fail
+    # half A (palindromes) and half B (splitting, as 11-splitting) both fail
     monkeypatch.setattr(verify, "is_palindrome", lambda w: len(w) == 1)
-    monkeypatch.setattr(verify, "pseudo_inverse", lambda alpha, u, order: Word(()))
+    monkeypatch.setattr(
+        verify, "pseudo_inverse", lambda alpha, u, order: Word(u.symbols[::-1])
+    )
     result = verify.check_property_suites(0)
     assert (result.passed, result.detail) == (
         False,
