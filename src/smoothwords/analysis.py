@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -33,13 +32,11 @@ from .expansion import (
     pseudo_inverse_with_base,
 )
 from .factors import FactorIndex, PieceSource
-from .kolakoski import KolakoskiStream
 from .words import (
     Alphabet,
     Permutation,
     Word,
     _run_arrays,
-    _split,
     _symbol_bytes,
     format_symbols,
     is_palindrome,
@@ -147,46 +144,26 @@ def frequency_report(
     n = alphabet.size
     rows = []
     for k in ks:
-        total = 0
-        for rank, letter in enumerate(alphabet, 1):
-            c = int(counts[k][rank])
-            total += c
-            ratio = c / k
-            rows.append(
-                FrequencyRow(k, letter, c, ratio, abs(ratio - 1.0 / n))
-            )
-        if total != k:
+        if counts[k][1:].sum() != k:
             raise ValueError("stream contains letters outside the alphabet")
+        for letter, c in zip(alphabet, counts[k][1:].tolist()):
+            rows.append(FrequencyRow(k, letter, c, c / k, abs(c / k - 1.0 / n)))
     return FrequencyReport(alphabet, tuple(ks), rows)
 
 
-def _pieces(stream, m: int) -> Iterator[np.ndarray]:
-    """The stream's next ``m`` letters, fewer if it ends, as integer pieces."""
-    if isinstance(stream, KolakoskiStream):
-        return stream.pieces(m)
-    if isinstance(stream, Word):
-        return _split(stream.to_array()[:m])
-    return iter([np.fromiter(islice(stream, m), dtype=np.int64)])
-
-
 def letter_frequencies(
-    stream: Word | KolakoskiStream | Iterable[int],
-    samples: Sequence[int],
-    alphabet: Alphabet,
+    word: Word, samples: Sequence[int], alphabet: Alphabet
 ) -> FrequencyReport:
-    """Exact letter counts of a stream's prefixes at the sampled lengths.
-
-    A Word or a :class:`KolakoskiStream` is counted in the data plane's
-    pieces of 2¹⁶ letters up to the largest sample, so memory stays flat
-    in the sample size; the stream is read on from its position.  Any
-    other iterable is read into one array first.  The letters' ranks are
-    counted, so the counts take a slot per letter, not per letter value.
-    """
+    """Exact letter counts of a word's prefixes at the sampled lengths:
+    its letters up to the largest sample are read as a :class:`PieceSource`
+    over ``alphabet``, so they are ranked and checked there and counted
+    in pieces of at most 2¹⁶, a slot per letter, not per letter value."""
     ks = _sample_points(samples)
-    ranks = map(alphabet.ranks, _pieces(stream, ks[-1]))
+    arr = word.to_array()[: ks[-1]]
+    ranks = PieceSource(alphabet, lambda: (arr,)).ranks()
     counts, length = letter_counts(ranks, ks, alphabet.size + 1)
     if length < ks[-1]:
-        raise ValueError("stream exhausted before the largest sample")
+        raise ValueError("word shorter than the largest sample")
     return frequency_report(counts, ks, alphabet)
 
 
@@ -229,13 +206,9 @@ def exact_frequency_check(u: Word, v: Word) -> bool:
         raise ValueError("base word blocks must permute the alphabet")
     if len(u) == 0:
         return True
-    expansion = pseudo_inverse_with_base(u, v).to_array()
-    ranks = map(alphabet.ranks, _split(expansion))
-    counts = sum(np.bincount(r, minlength=n + 1) for r in ranks)
-    share, rem = divmod(expansion.size, n)
-    if rem:
-        return False
-    return bool((counts[1:] == share).all())
+    expansion = pseudo_inverse_with_base(u, v)
+    report = letter_frequencies(expansion, [len(expansion)], alphabet)
+    return all(row.count * n == len(expansion) for row in report.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .substitution import (
     iterate_text,
     verify_substitution_fixpoint,
 )
-from .verify import ALL_CHECKS, run_check
 from .words import (
     Alphabet,
     Permutation,
@@ -224,23 +223,13 @@ def _base_spec(args, alphabet: Alphabet) -> BaseSequenceSpec:
     return BaseSequenceSpec(alphabet, period, preperiod)
 
 
-def _admitted(pieces: Iterator[np.ndarray], alphabet: Alphabet) -> Iterator[np.ndarray]:
-    """The pieces of a word file, each checked against the alphabet."""
-    for piece in pieces:
-        if not alphabet.admits(piece):
-            raise ValueError("word contains symbols outside its alphabet")
-        yield piece
-
-
-def _source(args, alphabet: Alphabet) -> PieceSource:
-    """The ``--input`` word, else ``--length`` letters of the fixpoint,
-    read in pieces each time the reports need it."""
+def _source(args, alphabet: Alphabet, needed=lambda m: m) -> PieceSource:
+    """The ``--input`` word, else the first ``needed(--length)`` letters
+    of the fixpoint, read in pieces each time they are needed."""
     if args.input:
         path = args.input
-        return PieceSource(
-            alphabet, lambda: _admitted(data_line_pieces(path), alphabet)
-        )
-    spec, m = _base_spec(args, alphabet), args.length
+        return PieceSource(alphabet, lambda: data_line_pieces(path))
+    spec, m = _base_spec(args, alphabet), needed(args.length)
     if m < 1:
         raise ValueError("m must be positive")
     return PieceSource(alphabet, lambda: kolakoski_stream(spec).pieces(m))
@@ -310,30 +299,31 @@ def cmd_phi_inverse(args) -> int:
     return 0
 
 
+def _sample_list(args) -> list[int]:
+    """The ``--samples`` lengths as given; none without the flag."""
+    try:
+        return [int(s) for s in args.samples.split(",")] if args.samples else []
+    except ValueError:
+        raise _UsageError(f"cannot parse --samples from {args.samples!r}") from None
+
+
 def _samples(args, length: int) -> list[int]:
-    """The ``--samples`` lengths, else the whole length; none past it."""
-    samples = [int(s) for s in args.samples.split(",")] if args.samples else [length]
+    """The ``--samples`` lengths, else the whole length, ascending; all in 1..length."""
+    samples = _sample_list(args) or [length]
     if max(samples) > length:
         raise _UsageError(f"sample {max(samples)} exceeds the length {length}")
-    return samples
-
-
-def _file_frequencies(args, alphabet: Alphabet) -> analysis.FrequencyReport:
-    """``freq --input``: each parsed piece is checked and counted as it comes."""
-    ks = sorted({int(s) for s in args.samples.split(",")}) if args.samples else []
-    ranks = map(alphabet.ranks, _admitted(data_line_pieces(args.input), alphabet))
-    counts, length = analysis.letter_counts(ranks, ks, alphabet.size + 1)
-    return analysis.frequency_report(counts, _samples(args, length), alphabet)
+    return analysis._sample_points(samples)
 
 
 def cmd_freq(args) -> int:
+    if args.tol is not None and not args.tol >= 0:  # NaN passes every check
+        raise _UsageError(f"--tol must be a non-negative number, got {args.tol}")
     alphabet = _alphabet(args)
-    if args.input:
-        report = _file_frequencies(args, alphabet)
-    else:
-        stream = kolakoski_stream(_base_spec(args, alphabet))
-        samples = _samples(args, args.length)
-        report = analysis.letter_frequencies(stream, samples, alphabet)
+    # from the fixpoint, only the letters up to the largest sample
+    source = _source(args, alphabet, lambda m: _samples(args, m)[-1])
+    ks = sorted(set(_sample_list(args)))
+    counts, length = analysis.letter_counts(source.ranks(), ks, alphabet.size + 1)
+    report = analysis.frequency_report(counts, _samples(args, length), alphabet)
     with _sink(args) as out:
         report.to_csv(out)
     if args.tol is not None and report.max_deviation() > args.tol:
@@ -387,10 +377,10 @@ def cmd_closure(args) -> int:
     elif args.op == "perm":
         if not args.map:
             raise _UsageError("--map is required with --op perm")
-        mapping = {}
-        for pair in args.map.split(","):
-            src, _, dst = pair.partition(":")
-            mapping[int(src)] = int(dst)
+        try:
+            mapping = dict(map(int, pair.split(":")) for pair in args.map.split(","))
+        except ValueError:
+            raise _UsageError(f"cannot parse --map from {args.map!r}") from None
         op = Permutation(mapping)
     else:  # pragma: no cover - argparse constrains choices
         raise _UsageError(f"unknown op {args.op}")
@@ -472,6 +462,7 @@ def cmd_subst(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from .verify import ALL_CHECKS, run_check  # no other command compiles them
     failed: dict[str, str] = {}  # the first failing check's name
     lines: list[str | None] = []  # and its lines for --output
     for name, fn in ALL_CHECKS:

@@ -38,6 +38,7 @@ the same answers is kept as a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -66,12 +67,22 @@ class PieceSource:
     """A word over ``alphabet`` that can be read as often as needed.
 
     Each call of ``read()`` yields the word's letters from the first on,
-    as 1-D integer arrays of any sizes, all of them letters of
-    ``alphabet``.
+    as 1-D integer arrays of any sizes.  Readers take them through
+    :meth:`ranks`, which ranks them and checks them against the alphabet.
     """
 
     alphabet: Alphabet
     read: Callable[[], Iterable[np.ndarray]]
+
+    def ranks(self) -> Iterator[np.ndarray]:
+        """A fresh read of the word as letter ranks 1..b, in the smallest
+        unsigned dtype, in pieces of at most 2¹⁶; raises ``ValueError``
+        at the first piece with a letter outside the alphabet."""
+        for piece in self.read():
+            for ranks in map(self.alphabet.ranks, _split(piece)):
+                if not ranks.all():
+                    raise ValueError("word contains symbols outside its alphabet")
+                yield ranks
 
 
 @dataclass(frozen=True)
@@ -172,26 +183,24 @@ class FactorIndex:
     letters (``factors``), its first start in a window (``window``) and
     its maximal gaps (``max_gaps``).
 
-    ``word`` is a Word, an integer array or a :class:`PieceSource`.
-    Letters rank 1..b in the order of the Word's or source's alphabet,
-    else of the array's distinct letters (``letters``), and the word is
-    padded with rank 0, so a position near the end sorts below every
-    factor it is a proper prefix of, in a fine group of its own.
+    ``word`` is a :class:`PieceSource`, a Word (with an alphabet, read as
+    a source over it) or an integer array, whose distinct letters rank
+    1..b (``letters``).  The word is padded with rank 0, so a position
+    near the end sorts below every factor it is a proper prefix of, in a
+    fine group of its own.
     """
 
     def __init__(self, word: Word | np.ndarray | PieceSource, l_max: int):
+        if isinstance(word, Word) and word.alphabet:
+            arr = word.to_array()
+            word = PieceSource(word.alphabet, lambda: (arr,))
         if isinstance(word, PieceSource):
-            alphabet = word.alphabet
-            self._read = word.read
+            letters, self._ranks = np.array(word.alphabet.letters), word.ranks
         else:
             arr = _word_array(word)
-            alphabet = word.alphabet if isinstance(word, Word) else None
-            self._read = lambda: (arr,)
-        if alphabet:
-            letters, self._rank = np.array(alphabet.letters), alphabet.ranks
-        else:
             letters = np.unique(arr)
-            self._rank = _rank_map(letters.astype(np.int64))
+            rank = _rank_map(letters.astype(np.int64))
+            self._ranks = lambda: map(rank, _split(arr))
         if l_max < 1:
             raise ValueError("l_max must be positive")
         self.l_max = l_max
@@ -255,7 +264,7 @@ class FactorIndex:
         carry = self.l_max - 1
         held = np.zeros(0, dtype=self._rank_dtype)  # letters of unkeyed starts
         start = 0
-        for part in self._ranked():
+        for part in chain(self._ranks(), [np.zeros(carry, self._rank_dtype)]):
             held = np.concatenate((held, part))
             m = held.size - carry  # the starts whose letters are all read
             a, b = max(lo - start, 0), min(hi - start, m)
@@ -265,11 +274,6 @@ class FactorIndex:
                 start, held = start + m, held[m:]
             if start >= hi:
                 return
-
-    def _ranked(self) -> Iterator[np.ndarray]:
-        for piece in self._read():
-            yield from map(self._rank, _split(np.asarray(piece)))
-        yield np.zeros(self.l_max - 1, dtype=self._rank_dtype)  # past the end
 
     def _pack(self, ranks: np.ndarray, m: int) -> np.ndarray:
         """The keys of the first ``m`` starts of ``ranks``."""

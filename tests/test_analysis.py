@@ -21,12 +21,12 @@ from smoothwords import (
     gap_stability_check,
     is_well_proportioned_prefix,
     kolakoski_prefix,
-    kolakoski_stream,
     letter_frequencies,
     max_gap_report,
     phi_inverse_palindrome_check,
     recurrence_report,
     rle_encode,
+    write_words,
 )
 from smoothwords.analysis import letter_counts
 from smoothwords.cli import main
@@ -55,11 +55,15 @@ def test_letter_frequencies_degenerate_constant():
     assert report.ratios_at(4)[2] == 1.0
 
 
-def test_letter_frequencies_exhausted_stream():
+def test_letter_frequencies_exhausted_stream(tmp_path, capsys):
     with pytest.raises(ValueError):
         letter_frequencies(Word((2, 4), A24), [3], A24)
-    with pytest.raises(ValueError):
-        letter_frequencies(iter([2, 4]), [3], A24)
+    # a word file is counted to its end before its samples are checked
+    path = tmp_path / "word.txt"
+    path.write_text("2 4\n")
+    argv = ["freq", "--alphabet", "2,4", "--input", str(path), "--samples", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "sample 3 exceeds the length 2\n"
 
 
 def test_letter_frequencies_csv_columns():
@@ -91,14 +95,26 @@ def test_letter_counts_match_prefix_bincounts(sizes, marks):
 @pytest.mark.parametrize(
     "m", [1, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1, 2 * _WRITE_CHUNK + 123]
 )
-def test_letter_frequencies_agree_across_pieces(m):
+def test_letter_frequencies_agree_across_pieces(m, tmp_path, capsys):
     spec = BaseSequenceSpec(A369, (3, 6, 9))
     word = kolakoski_prefix(spec, m)
     P = _WRITE_CHUNK
     samples = [k for k in {1, P - 1, P, P + 1, m - 1, m} if 1 <= k <= m]
-    expected = letter_frequencies(word, samples, A369).rows
-    assert letter_frequencies(kolakoski_stream(spec), samples, A369).rows == expected
-    assert letter_frequencies(iter(word), samples, A369).rows == expected
+    expected = io.StringIO()
+    letter_frequencies(word, samples, A369).to_csv(expected)
+    path = tmp_path / "word.txt"
+    with open(path, "w") as handle:
+        write_words([word], handle)
+    # the cursor and the word's file, read as the CLI reads them
+    sources = [
+        ["--base-period", "3,6,9", "--length", str(m)],
+        ["--alphabet", "3,6,9", "--input", str(path)],
+    ]
+    for source in sources:
+        argv = ["freq", *source, "--samples", ",".join(map(str, sorted(samples)))]
+        assert main(argv) == 0
+        csv = capsys.readouterr().out.splitlines()[1:]
+        assert csv == expected.getvalue().splitlines()
 
 
 def test_frequency_convergence_small_scale():

@@ -233,6 +233,37 @@ def test_freq_sample_beyond_length(capsys):
     assert "exceeds the length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-nan", "-0.5", "-inf"])
+def test_freq_rejects_nan_and_negative_tolerances(tol, capsys):
+    # a NaN tolerance would pass every check, a negative one fail every one
+    argv = ["freq", "--base-period", "1,3", "--length", "100", f"--tol={tol}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("--tol must be a non-negative number")
+
+
+def test_freq_accepts_zero_and_infinite_tolerances(capsys):
+    argv = ["freq", "--base-period", "2,4", "--length", "100", "--tol"]
+    assert main(argv + ["inf"]) == 0
+    assert main(argv + ["0"]) == 0  # (2, 4) is exactly balanced at even lengths
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("samples", ["1,,2", "x", "1.5", "1 2"])
+def test_freq_samples_parse_errors_name_the_flag(samples, capsys):
+    argv = ["freq", "--base-period", "1,2", "--length", "100", "--samples", samples]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"cannot parse --samples from {samples!r}\n"
+
+
+@pytest.mark.parametrize("mapping", ["1:x", "1", "1:2:3", ":2", "1:2,"])
+def test_closure_map_parse_errors_name_the_flag(mapping, capsys):
+    argv = ["closure", "--base-period", "1,2", "--length", "300", "--l-max", "4"]
+    assert main(argv + ["--op", "perm", "--map", mapping]) == 1
+    assert capsys.readouterr().err == f"cannot parse --map from {mapping!r}\n"
+
+
 def test_recur_exit_codes(tmp_path, capsys):
     out = tmp_path / "recur.csv"
     code = main(
@@ -767,6 +798,60 @@ def test_freq_input_errors(tmp_path, capsys):
     word_file.write_text("# nothing\n")
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: samples must be positive\n"
+
+
+@pytest.mark.parametrize("command", ["freq", "recur"])
+def test_input_pieces_are_ranked_once(tmp_path, capsys, monkeypatch, command):
+    # parser spans of 2^18 bytes hold 2^17 one-digit letters, which the
+    # source ranks in two pieces of at most 2^16
+    monkeypatch.setattr(words, "_PARSE_CHUNK", 2**18)
+    word = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 3 * 2**17 + 9)
+    word_file = tmp_path / "word.txt"
+    with open(word_file, "w") as handle:
+        write_words([word], handle)
+    sizes = [p.size for p in words.data_line_pieces(str(word_file))]
+    parts = sum(-(-size // words._WRITE_CHUNK) for size in sizes)
+    assert max(sizes) > words._WRITE_CHUNK
+    ranked = []
+    rank_map = words._rank_map
+
+    def counting(letters):
+        rank = rank_map(letters)
+        return lambda arr: ranked.append(arr.size) or rank(arr)
+
+    monkeypatch.setattr(words, "_rank_map", counting)
+    argv = [command, "--alphabet", "1,2", "--input", str(word_file)]
+    extra = {"freq": [], "recur": ["--l-max", "8"]}[command]
+    assert main(argv + extra) == 0
+    capsys.readouterr()
+    # recur reads the word once, to build its index; freq once, to count
+    assert len(ranked) == parts
+    assert max(ranked) <= words._WRITE_CHUNK
+    assert sum(ranked) == len(word)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["freq"],
+        ["recur", "--l-max", "4"],
+        ["gaps", "--l-max", "4"],
+        ["closure", "--op", "reversal", "--l-max", "4"],
+    ],
+)
+def test_letter_error_comes_before_a_later_parse_error(tmp_path, capsys, argv):
+    # the first piece has a letter outside {1, 2}; a span after it holds
+    # a token that does not parse
+    word_file = tmp_path / "word.txt"
+    word_file.write_text("3 " + "1 2 " * 40_000 + "1 x 2\n")
+    assert words._PARSE_CHUNK < 160_000
+    assert main(argv + ["--alphabet", "1,2", "--input", str(word_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: word contains symbols outside its alphabet\n"
+    word_file.write_text("1 2 " * 40_000 + "1 x 2\n")
+    assert main(argv + ["--alphabet", "1,2", "--input", str(word_file)]) == 1
+    assert capsys.readouterr().err == "error: invalid text in token 'x'\n"
 
 
 # ---------------------------------------------------------------------------

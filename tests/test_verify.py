@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from smoothwords import Word, cli, phi_inverse_prefix, verify
+from smoothwords import Word, phi_inverse_prefix, verify
 from smoothwords.cli import main
 from smoothwords.verify import ALL_CHECKS, CheckResult
 
@@ -261,7 +261,7 @@ def test_verify_all_failure_exit(tmp_path, capsys, monkeypatch):
         ("2-bad", _fixed(CheckResult("2-bad", False, "broken", 0.0, "1 2 1"))),
         ("3-never", never),
     ]
-    monkeypatch.setattr(cli, "ALL_CHECKS", checks)
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
     out_file = tmp_path / "failure.txt"
     assert main(["verify-all", "--seed", "5", "--output", str(out_file)]) == 2
     lines = capsys.readouterr().out.splitlines()
@@ -279,13 +279,13 @@ def test_verify_all_output_written_on_every_run(tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "verdict.txt"
     argv = ["verify-all", "--seed", "5", "--output", str(out_file)]
     bad = CheckResult("7-bad", False, "broken", 0.0, "1 2 1")
-    monkeypatch.setattr(cli, "ALL_CHECKS", [("7-bad", _fixed(bad))])
+    monkeypatch.setattr(verify, "ALL_CHECKS", [("7-bad", _fixed(bad))])
     assert main(argv) == 2
     assert out_file.read_text().splitlines()[0] == (
         "# smoothwords command=verify-all failed=7-bad seed=5"
     )
     good = CheckResult("7-ok", True, "fine", 0.0)
-    monkeypatch.setattr(cli, "ALL_CHECKS", [("7-ok", _fixed(good))])
+    monkeypatch.setattr(verify, "ALL_CHECKS", [("7-ok", _fixed(good))])
     assert main(argv) == 0
     # a passing run replaces the older failure with its bare config line
     assert out_file.read_text() == "# smoothwords command=verify-all seed=5\n"
