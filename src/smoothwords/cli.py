@@ -15,12 +15,14 @@ line, space-separated decimal symbols.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import stat
 import sys
 import tempfile
 from contextlib import contextmanager
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -40,14 +42,12 @@ from .words import (
     Alphabet,
     Permutation,
     Word,
-    derivative,
+    _derived_pieces,
+    _run_pieces,
     data_line_pieces,
     format_symbols,
     parse_symbols,
-    read_data_line,
-    rle_encode,
     write_word_pieces,
-    write_words,
 )
 
 STDOUT_SYMBOL_LIMIT = 10**5
@@ -59,6 +59,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain negative numbers for values; -inf, -nan,
+        # -1e3 and -1,2 are values too, so they reach their flag's own check
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
+
     def error(self, message: str):  # argparse default exits 2; we use 1
         raise _UsageError(f"{self.prog}: {message}")
 
@@ -99,17 +105,31 @@ def _alphabet(args) -> Alphabet:
     return Alphabet(tuple(sorted(set(letters))))
 
 
-def _read_word(args, alphabet: Alphabet | None) -> Word:
+def _word_reader(args, alphabet: Alphabet | None) -> Callable[[], Iterator[np.ndarray]]:
+    """A function that reads the ``--input`` or ``--word`` word afresh in
+    pieces, checked against ``alphabet`` when one is given."""
     if getattr(args, "input", None):
-        # the file is parsed in pieces; only the narrowed symbols are held
-        symbols = read_data_line(args.input)
+        path = args.input
+        read = lambda: data_line_pieces(path)
     elif getattr(args, "word", None):
-        symbols = _symbols(args.word)
+        word = _symbols(args.word).to_array()
+        read = lambda: iter([word])
     else:
         raise _UsageError("provide --word or --input")
-    return Word.from_array(
-        symbols.to_array(), alphabet, is_prefix=getattr(args, "prefix", False)
-    )
+    return read if alphabet is None else lambda: _admitted(read(), alphabet)
+
+
+def _admitted(pieces: Iterable[np.ndarray], alphabet: Alphabet) -> Iterator[np.ndarray]:
+    """The pieces up to the first with a letter outside ``alphabet``.  The
+    rest are still read before that raises, so a later parse error comes
+    first, as when the word is read whole."""
+    admitted = True
+    for piece in pieces:
+        admitted = admitted and alphabet.admits(piece)
+        if admitted:
+            yield piece
+    if not admitted:
+        raise ValueError("word contains symbols outside its alphabet")
 
 
 def _config_line(args, **extra) -> str:
@@ -199,20 +219,30 @@ def _check_stdout(args, size: int) -> None:
         )
 
 
-def _emit_pieces(args, pieces: Iterable[np.ndarray]) -> None:
-    """Write a word given in pieces: streamed to ``--output``; for stdout
-    counted whole first, so the budget fails before the stdout limit, and
-    held only while within that limit."""
+def _emit_pieces(
+    args, *lines: Iterable[np.ndarray], limit: float = STDOUT_SYMBOL_LIMIT, **extra
+) -> None:
+    """Write words given in pieces, one a line, after the config line.
+
+    They are streamed to ``--output``.  Stdout gets nothing until all are
+    read, so a fault found on the way writes nothing; they are held while
+    within ``limit`` symbols in all and counted through past it, so a
+    budget error comes before the stdout limit's.
+    """
     if not getattr(args, "output", None):
         held, size = [], 0
-        for piece in pieces:
-            size += piece.size
-            if size <= STDOUT_SYMBOL_LIMIT:
-                held.append(piece)
-        _check_stdout(args, size)
-        pieces = held
-    with _sink(args) as out:
-        write_word_pieces(pieces, out)
+        for pieces in lines:
+            held.append([])
+            for piece in pieces:
+                size += piece.size
+                if size <= limit:
+                    held[-1].append(piece)
+        if size > limit:
+            _check_stdout(args, size)
+        lines = held
+    with _sink(args, **extra) as out:
+        for pieces in lines:
+            write_word_pieces(pieces, out)
 
 
 def _base_spec(args, alphabet: Alphabet) -> BaseSequenceSpec:
@@ -263,11 +293,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    alphabet = _alphabet(args) if args.alphabet else None
-    word = _read_word(args, alphabet)
-    rd = rle_encode(word)
-    with _sink(args, truncated=rd.last_run_truncated) as out:
-        write_words([rd.exponents, rd.bases], out)
+    read = _word_reader(args, _alphabet(args) if args.alphabet else None)
+    # one read for each line; stdout holds the code, as it has no limit here
+    exponents = (lengths for lengths, _ in _run_pieces(read()))
+    bases = (letters for _, letters in _run_pieces(read()))
+    _emit_pieces(args, exponents, bases, limit=math.inf, truncated=args.prefix)
     return 0
 
 
@@ -275,10 +305,8 @@ def cmd_derive(args) -> int:
     if args.times < 0:
         raise _UsageError("--times must be non-negative")
     alphabet = _alphabet(args)
-    word = _read_word(args, alphabet)
-    for _ in range(min(args.times, len(word))):  # each step shortens the word
-        word = derivative(word)
-    _emit_pieces(args, [word.to_array()])
+    read = _word_reader(args, alphabet)
+    _emit_pieces(args, _derived_pieces(read(), alphabet, args.prefix, args.times))
     return 0
 
 

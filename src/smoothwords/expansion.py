@@ -72,10 +72,9 @@ class CyclicOrder:
 
     @cached_property
     def cycle(self) -> np.ndarray:
-        """The arrangement as a read-only int64 array, built once."""
-        # int64, not the letters' smallest dtype: byte-sized chain letters
-        # made the chain expander's repeat, cumsum and sum 10-30 % slower
-        cycle = np.array(self.arrangement, dtype=np.int64)
+        """The arrangement as a read-only array in the alphabet's dtype
+        (one byte a letter up to 255), built once."""
+        cycle = np.array(self.arrangement, dtype=self.alphabet.dtype)
         cycle.setflags(write=False)
         return cycle
 
@@ -167,7 +166,11 @@ _CHUNK = 1 << 14
 def _expand_chunks(
     cycle: np.ndarray, start: int, exponent_chunks: Iterable[np.ndarray]
 ) -> Iterator[np.ndarray]:
-    """Runs ``cycle[start]^e1 cycle[start+1]^e2 ...`` (indices wrap) in chunks."""
+    """Runs ``cycle[start]^e1 cycle[start+1]^e2 ...`` (indices wrap) in chunks.
+
+    The chunks hold letters in the cycle's dtype, and nothing wider than
+    the letters is kept while a chunk is out.
+    """
     ring = None  # the cycle repeated; later chunks' bases are one slice of it
     for exps in exponent_chunks:
         if ring is None:  # most calls expand one chunk: index the cycle
@@ -178,20 +181,38 @@ def _expand_chunks(
                 ring = np.tile(cycle, exps.size // cycle.size + 2)
             bases = ring[start : start + exps.size]
         start = (start + exps.size) % cycle.size
-        if exps.sum() <= _CHUNK:
-            yield bases.repeat(exps)
+        top = int(exps.max(initial=0))
+        if exps.size * top <= 2 * _CHUNK:
+            # one repeat and no running sum; two chunks are views of it
+            out = bases.repeat(exps)
+            if out.size > _CHUNK:
+                yield out[:_CHUNK]
+                out = out[_CHUNK:]
+            yield out
             continue
-        # int64: a uint8 chunk's cumsum is uint64, which searchsorted(lo) converts whole
-        ends = exps.cumsum(dtype=np.int64)
-        total = int(ends[-1])
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            # runs i..j overlap the output slice [lo, hi); clip the outer two
-            i, j = ends.searchsorted(lo, "right"), ends.searchsorted(hi)
-            counts = exps[i : j + 1].copy()
-            counts[0] -= lo - (ends[i] - exps[i])
-            counts[-1] -= ends[j] - hi
-            yield bases[i : j + 1].repeat(counts)
+        # parts whose running sums fit in intp, as letters and exponents may
+        # come near 2^63; a chunk of 2^14 letters below 2^48 is one part
+        step = exps.size if exps.size * top < 1 << 62 else (1 << 62) // top
+        for at in range(0, exps.size, step):
+            yield from _cut(bases[at : at + step], exps[at : at + step])
+
+
+def _cut(bases: np.ndarray, exps: np.ndarray) -> Iterator[np.ndarray]:
+    """``bases`` repeated ``exps`` times, in chunks of _CHUNK letters."""
+    ends = exps.cumsum(dtype=np.intp)
+    total = int(ends[-1])
+    # kept in the narrowest dtype of its total, and searched with keys of
+    # that dtype: a mixed-dtype search converts the whole array
+    ends = ends.astype(np.min_scalar_type(total))
+    key = ends.dtype.type
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        # runs i..j overlap the output slice [lo, hi); clip the outer two
+        i, j = ends.searchsorted(key(lo), "right"), ends.searchsorted(key(hi))
+        counts = exps[i : j + 1].copy()
+        counts[0] -= lo - int(ends[i]) + int(exps[i])
+        counts[-1] -= int(ends[j]) - hi
+        yield bases[i : j + 1].repeat(counts)
 
 
 def _chain_chunks(

@@ -83,6 +83,7 @@ class PieceSource:
                 if not ranks.all():
                     raise ValueError("word contains symbols outside its alphabet")
                 yield ranks
+            del piece  # the next piece is read without this one
 
 
 @dataclass(frozen=True)
@@ -309,6 +310,7 @@ class FactorIndex:
         by piece, from a fresh read of the word."""
         for start, keys in self._key_pieces(lo, hi):
             yield start, np.searchsorted(self._keys, keys)
+            del keys  # the next piece's keys are packed without these
 
     def groups(self, length: int) -> FactorGroups:
         """Occurrence statistics per distinct factor of one length."""
@@ -383,6 +385,7 @@ class FactorIndex:
             cached = np.full(self._keys.size, self._n, dtype=np.int64)
             for start, fine in self._fine_pieces(lo, hi):
                 np.minimum.at(cached, fine, np.arange(start, start + fine.size))
+                del fine  # the next piece is read without it
             self._from_cache = {(lo, hi): cached}  # windows of one scan share it
         return cached
 
@@ -422,6 +425,7 @@ class FactorIndex:
                     ids = table[fine[: max(self.starts(L) - start, 0)]]
                     if ids.size:
                         _fold_gaps(ids, start, half - L + 1, last, gap, gap_half)
+                del fine, ids  # the next piece is read without them
             self._gap_cache = {L: s[2:] for L, s in enumerate(state, 1)}
         return self._gap_cache[length]
 

@@ -115,10 +115,7 @@ class KolakoskiStream:
             run = letter if j == len(lengths) else lengths[j]
             lengths.extend([letter] * min(run, head))
         self._peaks: list[int] = []
-        # the smallest unsigned dtype of the letters, int64 from 2^32 on, as
-        # numpy repeats no uint64 counts; letters past int64 raise OverflowError
-        largest = np.int64(spec.alphabet.largest)
-        dtype = np.min_scalar_type(largest) if largest < 1 << 32 else np.int64
+        dtype = spec.alphabet.dtype
         head_runs = (np.array(lengths[:head], dtype),)
         period = np.array(spec.period, dtype)
         # the levels hold no reference to the cursor, so dropping it frees

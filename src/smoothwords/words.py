@@ -96,6 +96,14 @@ class Alphabet:
         return tuple((x - r) // n for x in self.letters)
 
     @cached_property
+    def dtype(self) -> np.dtype:
+        """The smallest unsigned dtype of the letters, int64 from 2³² on,
+        as numpy repeats no uint64 counts; letters past int64 raise
+        ``OverflowError``."""
+        largest = np.int64(self.largest)
+        return np.min_scalar_type(largest) if largest < 1 << 32 else np.dtype(np.int64)
+
+    @cached_property
     def ranks(self) -> Callable[[np.ndarray], np.ndarray]:
         """Map of an integer array to each entry's rank among the letters:
         1 for ``a_1`` up to n for ``a_n``, 0 for an entry that is no letter."""
@@ -377,25 +385,122 @@ def derivative(w: Word) -> Word:
     """
     if w.alphabet is None:
         raise ValueError("derivative needs a word with an alphabet")
-    a_n = w.alphabet.largest
-    lengths, _ = _run_arrays(w.to_array())
-    if w.is_prefix and lengths.size:
-        lengths = lengths[:-1]
-    if lengths.size == 0:
-        return Word((), w.alphabet)
-    if int(lengths.max()) > a_n:
-        raise NotDifferentiable(f"run longer than a_n={a_n}")
-    interior = lengths[1:-1]
-    if not w.alphabet.admits(interior):
-        raise NotDifferentiable("interior run length outside the alphabet")
-    lo = 1 if lengths[0] < a_n else 0
-    hi = lengths.size - 1 if lengths[-1] < a_n else lengths.size
-    if lengths.size == 1:
-        # the single run is both first and last
-        trimmed = lengths if lengths[0] == a_n else lengths[:0]
-    else:
-        trimmed = lengths[lo:hi] if lo <= hi else lengths[:0]
-    return Word.from_array(trimmed, w.alphabet, validate=False)
+    step = _Derivative(w.alphabet, w.is_prefix)
+    flat = np.concatenate((step.feed(w.to_array()), step.close()))
+    return Word.from_array(flat, w.alphabet, validate=False)
+
+
+class _Runs:
+    """Run-length coding of a word fed in pieces: ``feed`` gives the
+    (lengths, letters) of the runs that a piece closes, and the open last
+    run waits for the next piece or for ``close``."""
+
+    def __init__(self) -> None:
+        self._open = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))
+
+    def feed(self, piece: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not piece.size:
+            return self._open[0][:0], self._open[1][:0]
+        lengths, letters = _run_arrays(piece)
+        length, letter = self._open
+        if length.size and letter[0] == letters[0]:
+            lengths[0] += length[0]
+        elif length.size:
+            lengths = np.concatenate((length, lengths))
+            letters = np.concatenate((letter, letters))
+        self._open = lengths[-1:].copy(), letters[-1:].copy()
+        return lengths[:-1], letters[:-1]
+
+    def close(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._open
+
+
+def _run_pieces(
+    pieces: Iterable[np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(lengths, letters) of the maximal runs of a word given in pieces,
+    in pieces: the runs each piece closes, then the last run."""
+    runs = _Runs()
+    for piece in pieces:
+        yield runs.feed(piece)
+    yield runs.close()
+
+
+class _Derivative:
+    """One derivative of a word fed in pieces: ``feed`` gives the letters
+    that a piece settles, ``close`` the rest.
+
+    A fault stops the letters but not the checks, and is raised by
+    ``close``: a run longer than ``a_n`` anywhere is reported before an
+    interior run outside the alphabet, and a fault found while the word
+    is still being read waits until it has all been read.
+    """
+
+    def __init__(self, alphabet: Alphabet, is_prefix: bool) -> None:
+        self.alphabet, self.is_prefix = alphabet, is_prefix
+        self._runs = _Runs()
+        self._last = np.zeros(0, dtype=np.intp)  # an edge unless a run follows
+        self._first = True  # the next settled run is the first edge
+        self._fault: str | None = None
+
+    def feed(self, piece: np.ndarray) -> np.ndarray:
+        return self._settle(self._runs.feed(piece)[0])
+
+    def close(self) -> np.ndarray:
+        final = self._runs.close()[0]
+        # a prefix's final run may go on past it: its length is unknown
+        out = self._settle(final[:0] if self.is_prefix else final)
+        if self._fault:
+            raise NotDifferentiable(self._fault)
+        a_n = self.alphabet.largest
+        return np.concatenate((out, self._last[self._last == a_n]))
+
+    def _settle(self, lengths: np.ndarray) -> np.ndarray:
+        a_n = self.alphabet.largest
+        if lengths.size and lengths.max() > a_n:  # reported before any other
+            self._fault = f"run longer than a_n={a_n}"
+        if self._fault:
+            return lengths[:0]
+        runs = np.concatenate((self._last, lengths))
+        runs, self._last = runs[:-1], runs[-1:]
+        edge = runs[:0]
+        if self._first and runs.size:
+            self._first = False
+            edge, runs = runs[:1][runs[:1] == a_n], runs[1:]
+        if not self.alphabet.admits(runs):
+            self._fault = "interior run length outside the alphabet"
+            return lengths[:0]
+        return np.concatenate((edge, runs))
+
+
+def _derived_pieces(
+    pieces: Iterable[np.ndarray], alphabet: Alphabet, is_prefix: bool, times: int
+) -> Iterator[np.ndarray]:
+    """The ``times``-th derivative of a word given in pieces, in pieces.
+
+    The derivatives are stages that each piece passes through in turn,
+    not nested generators, so ``times`` meets no recursion limit.  A
+    stage starts when letters first reach it; each shortens a nonempty
+    word, so no more stages start than the word has letters.  Faults
+    surface in the order of :func:`derivative` applied ``times`` times:
+    an earlier stage's first.
+    """
+    stages: list[_Derivative] = []
+
+    def through(piece: np.ndarray, first: int) -> np.ndarray:
+        for k in range(first, times):
+            if not piece.size:
+                break
+            if k == len(stages):
+                stages.append(_Derivative(alphabet, is_prefix and k == 0))
+            piece = stages[k].feed(piece)
+        return piece
+
+    for piece in pieces:
+        yield through(piece, 0)
+    # closing a stage can start the next one, which this loop then reaches
+    for k, stage in enumerate(stages):
+        yield through(stage.close(), k + 1)
 
 
 def differentiability_order(w: Word, k: int) -> bool:
@@ -622,7 +727,7 @@ def _symbol_pieces(handle: BinaryIO, line: bool) -> Iterator[np.ndarray]:
         yield piece
         if last:
             return
-        del buf[:size]
+        del buf[:size], piece  # the next span is parsed without this piece
 
 
 def _join_pieces(pieces: Iterable[np.ndarray]) -> Word:

@@ -16,6 +16,8 @@ from smoothwords import (
     Alphabet,
     BaseSequenceSpec,
     Word,
+    derivative,
+    format_symbols,
     kolakoski_prefix,
     kolakoski_stream,
     letter_frequencies,
@@ -113,20 +115,22 @@ def test_derive_rejects_negative_times(capsys):
 
 
 def test_derive_stops_at_the_empty_word(capsys, monkeypatch):
-    # each derivative shortens a nonempty word, so 4 steps empty 1,2,2,1
-    calls = []
+    # two derivatives empty 1,2,2,1 (1,2,2,1 -> 2 -> empty), so no third
+    # stage starts however large --times is
+    stages = []
 
-    def counted(w):
-        calls.append(len(w))
-        assert len(calls) <= 4, "derive kept differentiating the empty word"
-        return words.derivative(w)
+    class Counted(words._Derivative):
+        def __init__(self, *args):
+            stages.append(args)
+            super().__init__(*args)
 
-    monkeypatch.setattr(cli, "derivative", counted)
+    monkeypatch.setattr(words, "_Derivative", Counted)
     argv = ["derive", "--alphabet", "1,2", "--word", "1,2,2,1"]
     assert main(argv + ["--times", "1000000000"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert _header(out[0])["times"] == "1000000000"
     assert out[1:] == [""]
+    assert len(stages) == 2
 
 
 def test_phi_inverse(capsys):
@@ -241,6 +245,23 @@ def test_freq_rejects_nan_and_negative_tolerances(tol, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("--tol must be a non-negative number")
+
+
+@pytest.mark.parametrize(
+    "flag, err",
+    [
+        (["--tol", "-inf"], "--tol must be a non-negative number, got -inf\n"),
+        (["--tol", "-nan"], "--tol must be a non-negative number, got nan\n"),
+        (["--samples", "-1e3"], "cannot parse --samples from '-1e3'\n"),
+    ],
+)
+def test_values_that_start_with_a_minus_reach_their_flag_check(flag, err, capsys):
+    # argparse alone takes such a value for an option and reports
+    # "expected one argument"
+    argv = ["freq", "--base-period", "1,3", "--length", "100", *flag]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
 
 
 def test_freq_accepts_zero_and_infinite_tolerances(capsys):
@@ -1121,3 +1142,69 @@ def test_output_sink_writes_other_paths_in_place(tmp_path, capsys, monkeypatch):
 )
 def test_word_commands_run_in_flat_memory(argv, limit, tmp_path):
     assert _traced_peak(argv + ["--output", str(tmp_path / "word.txt")]) < limit * 2**20
+
+
+def test_expand_chain_levels_hold_byte_letters(tmp_path):
+    # 40 levels, 1.6e7 letters: each level holds a few chunks of one byte a
+    # letter (int64 chain letters peaked at 8.6 MB here)
+    argv = _expand("1,2", (1, 2) * 20, "1,2")
+    assert _traced_peak(argv + ["--output", str(tmp_path / "word.txt")]) < 2 * 2**20
+
+
+@pytest.mark.parametrize("m", [10**6, 4 * 10**6])
+def test_encode_and_derive_input_run_in_flat_memory(tmp_path, m):
+    # the word's int64 array alone is 8 MB at 10^6 letters and 32 MB at 4*10^6
+    word_file, out = tmp_path / "word.txt", str(tmp_path / "out.txt")
+    assert main(["generate", "--base-period", "1,2", "--length", str(m), "--output", str(word_file)]) == 0
+    read = ["--alphabet", "1,2", "--input", str(word_file), "--output", out]
+    assert _traced_peak(["encode", *read]) < 4 * 2**20
+    with open(out) as handle:
+        _, exponents, bases, end = handle.read().split("\n")
+    word = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), m)
+    rd = rle_encode(word)
+    assert exponents == format_symbols(rd.exponents) and end == ""
+    assert bases == format_symbols(rd.bases)
+    assert _traced_peak(["derive", *read, "--times", "3", "--prefix"]) < 4 * 2**20
+    expected = derivative(derivative(derivative(word)))
+    with open(out) as handle:
+        assert handle.read().split("\n")[1] == format_symbols(expected)
+
+
+@pytest.mark.parametrize(
+    "command, tail, err",
+    [
+        (["encode", "--alphabet", "1,2"], "3", "word contains symbols outside its alphabet"),
+        (["derive", "--alphabet", "1,2", "--times", "2"], "1 1 1", "run longer than a_n=2"),
+    ],
+)
+@pytest.mark.parametrize("existing", [None, b"older file\n"], ids=["new", "existing"])
+def test_late_word_fault_leaves_no_output(
+    command, tail, err, existing, tmp_path, capsys, monkeypatch
+):
+    # the fault sits past the first 2^16 letters, so writing has begun
+    word = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 3 * 10**5)
+    word_file = tmp_path / "word.in"
+    word_file.write_text(format_symbols(word[:200_000]) + f" {tail} 2 2 1\n")
+    written = []
+
+    def spy(pieces, out):
+        def counted():
+            for piece in pieces:
+                written.append(piece.size)
+                yield piece
+
+        words.write_word_pieces(counted(), out)
+
+    monkeypatch.setattr(cli, "write_word_pieces", spy)
+    target = tmp_path / "out.txt"
+    if existing is not None:
+        target.write_bytes(existing)
+    argv = command + ["--input", str(word_file), "--output", str(target)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err}\n")
+    assert sum(written) > 0
+    left = ["word.in"] if existing is None else ["out.txt", "word.in"]
+    assert sorted(os.listdir(tmp_path)) == left
+    if existing is not None:
+        assert target.read_bytes() == existing

@@ -24,7 +24,7 @@ from smoothwords import (
     pseudo_inverse_with_base,
     rle_encode,
 )
-from smoothwords.expansion import _CHUNK
+from smoothwords.expansion import _CHUNK, _chain_chunks
 
 ORDER_243 = CyclicOrder.from_letters((2, 4, 3))
 ORDER_12 = CyclicOrder.from_letters((1, 2))
@@ -91,7 +91,8 @@ def test_chain_empty_is_identity():
 def test_cycle_is_built_once():
     order = CyclicOrder.from_letters((2, 4, 3))
     assert order.cycle is order.cycle
-    assert order.cycle.dtype == np.int64 and not order.cycle.flags.writeable
+    # letters in the alphabet's smallest dtype, as the Kolakoski levels hold them
+    assert order.cycle.dtype == np.uint8 and not order.cycle.flags.writeable
     assert order.cycle.tolist() == [2, 4, 3]
     # chains return int64 words, one chunk or many
     for p in [(2,), (2, 3, 4) * 3]:
@@ -266,6 +267,47 @@ def test_chain_crosses_chunks_and_splits_long_runs():
         assert np.array_equal(got.to_array(), expected)
         streamed = np.fromiter(expand_stream(p, Word(u), order), dtype=np.int64)
         assert np.array_equal(streamed, expected)
+
+
+def test_exponent_sums_past_int64_still_meet_the_budget():
+    # ten exponents of 10^18 - 1 sum past 2^63; the running sums are taken
+    # over parts of the chunk that fit, so letters come until the budget
+    big = 10**18 - 1
+    first = next(_chain_chunks((2,), Word((big,) * 10), ORDER_12))
+    assert first.size == _CHUNK and set(first.tolist()) == {2}
+    with pytest.raises(ExpansionBudgetExceeded):
+        pseudo_inverse_chain((2,), Word((big,) * 10), ORDER_12, budget=10**5)
+    order = CyclicOrder.from_letters((1, big))
+    with pytest.raises(ExpansionBudgetExceeded):
+        pseudo_inverse_chain((1, big), Word((3, 5)), order, budget=10**5)
+
+
+@pytest.mark.parametrize(
+    "arrangement, p, u, dtype",
+    [
+        # two cases per dtype rule, each with a run longer than 2^14
+        ((1, 2), (1, 2) * 9, (2, 3 * _CHUNK + 7, 1), np.uint8),
+        ((2, 1), (1, 2, 2), (_CHUNK + 1, 2), np.uint8),
+        ((1, 300), (300, 1), (20_000, 2), np.uint16),
+        ((300, 1), (1,), (300, 20_000, 7), np.uint16),
+        ((1, 70000), (70000, 1), (1, 2), np.uint32),
+        ((70000, 1), (1,), (70000, 3, 40_000), np.uint32),
+        ((1, 2**33), (1,), (3, 20_000, 5, 1), np.int64),
+        ((2**33, 1), (2**33,), (2, _CHUNK + 3), np.int64),
+    ],
+)
+def test_chain_chunks_match_an_int64_repeat_oracle(arrangement, p, u, dtype):
+    # each chunk holds at most _CHUNK letters in the alphabet's smallest dtype
+    order = CyclicOrder.from_letters(arrangement)
+    assert order.cycle.dtype == dtype
+    chunks = list(_chain_chunks(p, Word(u), order))
+    assert all(c.dtype == dtype and c.size <= _CHUNK for c in chunks)
+    expected = levelwise_chain(p, u, order, 10**8)
+    assert expected.size > _CHUNK
+    assert np.array_equal(np.concatenate(chunks).astype(np.int64), expected)
+    got = pseudo_inverse_chain(p, Word(u), order)
+    assert got.to_array().dtype == np.int64
+    assert np.array_equal(got.to_array(), expected)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=2**40), max_size=40))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from smoothwords import words
 from smoothwords import (
     Alphabet,
+    BaseSequenceSpec,
     InvalidRuns,
     NotDifferentiable,
     Permutation,
@@ -21,6 +22,7 @@ from smoothwords import (
     format_symbols,
     is_palindrome,
     is_smooth_finite,
+    kolakoski_prefix,
     parse_symbols,
     reverse,
     rle_encode,
@@ -288,6 +290,75 @@ def test_strict_shrinking():
         except NotDifferentiable:
             continue
         assert len(d) < len(w)
+
+
+def _naive_derivative(symbols, alphabet, is_prefix):
+    """The derivative by its definition, over a list of letters."""
+    runs = [len(list(group)) for _, group in itertools.groupby(symbols)]
+    runs = runs[:-1] if is_prefix else runs
+    a_n = alphabet.largest
+    if runs and max(runs) > a_n:
+        raise NotDifferentiable(f"run longer than a_n={a_n}")
+    if any(r not in alphabet for r in runs[1:-1]):
+        raise NotDifferentiable("interior run length outside the alphabet")
+    # an edge run stays only at full length a_n
+    return [r for i, r in enumerate(runs) if 0 < i < len(runs) - 1 or r == a_n]
+
+
+def _pieces(symbols, cuts):
+    """``symbols`` as int64 arrays cut at ``cuts``; a repeated cut gives
+    an empty piece."""
+    bounds = [0, *sorted(cuts), len(symbols)]
+    return [np.array(symbols[a:b], dtype=np.int64) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def cut_words(draw):
+    """An alphabet, a word over it (a smooth prefix, perhaps edited once, or
+    random letters) and cuts that split it into pieces."""
+    alphabet = draw(st.sampled_from([A12, A13, A123, Alphabet((2, 3))]))
+    if draw(st.booleans()):
+        spec = BaseSequenceSpec(alphabet, alphabet.letters)
+        symbols = list(kolakoski_prefix(spec, draw(st.integers(1, 400))))
+        at = draw(st.integers(0, len(symbols)))
+        edit = draw(st.sampled_from([None, *alphabet.letters]))
+        if edit is not None:
+            symbols.insert(at, edit)
+    else:
+        symbols = draw(st.lists(st.sampled_from(alphabet.letters), max_size=60))
+    cuts = draw(st.lists(st.integers(0, len(symbols)), max_size=6))
+    return alphabet, symbols, cuts
+
+
+@settings(max_examples=400, deadline=None)
+@given(cut_words(), st.integers(0, 5), st.booleans())
+def test_streamed_derivatives_match_the_definition(case, times, is_prefix):
+    alphabet, symbols, cuts = case
+    expected = symbols
+    try:
+        for k in range(times):
+            expected = _naive_derivative(expected, alphabet, is_prefix and k == 0)
+    except NotDifferentiable as exc:
+        expected = str(exc)
+    pieces = words._derived_pieces(_pieces(symbols, cuts), alphabet, is_prefix, times)
+    try:
+        got = np.concatenate([np.zeros(0, np.int64), *pieces]).tolist()
+    except NotDifferentiable as exc:
+        got = str(exc)
+    assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_words())
+def test_streamed_run_coding_matches_groupby(case):
+    _, symbols, cuts = case
+    runs = list(words._run_pieces(_pieces(symbols, cuts)))
+    assert np.concatenate([r[0] for r in runs]).tolist() == [
+        len(list(group)) for _, group in itertools.groupby(symbols)
+    ]
+    assert np.concatenate([r[1] for r in runs]).tolist() == [
+        letter for letter, _ in itertools.groupby(symbols)
+    ]
 
 
 # ---------------------------------------------------------------------------
