@@ -105,31 +105,16 @@ def _alphabet(args) -> Alphabet:
     return Alphabet(tuple(sorted(set(letters))))
 
 
-def _word_reader(args, alphabet: Alphabet | None) -> Callable[[], Iterator[np.ndarray]]:
+def _word_reader(args) -> Callable[[], Iterator[np.ndarray]]:
     """A function that reads the ``--input`` or ``--word`` word afresh in
-    pieces, checked against ``alphabet`` when one is given."""
+    pieces."""
     if getattr(args, "input", None):
         path = args.input
-        read = lambda: data_line_pieces(path)
-    elif getattr(args, "word", None):
+        return lambda: data_line_pieces(path)
+    if getattr(args, "word", None):
         word = _symbols(args.word).to_array()
-        read = lambda: iter([word])
-    else:
-        raise _UsageError("provide --word or --input")
-    return read if alphabet is None else lambda: _admitted(read(), alphabet)
-
-
-def _admitted(pieces: Iterable[np.ndarray], alphabet: Alphabet) -> Iterator[np.ndarray]:
-    """The pieces up to the first with a letter outside ``alphabet``.  The
-    rest are still read before that raises, so a later parse error comes
-    first, as when the word is read whole."""
-    admitted = True
-    for piece in pieces:
-        admitted = admitted and alphabet.admits(piece)
-        if admitted:
-            yield piece
-    if not admitted:
-        raise ValueError("word contains symbols outside its alphabet")
+        return lambda: iter([word])
+    raise _UsageError("provide --word or --input")
 
 
 def _config_line(args, **extra) -> str:
@@ -293,7 +278,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    read = _word_reader(args, _alphabet(args) if args.alphabet else None)
+    read = _word_reader(args)
+    if args.alphabet:  # checked as ranks, which map back to the letters
+        alphabet = _alphabet(args)
+        ranks, letters = PieceSource(alphabet, read).ranks, np.array((0, *alphabet))
+        read = lambda: map(letters.take, ranks())
     # one read for each line; stdout holds the code, as it has no limit here
     exponents = (lengths for lengths, _ in _run_pieces(read()))
     bases = (letters for _, letters in _run_pieces(read()))
@@ -305,8 +294,9 @@ def cmd_derive(args) -> int:
     if args.times < 0:
         raise _UsageError("--times must be non-negative")
     alphabet = _alphabet(args)
-    read = _word_reader(args, alphabet)
-    _emit_pieces(args, _derived_pieces(read(), alphabet, args.prefix, args.times))
+    # checked as ranks, whose runs are the letters' runs
+    ranks = PieceSource(alphabet, _word_reader(args)).ranks()
+    _emit_pieces(args, _derived_pieces(ranks, alphabet, args.prefix, args.times))
     return 0
 
 

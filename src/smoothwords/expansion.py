@@ -6,8 +6,8 @@ letter ``α`` is ``α^u[1] s(α)^u[2] s²(α)^u[3] ...`` where ``s`` is the
 cyclic successor.  Chaining pseudo-inverses through a control word grows
 exponentially, so every materialising operation takes an output budget
 and fails cleanly past it.  Chains expand level by level in bounded
-chunks, so the streaming expander covers the long-prefix cases with
-memory linear in chain depth.
+chunks, the levels held in one flat list, so a chain of any depth
+expands in memory linear in it, with no call nested per level.
 
 Everything here is pure except :func:`expand_stream`'s returned
 iterator, which is a single-owner cursor.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -71,6 +72,11 @@ class CyclicOrder:
         return len(self.arrangement)
 
     @cached_property
+    def _ring(self) -> np.ndarray:
+        """:attr:`cycle` repeated, for the bases of up to _CHUNK runs."""
+        return np.tile(self.cycle, _CHUNK // self.size + 2)
+
+    @cached_property
     def cycle(self) -> np.ndarray:
         """The arrangement as a read-only array in the alphabet's dtype
         (one byte a letter up to 255), built once."""
@@ -114,12 +120,12 @@ def pseudo_inverse(
     ``u[i]`` times; the output length is the sum of the exponents.
     """
     order.position(alpha)  # validates membership
-    total = int(_check_exponents(u).sum())
-    if total > budget:  # before the chain expander allocates anything
+    exps = _check_exponents(u)
+    if (total := int(exps.sum())) > budget:  # before anything is expanded
         raise ExpansionBudgetExceeded(
             f"expansion of {total} symbols exceeds budget {budget}"
         )
-    return pseudo_inverse_chain((alpha,), u, order, budget=budget)
+    return _joined(_chain_chunks((alpha,), exps, order), order)
 
 
 def pseudo_inverse_chain(
@@ -152,49 +158,89 @@ def pseudo_inverse_with_base(u: Word, v: Word) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# chunked expansion
+# level-by-level expansion
 #
-# A chain level turns a stream of exponent chunks into a stream of letter
-# chunks of at most _CHUNK letters (one run longer than that is split),
-# carrying its position in the cycle of run letters from one chunk to the
-# next.  Memory is one chunk per chain level.  The Kolakoski generator
-# expands its levels with the same function, its cycle being the period.
+# Chains, substitution iterates and self-reading fixpoints are built level
+# by level, each level mapping the chunks of the one below to its own.  One
+# driver runs them over a flat list of level states, so depth meets no
+# recursion limit and memory is one chunk per level.  A chain level turns
+# exponent chunks into chunks of at most _CHUNK letters (a longer run is
+# split), carrying its place in the cycle of run letters from one chunk to
+# the next; the Kolakoski cursor's levels do the same over the period.
 
 _CHUNK = 1 << 14
+_MAX_LEVELS = 128  # mean run length r takes log_r(m/_HEAD) levels for m letters
 
 
-def _expand_chunks(
-    cycle: np.ndarray, start: int, exponent_chunks: Iterable[np.ndarray]
-) -> Iterator[np.ndarray]:
-    """Runs ``cycle[start]^e1 cycle[start+1]^e2 ...`` (indices wrap) in chunks.
+class _Level:
+    """``stage`` maps a chunk of the level below to an iterable of chunks
+    of this one; ``pending`` holds those not yet taken, ``skip`` the
+    letters still to drop from them and ``peak`` the largest taken."""
 
-    The chunks hold letters in the cycle's dtype, and nothing wider than
-    the letters is kept while a chunk is out.
+    __slots__ = ("stage", "pending", "skip", "peak")
+
+    def __init__(self, stage, pending=(), skip=0) -> None:
+        self.stage, self.pending, self.skip, self.peak = stage, iter(pending), skip, 0
+
+
+def _drive(levels: list[_Level], grow=None) -> Iterator[np.ndarray]:
+    """The chunks of ``levels[0]``: a level that runs dry maps the next
+    chunk of the level below.  Past the last level the word ends, unless
+    ``grow(depth)`` adds a level, as a self-reading word does up to
+    _MAX_LEVELS of them."""
+    depth = 0
+    while True:
+        if depth == len(levels):
+            if grow is None:
+                return
+            if depth == _MAX_LEVELS:
+                raise ValueError("the word grows too slowly to read itself")
+            levels.append(grow(depth))
+        level = levels[depth]
+        chunk = next(level.pending, None)
+        if chunk is None:
+            depth += 1
+            continue
+        if level.skip:
+            chunk, level.skip = chunk[level.skip :], max(level.skip - chunk.size, 0)
+        if chunk.size > level.peak:
+            level.peak = chunk.size
+        if not depth:
+            yield chunk
+            continue
+        depth -= 1
+        levels[depth].pending = iter(levels[depth].stage(chunk))
+
+
+def _expansion(ring: np.ndarray, size: int, start: int):
+    """A chain level's stage: an exponent chunk to the runs ``c[start]^e1
+    c[start+1]^e2 ...`` (indices wrap) of the cycle ``c = ring[:size]``,
+    in chunks of its dtype; ``start`` carries on to the next chunk.
+
+    ``ring`` repeats the cycle, so a chunk's bases are one slice of it;
+    a chunk too long for it gets a longer one.
     """
-    ring = None  # the cycle repeated; later chunks' bases are one slice of it
-    for exps in exponent_chunks:
-        if ring is None:  # most calls expand one chunk: index the cycle
-            bases = cycle.take(np.arange(start, start + exps.size) % cycle.size)
-            ring = cycle
-        else:
-            if start + exps.size > ring.size:
-                ring = np.tile(cycle, exps.size // cycle.size + 2)
-            bases = ring[start : start + exps.size]
-        start = (start + exps.size) % cycle.size
+
+    def stage(exps: np.ndarray) -> Iterable[np.ndarray]:
+        nonlocal ring, start
+        if start + exps.size > ring.size:
+            ring = np.tile(ring[:size], exps.size // size + 2)
+        bases = ring[start : start + exps.size]
+        start = (start + exps.size) % size
         top = int(exps.max(initial=0))
         if exps.size * top <= 2 * _CHUNK:
             # one repeat and no running sum; two chunks are views of it
             out = bases.repeat(exps)
-            if out.size > _CHUNK:
-                yield out[:_CHUNK]
-                out = out[_CHUNK:]
-            yield out
-            continue
+            return (out,) if out.size <= _CHUNK else (out[:_CHUNK], out[_CHUNK:])
         # parts whose running sums fit in intp, as letters and exponents may
         # come near 2^63; a chunk of 2^14 letters below 2^48 is one part
         step = exps.size if exps.size * top < 1 << 62 else (1 << 62) // top
-        for at in range(0, exps.size, step):
-            yield from _cut(bases[at : at + step], exps[at : at + step])
+        parts = range(0, exps.size, step)
+        return chain.from_iterable(
+            _cut(bases[i : i + step], exps[i : i + step]) for i in parts
+        )
+
+    return stage
 
 
 def _cut(bases: np.ndarray, exps: np.ndarray) -> Iterator[np.ndarray]:
@@ -216,23 +262,25 @@ def _cut(bases: np.ndarray, exps: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _chain_chunks(
-    p: tuple[int, ...], u: Word, order: CyclicOrder
+    p: tuple[int, ...], exps: np.ndarray, order: CyclicOrder
 ) -> Iterator[np.ndarray]:
-    chunks: Iterator[np.ndarray] = iter((_check_exponents(u),))
+    """``chain(p, u)`` in chunks, ``u`` given as its checked exponents."""
+    levels = [_Level(None, (exps,))]
+    ring, size = order._ring, order.size
     for alpha in reversed(p):
-        chunks = _expand_chunks(order.cycle, order.position(alpha), chunks)
-    return chunks
+        levels.append(_Level(_expansion(ring, size, order.position(alpha))))
+    levels.reverse()
+    return _drive(levels)
 
 
 def _chain_pieces(
-    p: tuple[int, ...], u: Word, order: CyclicOrder, budget: int
+    p: tuple[int, ...], u: Word | np.ndarray, order: CyclicOrder, budget: int
 ) -> Iterator[np.ndarray]:
     """The letters of ``chain(p, u)`` in chunks, ``u`` whole if ``p`` is
     empty.  The arguments are checked on the call, the budget as chunks
     arrive: the chunk that passes it raises instead."""
-    if not p:
-        return iter((_check_exponents(u),))
-    return _budgeted(_chain_chunks(p, u, order), budget)
+    exps = _check_exponents(u)
+    return _budgeted(_chain_chunks(p, exps, order), budget) if p else iter((exps,))
 
 
 def _joined(chunks: Iterable[np.ndarray], order: CyclicOrder) -> Word:
@@ -262,7 +310,7 @@ def expand_stream(
     and one cyclic-order position per chain level.  The iterator is a
     single-owner cursor: do not share it between threads mid-iteration.
     """
-    for chunk in _chain_chunks(tuple(p), u, order):
+    for chunk in _chain_chunks(tuple(p), _check_exponents(u), order):
         yield from chunk.tolist()
 
 
@@ -294,8 +342,7 @@ def _phi_inverse_pieces(
     arr = u.to_array()
     if not order.alphabet.admits(arr):
         raise ValueError("directive word has letters outside the cyclic order")
-    last = Word.from_array(arr[-1:], order.alphabet, validate=False)
-    return _chain_pieces(tuple(arr[:-1].tolist()), last, order, budget)
+    return _chain_pieces(tuple(arr[:-1].tolist()), arr[-1:], order, budget)
 
 
 def phi_prefix(w: Word, order: CyclicOrder, m: int) -> Word:

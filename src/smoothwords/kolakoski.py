@@ -9,8 +9,9 @@ letter of run j is at position j in that case), which also seeds
 ``w[1] = u_1``.  Past the head the generator reads the run lengths from
 an independent copy of itself (J. Nilsson, J. Integer Sequences 15,
 2012), so its memory grows with the logarithm of the letters generated.
-The same level engine streams the fixpoints of the block substitutions:
-there each level emits the rule images of a deeper copy's symbols.
+The level driver of :mod:`.expansion` runs these copies as a flat list
+of levels; it streams the fixpoints of the block substitutions the same
+way, each level emitting the rule images of a deeper copy's symbols.
 
 Base sequences are restricted to the eventually periodic ones
 (preperiod + period), which covers every word exercised here.
@@ -19,13 +20,11 @@ Base sequences are restricted to the eventually periodic ones
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .expansion import _expand_chunks
+from .expansion import _CHUNK, _drive, _expansion, _Level
 from .words import _WRITE_CHUNK, Alphabet, Word, _run_arrays
 
 __all__ = [
@@ -84,7 +83,6 @@ class BaseSequenceSpec:
 # preperiod).  Past run 2 a run starts after the letter holding its length,
 # so a copy skipped to the head never reads ahead; a longer head saves levels.
 _HEAD = 64
-_MAX_LEVELS = 128  # levels nest frames; mean run length r needs log_r(m/_HEAD)
 
 
 class KolakoskiStream:
@@ -92,14 +90,14 @@ class KolakoskiStream:
 
     Each level emits its first ``H`` runs from a self-reading loop and
     every later run over the period, with lengths read from the next
-    level: a copy of the word skipped to letter ``H``.  Levels start when
-    first read, so ``m`` letters with mean run length r take about
-    log_r(m/H) levels of one chunk (at most ``expansion._CHUNK`` letters)
-    each.  ``levels`` counts them; ``peak_buffered`` sums each level's
-    largest chunk.  Chunks hold letters in the smallest unsigned dtype of
-    the alphabet's largest letter (uint8 up to 255, one byte a letter;
-    int64 from 2³² on); ``take`` returns int64 Words.  Single-owner
-    mutable state: one thread at a time.
+    level: a copy of the word skipped to letter ``H``.  The level driver
+    adds levels as they are first read, so ``m`` letters with mean run
+    length r take about log_r(m/H) levels of one chunk (at most _CHUNK
+    letters) each, up to _MAX_LEVELS.  ``levels`` counts them;
+    ``peak_buffered`` sums each level's largest chunk.  Chunks hold
+    letters in the smallest unsigned dtype of the alphabet's largest
+    letter (uint8 up to 255; int64 from 2³² on); ``take`` returns int64
+    Words.  Single-owner mutable state: one thread at a time.
     """
 
     def __init__(self, spec: BaseSequenceSpec) -> None:
@@ -114,39 +112,38 @@ class KolakoskiStream:
             # capping a run at ``head`` letters keeps lengths[:head] exact
             run = letter if j == len(lengths) else lengths[j]
             lengths.extend([letter] * min(run, head))
-        self._peaks: list[int] = []
         dtype = spec.alphabet.dtype
-        head_runs = (np.array(lengths[:head], dtype),)
-        period = np.array(spec.period, dtype)
+        bases, runs = np.array(bases, dtype), np.array(lengths[:head], dtype)
+        size = len(spec.period)
+        period = np.tile(np.array(spec.period, dtype), _CHUNK // size + 2)
+        start = (head - len(spec.preperiod)) % size
+
+        def grow(depth: int) -> _Level:
+            # a fresh head, as a head run may be long; each level below the
+            # top skips the ``head`` letters the head runs' lengths came from
+            heads = _expansion(bases, head, 0)(runs)
+            return _Level(_expansion(period, size, start), heads, head if depth else 0)
+
         # the levels hold no reference to the cursor, so dropping it frees
         # their chunks at once instead of at the next cycle collection
-        self._chunks = _level(
-            partial(_expand_chunks, np.array(bases, dtype), 0, head_runs),
-            partial(_expand_chunks, period, (head - len(spec.preperiod)) % period.size),
-            head,
-            0,
-            self._peaks,
-        )
+        self._levels: list[_Level] = []
+        self._chunks = _drive(self._levels, grow)
         self._pending = np.empty(0, dtype)
 
     @property
     def levels(self) -> int:
-        return len(self._peaks)
+        return len(self._levels)
 
     @property
     def peak_buffered(self) -> int:
-        return sum(self._peaks)
+        return sum(level.peak for level in self._levels)
 
     def take(self, m: int) -> Word:
         """The next ``m`` letters; prefix-marked when they start the word."""
         if m < 1:
             raise ValueError("m must be positive")
         is_prefix = self.position == 0
-        out = np.empty(m, dtype=np.int64)
-        filled = 0
-        for piece in self._advance(m):
-            out[filled : filled + piece.size] = piece
-            filled += piece.size
+        out = np.concatenate(list(self._advance(m)), dtype=np.int64)
         return Word.from_array(
             out, self.spec.alphabet, is_prefix=is_prefix, validate=False
         )
@@ -173,28 +170,6 @@ class KolakoskiStream:
             piece, self._pending = self._pending[:m], self._pending[m:]
             m -= piece.size
             yield piece
-
-
-def _level(
-    head: Callable, expand: Callable, reads: int, skip: int, peaks: list[int]
-) -> Iterator[np.ndarray]:
-    """The word from letter ``skip`` on, in chunks; its largest joins ``peaks``.
-
-    ``head()`` yields the word's first letters, made from its first
-    ``reads`` letters; ``expand`` maps a deeper copy's chunks, from letter
-    ``reads`` on, to the chunks that follow the head.
-    """
-    depth = len(peaks)
-    if depth == _MAX_LEVELS:
-        raise ValueError("the word grows too slowly to read itself")
-    peaks.append(0)
-    tail = expand(_level(head, expand, reads, reads, peaks))
-    for chunk in chain(head(), tail):
-        if skip:
-            chunk, skip = chunk[skip:], max(skip - chunk.size, 0)
-        if chunk.size:
-            peaks[depth] = max(peaks[depth], chunk.size)
-            yield chunk
 
 
 def kolakoski_stream(spec: BaseSequenceSpec) -> KolakoskiStream:

@@ -17,9 +17,9 @@ Raw subscripts in the general rules are reduced into range modulo n
 (for A-blocks) and modulo n/2 (for B-blocks) at construction time.
 
 A prolongable substitution's fixpoint ``u = σ(u)`` reads itself as the
-Kolakoski word does, so one level engine (``kolakoski._level``) serves
-both fixpoints: the fixpoint check streams the two words side by side
-in bounded chunks instead of building an iterate.
+Kolakoski word does, so the level driver of :mod:`.expansion` serves
+both fixpoints, and the iterates too: the fixpoint check streams the two
+words side by side in bounded chunks instead of building an iterate.
 
 Substitutions are immutable after construction; iteration is pure.
 """
@@ -33,8 +33,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import NotProlongable
-from .expansion import _CHUNK, CyclicOrder
-from .kolakoski import _HEAD, BaseSequenceSpec, KolakoskiStream, _level
+from .expansion import _CHUNK, CyclicOrder, _drive, _Level
+from .kolakoski import _HEAD, BaseSequenceSpec, KolakoskiStream
 from .words import Alphabet, Word, _text_pieces
 
 __all__ = [
@@ -143,37 +143,27 @@ def apply(sub: Substitution, bw: Sequence[str]) -> BlockWord:
 
 def iterate(sub: Substitution, seed: str, t: int) -> BlockWord:
     """Apply the substitution ``t`` times to the single symbol ``seed``."""
-    _check_iterate(sub, seed, t)
-    bw: BlockWord = (seed,)
-    for _ in range(t):
-        bw = apply(sub, bw)
-    return bw
-
-
-def _check_iterate(sub: Substitution, seed: str, t: int) -> None:
-    if seed not in sub.rules:
-        raise ValueError(f"unknown block symbol {seed}")
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    codes = np.concatenate(list(_iterate_codes(sub, seed, t)))
+    return tuple(np.array(sub.symbols)[codes].tolist())
 
 
 def _iterate_codes(sub: Substitution, seed: str, t: int) -> Iterator[np.ndarray]:
     """The symbol codes of :func:`iterate`, level by level in chunks of at
     most _CHUNK symbols, so memory is one chunk per level.  The arguments
     are checked on the call."""
-    _check_iterate(sub, seed, t)
-    chunks: Iterator[np.ndarray] = iter((np.array([sub._code[seed]]),))
-    for _ in range(t):
-        chunks = _images(sub, chunks)
-    return chunks
+    if seed not in sub.rules:
+        raise ValueError(f"unknown block symbol {seed}")
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    levels = [_Level(partial(_images, sub)) for _ in range(t)]
+    return _drive(levels + [_Level(None, (np.array([sub._code[seed]]),))])
 
 
-def _images(sub: Substitution, chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The rule images of code chunks, in pieces of at most _CHUNK symbols."""
+def _images(sub: Substitution, codes: np.ndarray) -> Iterator[np.ndarray]:
+    """The rule images of a code chunk, in pieces of at most _CHUNK symbols."""
     step = max(_CHUNK // sub._images[0].shape[1], 1)
-    for chunk in chunks:
-        for lo in range(0, chunk.size, step):
-            yield _gather(sub._images, chunk[lo : lo + step])
+    for lo in range(0, codes.size, step):
+        yield _gather(sub._images, codes[lo : lo + step])
 
 
 def iterate_text(
@@ -426,8 +416,9 @@ def verify_substitution_fixpoint(
         reads, head = head.size, _gather(sub._images, head)
         if head.size == reads:
             raise ValueError("substitution does not grow from its seed")
-    target = KolakoskiStream(spec)
-    for chunk in _level(lambda: iter((head,)), partial(_images, sub), reads, 0, []):
+    images, target = partial(_images, sub), KolakoskiStream(spec)
+    grow = lambda depth: _Level(images, (head,), reads if depth else 0)
+    for chunk in _drive([], grow):
         # m < 1 leaves no letters, and taking none raises ValueError
         letters = _gather(sub._letters, chunk)[: max(m - target.position, 0)]
         if not np.array_equal(letters, target.take(letters.size).to_array()):

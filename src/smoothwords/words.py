@@ -383,8 +383,6 @@ def derivative(w: Word) -> Word:
     A prefix-marked word first loses its final run unconditionally (its
     true length is unknown), and the result is returned unmarked.
     """
-    if w.alphabet is None:
-        raise ValueError("derivative needs a word with an alphabet")
     step = _Derivative(w.alphabet, w.is_prefix)
     flat = np.concatenate((step.feed(w.to_array()), step.close()))
     return Word.from_array(flat, w.alphabet, validate=False)
@@ -436,7 +434,9 @@ class _Derivative:
     is still being read waits until it has all been read.
     """
 
-    def __init__(self, alphabet: Alphabet, is_prefix: bool) -> None:
+    def __init__(self, alphabet: Alphabet | None, is_prefix: bool) -> None:
+        if alphabet is None:
+            raise ValueError("derivative needs a word with an alphabet")
         self.alphabet, self.is_prefix = alphabet, is_prefix
         self._runs = _Runs()
         self._last = np.zeros(0, dtype=np.intp)  # an edge unless a run follows
@@ -507,14 +507,11 @@ def differentiability_order(w: Word, k: int) -> bool:
     """Whether the derivative stays defined through ``k`` applications."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    cur = w
-    for _ in range(k):
-        if not cur:
-            return True  # the empty word differentiates forever
-        try:
-            cur = derivative(cur)
-        except NotDifferentiable:
-            return False
+    try:  # stages stop at the empty word, which differentiates forever
+        for _ in _derived_pieces((w.to_array(),), w.alphabet, w.is_prefix, k):
+            pass
+    except NotDifferentiable:
+        return False
     return True
 
 

@@ -858,6 +858,8 @@ def test_input_pieces_are_ranked_once(tmp_path, capsys, monkeypatch, command):
         ["recur", "--l-max", "4"],
         ["gaps", "--l-max", "4"],
         ["closure", "--op", "reversal", "--l-max", "4"],
+        ["encode"],
+        ["derive"],
     ],
 )
 def test_letter_error_comes_before_a_later_parse_error(tmp_path, capsys, argv):
@@ -1051,6 +1053,50 @@ def test_expand_empty_chain_checks_its_target(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == "error: exponents must be positive\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("n", [1200, 10**5])
+@pytest.mark.parametrize("flag", ["expand", "phi-inverse"])
+def test_long_unary_chains_expand_to_their_one_letter(flag, n, capsys):
+    # every level of 1^n maps the word 1 to itself; the levels are a flat
+    # list, not nested frames, so their number meets no recursion limit
+    ones = ",".join(["1"] * n)
+    if flag == "expand":
+        argv = ["expand", "--order", "1,2", "--chain", ones, "--target", "1"]
+    else:
+        argv = ["phi-inverse", "--order", "1,2", "--u", ones]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["1"] and captured.err == ""
+
+
+def test_word_builders_run_near_the_recursion_limit(tmp_path):
+    # a child lowers its recursion limit to 40 frames past its depth; one
+    # nested generator per level would pass it on the 40-level chain
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = f"""
+import sys
+from smoothwords import *
+from smoothwords.cli import main
+depth, frame = 0, sys._getframe()
+while frame:
+    depth, frame = depth + 1, frame.f_back
+sys.setrecursionlimit(depth + 40)
+out = {str(tmp_path / "word.txt")!r}
+argv = ["generate", "--base-period", "1,2", "--length", "1000000", "--output", out]
+assert main(argv) == 0
+assert main(["subst", "iterate", "--order", "6,10,14,2", "--t", "8", "--output", out]) == 0
+order = CyclicOrder.from_letters((1, 2))
+assert len(pseudo_inverse_chain((1, 2) * 20, Word((1, 2)), order)) > 10**6
+sub = build_substitution(Alphabet((2, 4)), CyclicOrder.from_letters((2, 4)))
+assert verify_substitution_fixpoint(sub, BaseSequenceSpec(Alphabet((2, 4)), (2, 4)), 10**6)
+print("ok")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_output_sink_is_atomic(tmp_path, capsys, monkeypatch):

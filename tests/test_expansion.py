@@ -273,7 +273,7 @@ def test_exponent_sums_past_int64_still_meet_the_budget():
     # ten exponents of 10^18 - 1 sum past 2^63; the running sums are taken
     # over parts of the chunk that fit, so letters come until the budget
     big = 10**18 - 1
-    first = next(_chain_chunks((2,), Word((big,) * 10), ORDER_12))
+    first = next(_chain_chunks((2,), np.array((big,) * 10), ORDER_12))
     assert first.size == _CHUNK and set(first.tolist()) == {2}
     with pytest.raises(ExpansionBudgetExceeded):
         pseudo_inverse_chain((2,), Word((big,) * 10), ORDER_12, budget=10**5)
@@ -300,7 +300,7 @@ def test_chain_chunks_match_an_int64_repeat_oracle(arrangement, p, u, dtype):
     # each chunk holds at most _CHUNK letters in the alphabet's smallest dtype
     order = CyclicOrder.from_letters(arrangement)
     assert order.cycle.dtype == dtype
-    chunks = list(_chain_chunks(p, Word(u), order))
+    chunks = list(_chain_chunks(p, np.array(u), order))
     assert all(c.dtype == dtype and c.size <= _CHUNK for c in chunks)
     expected = levelwise_chain(p, u, order, 10**8)
     assert expected.size > _CHUNK

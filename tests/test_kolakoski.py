@@ -17,8 +17,8 @@ from smoothwords import (
     rle_encode,
     verify_fixpoint_prefix,
 )
-from smoothwords.expansion import _CHUNK
-from smoothwords.kolakoski import _HEAD, _level
+from smoothwords.expansion import _CHUNK, _MAX_LEVELS, _drive, _Level
+from smoothwords.kolakoski import _HEAD
 from smoothwords.words import _WRITE_CHUNK
 
 A12 = Alphabet((1, 2))
@@ -221,11 +221,14 @@ def test_all_two_and_three_letter_periods_are_fixpoints():
 
 
 def test_slowly_growing_word_stops_at_the_level_cap():
-    # every level adds one letter past the head, so m letters need about
-    # m levels; the engine raises before Python's recursion limit
-    chunks = _level(lambda: iter([np.array([1, 1])]), lambda deeper: deeper, 1, 0, [])
+    # every level passes its deeper copy through and adds one letter past
+    # the head, so m letters need about m levels; the driver stops growing
+    levels = []
+    grow = lambda depth: _Level(lambda chunk: (chunk,), [np.array([1, 1])], min(depth, 1))
+    chunks = _drive(levels, grow)
     with pytest.raises(ValueError, match="grows too slowly"):
         list(itertools.islice(chunks, 2000))
+    assert len(levels) == _MAX_LEVELS
 
 
 @pytest.mark.parametrize(
