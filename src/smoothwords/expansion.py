@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -236,9 +235,7 @@ def _expansion(ring: np.ndarray, size: int, start: int):
         # come near 2^63; a chunk of 2^14 letters below 2^48 is one part
         step = exps.size if exps.size * top < 1 << 62 else (1 << 62) // top
         parts = range(0, exps.size, step)
-        return chain.from_iterable(
-            _cut(bases[i : i + step], exps[i : i + step]) for i in parts
-        )
+        return (c for i in parts for c in _cut(bases[i : i + step], exps[i : i + step]))
 
     return stage
 

@@ -383,6 +383,8 @@ def derivative(w: Word) -> Word:
     A prefix-marked word first loses its final run unconditionally (its
     true length is unknown), and the result is returned unmarked.
     """
+    if w.alphabet is None:
+        raise ValueError("derivative needs a word with an alphabet")
     step = _Derivative(w.alphabet, w.is_prefix)
     flat = np.concatenate((step.feed(w.to_array()), step.close()))
     return Word.from_array(flat, w.alphabet, validate=False)
@@ -434,9 +436,7 @@ class _Derivative:
     is still being read waits until it has all been read.
     """
 
-    def __init__(self, alphabet: Alphabet | None, is_prefix: bool) -> None:
-        if alphabet is None:
-            raise ValueError("derivative needs a word with an alphabet")
+    def __init__(self, alphabet: Alphabet, is_prefix: bool) -> None:
         self.alphabet, self.is_prefix = alphabet, is_prefix
         self._runs = _Runs()
         self._last = np.zeros(0, dtype=np.intp)  # an edge unless a run follows
@@ -507,11 +507,14 @@ def differentiability_order(w: Word, k: int) -> bool:
     """Whether the derivative stays defined through ``k`` applications."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    try:  # stages stop at the empty word, which differentiates forever
-        for _ in _derived_pieces((w.to_array(),), w.alphabet, w.is_prefix, k):
-            pass
-    except NotDifferentiable:
-        return False
+    cur = w
+    for _ in range(k):
+        if not cur:
+            return True  # the empty word differentiates forever
+        try:
+            cur = derivative(cur)
+        except NotDifferentiable:
+            return False
     return True
 
 
@@ -557,7 +560,7 @@ def is_palindrome(w: Word) -> bool:
 # Output formats one piece of at most _WRITE_CHUNK symbols at a time, in any
 # integer dtype, so a word given in pieces (a generator's, one byte a letter
 # up to letter 255) is written without being held.  Input goes through one
-# piece reader, _symbol_pieces, which reads at most _PARSE_CHUNK bytes (64 KiB)
+# piece reader, _symbol_pieces, which reads at most _PARSE_CHUNK bytes (32 KiB)
 # at a time.  In a word file it reads line by line, never past a line's end:
 # it skips blank and "#" lines in bounded parts, holding no line whole, and
 # then parses the first data line only.  Each span it tokenises is the next
@@ -570,8 +573,8 @@ def is_palindrome(w: Word) -> bool:
 
 # text bytes read and tokenised per step; more than the longest valid token
 # (39 bytes), so a span too long to hold a space is one invalid token; a
-# span's temporaries take about 24 bytes per text byte
-_PARSE_CHUNK = 2**16
+# span's temporaries take about 24 bytes per text byte (0.8 MB at 32 KiB)
+_PARSE_CHUNK = 2**15
 _MAX_DIGITS = 18  # every 18-digit number fits in int64
 
 # byte classes of the text format; class 0 marks a byte no token may hold
@@ -746,7 +749,7 @@ def parse_symbols(text: str | bytes) -> Word:
     number of at most 18 ASCII digits with an optional ``+`` or ``-``
     sign, or a run ``b^e`` of two such numbers, which repeats ``b``
     ``e >= 0`` times.  Any other text raises ``ValueError``, and so do
-    runs of more than ``DEFAULT_BUDGET`` symbols within one 64 KiB span
+    runs of more than ``DEFAULT_BUDGET`` symbols within one 32 KiB span
     of the text.
 
     >>> parse_symbols("2^3 4^2 1") == (2, 2, 2, 4, 4, 1)
@@ -760,7 +763,7 @@ def data_line_pieces(path: str) -> Iterator[np.ndarray]:
     """Symbols of a word file's first data line, in pieces of bounded size.
 
     Blank lines and ``#`` comment lines before it are skipped; the file
-    is read in 64 KiB blocks, so neither it nor the line is held whole.
+    is read in 32 KiB blocks, so neither it nor the line is held whole.
     A file without a data line gives no pieces (the empty word).
     """
     with open(path, "rb") as handle:
