@@ -779,8 +779,9 @@ def _freq_csv(argv, capsys):
     return capsys.readouterr().out.splitlines()[1:]
 
 
-# spans of a few bytes, of the default size and of four times that
-@pytest.mark.parametrize("chunk", [64, words._PARSE_CHUNK, 2**18])
+# spans of a few bytes, of the default size, of twice that (the default
+# before spans were halved) and of eight times that
+@pytest.mark.parametrize("chunk", [64, words._PARSE_CHUNK, 2**16, 2**18])
 def test_freq_input_matches_letter_frequencies_at_piece_ends(
     tmp_path, capsys, monkeypatch, chunk
 ):
