@@ -278,14 +278,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    read = _word_reader(args)
-    if args.alphabet:  # checked as ranks, which map back to the letters
-        alphabet = _alphabet(args)
-        ranks, letters = PieceSource(alphabet, read).ranks, np.array((0, *alphabet))
-        read = lambda: map(letters.take, ranks())
+    read, to_letters = _word_reader(args), lambda runs: runs
+    if args.alphabet:  # checked as ranks, whose runs are the letters' runs
+        source = PieceSource(_alphabet(args), read)
+        read, to_letters = source.ranks, np.array((0, *source.alphabet)).take
     # one read for each line; stdout holds the code, as it has no limit here
     exponents = (lengths for lengths, _ in _run_pieces(read()))
-    bases = (letters for _, letters in _run_pieces(read()))
+    bases = (to_letters(runs) for _, runs in _run_pieces(read()))
     _emit_pieces(args, exponents, bases, limit=math.inf, truncated=args.prefix)
     return 0
 
@@ -294,8 +293,11 @@ def cmd_derive(args) -> int:
     if args.times < 0:
         raise _UsageError("--times must be non-negative")
     alphabet = _alphabet(args)
-    # checked as ranks, whose runs are the letters' runs
+    # checked as ranks, whose runs are the letters' runs; with no derivative
+    # to take, the ranks map back to the letters
     ranks = PieceSource(alphabet, _word_reader(args)).ranks()
+    if not args.times:
+        ranks = map(np.array((0, *alphabet)).take, ranks)
     _emit_pieces(args, _derived_pieces(ranks, alphabet, args.prefix, args.times))
     return 0
 

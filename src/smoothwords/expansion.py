@@ -71,11 +71,6 @@ class CyclicOrder:
         return len(self.arrangement)
 
     @cached_property
-    def _ring(self) -> np.ndarray:
-        """:attr:`cycle` repeated, for the bases of up to _CHUNK runs."""
-        return np.tile(self.cycle, _CHUNK // self.size + 2)
-
-    @cached_property
     def cycle(self) -> np.ndarray:
         """The arrangement as a read-only array in the alphabet's dtype
         (one byte a letter up to 255), built once."""
@@ -211,21 +206,23 @@ def _drive(levels: list[_Level], grow=None) -> Iterator[np.ndarray]:
         levels[depth].pending = iter(levels[depth].stage(chunk))
 
 
-def _expansion(ring: np.ndarray, size: int, start: int):
+def _expansion(cycle: np.ndarray, start: int):
     """A chain level's stage: an exponent chunk to the runs ``c[start]^e1
-    c[start+1]^e2 ...`` (indices wrap) of the cycle ``c = ring[:size]``,
-    in chunks of its dtype; ``start`` carries on to the next chunk.
+    c[start+1]^e2 ...`` (indices wrap) of the cycle ``c``, in chunks of its
+    dtype; ``start`` carries on to the next chunk.
 
-    ``ring`` repeats the cycle, so a chunk's bases are one slice of it;
-    a chunk too long for it gets a longer one.
+    A chunk's bases are one slice of a ring that repeats the cycle, tiled
+    when a chunk first needs it and again only for a longer chunk.
     """
+    ring = cycle
 
     def stage(exps: np.ndarray) -> Iterable[np.ndarray]:
         nonlocal ring, start
         if start + exps.size > ring.size:
-            ring = np.tile(ring[:size], exps.size // size + 2)
+            # np.tile's own steps cost more than this for a short ring
+            ring = cycle[None].repeat(exps.size // cycle.size + 2, 0).ravel()
         bases = ring[start : start + exps.size]
-        start = (start + exps.size) % size
+        start = (start + exps.size) % cycle.size
         top = int(exps.max(initial=0))
         if exps.size * top <= 2 * _CHUNK:
             # one repeat and no running sum; two chunks are views of it
@@ -262,11 +259,9 @@ def _chain_chunks(
     p: tuple[int, ...], exps: np.ndarray, order: CyclicOrder
 ) -> Iterator[np.ndarray]:
     """``chain(p, u)`` in chunks, ``u`` given as its checked exponents."""
-    levels = [_Level(None, (exps,))]
-    ring, size = order._ring, order.size
-    for alpha in reversed(p):
-        levels.append(_Level(_expansion(ring, size, order.position(alpha))))
-    levels.reverse()
+    cycle = order.cycle
+    levels = [_Level(_expansion(cycle, order.position(alpha))) for alpha in p]
+    levels.append(_Level(None, (exps,)))
     return _drive(levels)
 
 

@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .expansion import _CHUNK, _drive, _expansion, _Level
+from .expansion import _drive, _expansion, _Level
 from .words import _WRITE_CHUNK, Alphabet, Word, _run_arrays
 
 __all__ = [
@@ -114,15 +114,14 @@ class KolakoskiStream:
             lengths.extend([letter] * min(run, head))
         dtype = spec.alphabet.dtype
         bases, runs = np.array(bases, dtype), np.array(lengths[:head], dtype)
-        size = len(spec.period)
-        period = np.tile(np.array(spec.period, dtype), _CHUNK // size + 2)
-        start = (head - len(spec.preperiod)) % size
+        period = np.array(spec.period, dtype)
+        start = (head - len(spec.preperiod)) % period.size
 
         def grow(depth: int) -> _Level:
             # a fresh head, as a head run may be long; each level below the
             # top skips the ``head`` letters the head runs' lengths came from
-            heads = _expansion(bases, head, 0)(runs)
-            return _Level(_expansion(period, size, start), heads, head if depth else 0)
+            heads = _expansion(bases, 0)(runs)
+            return _Level(_expansion(period, start), heads, head if depth else 0)
 
         # the levels hold no reference to the cursor, so dropping it frees
         # their chunks at once instead of at the next cycle collection

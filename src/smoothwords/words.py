@@ -560,7 +560,7 @@ def is_palindrome(w: Word) -> bool:
 # Output formats one piece of at most _WRITE_CHUNK symbols at a time, in any
 # integer dtype, so a word given in pieces (a generator's, one byte a letter
 # up to letter 255) is written without being held.  Input goes through one
-# piece reader, _symbol_pieces, which reads at most _PARSE_CHUNK bytes (32 KiB)
+# piece reader, _symbol_pieces, which reads at most _PARSE_CHUNK bytes (64 KiB)
 # at a time.  In a word file it reads line by line, never past a line's end:
 # it skips blank and "#" lines in bounded parts, holding no line whole, and
 # then parses the first data line only.  Each span it tokenises is the next
@@ -573,8 +573,8 @@ def is_palindrome(w: Word) -> bool:
 
 # text bytes read and tokenised per step; more than the longest valid token
 # (39 bytes), so a span too long to hold a space is one invalid token; a
-# span's temporaries take about 24 bytes per text byte (0.8 MB at 32 KiB)
-_PARSE_CHUNK = 2**15
+# span's temporaries take about 24 bytes per text byte
+_PARSE_CHUNK = 2**16
 _MAX_DIGITS = 18  # every 18-digit number fits in int64
 
 # byte classes of the text format; class 0 marks a byte no token may hold
@@ -749,7 +749,7 @@ def parse_symbols(text: str | bytes) -> Word:
     number of at most 18 ASCII digits with an optional ``+`` or ``-``
     sign, or a run ``b^e`` of two such numbers, which repeats ``b``
     ``e >= 0`` times.  Any other text raises ``ValueError``, and so do
-    runs of more than ``DEFAULT_BUDGET`` symbols within one 32 KiB span
+    runs of more than ``DEFAULT_BUDGET`` symbols within one 64 KiB span
     of the text.
 
     >>> parse_symbols("2^3 4^2 1") == (2, 2, 2, 4, 4, 1)
@@ -763,7 +763,7 @@ def data_line_pieces(path: str) -> Iterator[np.ndarray]:
     """Symbols of a word file's first data line, in pieces of bounded size.
 
     Blank lines and ``#`` comment lines before it are skipped; the file
-    is read in 32 KiB blocks, so neither it nor the line is held whole.
+    is read in 64 KiB blocks, so neither it nor the line is held whole.
     A file without a data line gives no pieces (the empty word).
     """
     with open(path, "rb") as handle:

@@ -106,6 +106,28 @@ def test_derive(capsys):
     assert out[-1] == "2 2"
 
 
+@pytest.mark.parametrize(
+    "alphabet, word, times, expected",
+    [
+        ("1,3", "1,3,3", "0", "1 3 3"),
+        ("2,4", "2,4,4,2", "0", "2 4 4 2"),
+        ("1,3", "3,3,3,1,3,3,3", "1", "3 1 3"),
+    ],
+)
+def test_derive_over_letters_other_than_their_ranks(
+    capsys, alphabet, word, times, expected
+):
+    # the word is checked as letter ranks; the output holds letters
+    argv = ["derive", "--alphabet", alphabet, "--word", word, "--times", times]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [expected]
+
+
+def test_encode_over_letters_other_than_their_ranks(capsys):
+    assert main(["encode", "--alphabet", "2,4", "--word", "4^3,2,4^2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["3 1 2", "4 2 4"]
+
+
 def test_derive_rejects_negative_times(capsys):
     argv = ["derive", "--alphabet", "1,2", "--word", "1,2,2,1", "--times", "-1"]
     assert main(argv) == 1
@@ -779,9 +801,8 @@ def _freq_csv(argv, capsys):
     return capsys.readouterr().out.splitlines()[1:]
 
 
-# spans of a few bytes, of the default size, of twice that (the default
-# before spans were halved) and of eight times that
-@pytest.mark.parametrize("chunk", [64, words._PARSE_CHUNK, 2**16, 2**18])
+# spans of a few bytes, of the default size and of four times that
+@pytest.mark.parametrize("chunk", [64, words._PARSE_CHUNK, 2**18])
 def test_freq_input_matches_letter_frequencies_at_piece_ends(
     tmp_path, capsys, monkeypatch, chunk
 ):
