@@ -259,9 +259,12 @@ def _chain_chunks(
     p: tuple[int, ...], exps: np.ndarray, order: CyclicOrder
 ) -> Iterator[np.ndarray]:
     """``chain(p, u)`` in chunks, ``u`` given as its checked exponents."""
-    cycle = order.cycle
-    levels = [_Level(_expansion(cycle, order.position(alpha))) for alpha in p]
-    levels.append(_Level(None, (exps,)))
+    # built from the last letter, which expands first, so the first letter
+    # outside the order that is reported is the last one in ``p``
+    levels = [_Level(None, (exps,))]
+    for alpha in reversed(p):
+        levels.append(_Level(_expansion(order.cycle, order.position(alpha))))
+    levels.reverse()
     return _drive(levels)
 
 

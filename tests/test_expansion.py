@@ -99,6 +99,12 @@ def test_cycle_is_built_once():
         assert pseudo_inverse_chain(p, Word((2, 4)), order).to_array().dtype == np.int64
 
 
+def test_chain_reports_its_last_letter_outside_the_order():
+    # the last letter of p expands first, so it is checked first
+    with pytest.raises(ValueError, match="^6 is not in the cyclic order$"):
+        pseudo_inverse_chain((1, 5, 6), Word((1,)), ORDER_12)
+
+
 def test_chain_empty_checks_exponents():
     # the same check as a nonempty chain makes
     for p in [(), (2,)]:
