@@ -247,14 +247,18 @@ class _FactorColumns:
             for f, x, y in zip(letters.tolist(), a, b)
         )
 
-    def _texts(self) -> Iterator[tuple[int, list[str], list, list]]:
-        """Per length: the ``format_symbols`` text of each factor listed,
-        made by one byte-kernel call, and the statistics ``a`` and ``b``."""
+    def _csv(self, out: TextIO, header: str, line: Callable[..., str]) -> None:
+        """Write ``header``, then ``line(length, text, a, b)`` per factor
+        listed: ``text`` is its ``format_symbols`` text, made for each
+        length by one byte-kernel call.  No field needs quoting, so the
+        csv module's lines are built directly."""
+        out.write(header)
         for length, letters, a, b in self._lengths():
             text = _symbol_bytes(letters.reshape(-1))
             # every length-th space ends a factor
             text[np.flatnonzero(text == ord(" "))[length - 1 :: length]] = ord("\n")
-            yield length, text.tobytes().decode("ascii").split("\n")[:-1], a, b
+            texts = text.tobytes().decode("ascii").split("\n")[:-1]
+            out.write("".join([line(length, t, x, y) for t, x, y in zip(texts, a, b)]))
 
 
 @dataclass(frozen=True)
@@ -298,15 +302,13 @@ class RecurrenceReport(_FactorColumns):
         return all((second >= 0).all() for _, _, second in self._columns)
 
     def to_csv(self, out: TextIO) -> None:
-        # no field needs quoting, so the csv module's lines are built directly
-        out.write("L,factor,first,second,recurrent\r\n")
-        for length, texts, first, second in self._texts():
-            out.write("".join([
-                f"{length},{text},{a + 1},{b + 1},1\r\n"
-                if b >= 0
-                else f"{length},{text},{a + 1},,0\r\n"
-                for text, a, b in zip(texts, first, second)
-            ]))
+        self._csv(out, "L,factor,first,second,recurrent\r\n", self._line)
+
+    @staticmethod
+    def _line(length: int, text: str, first: int, second: int) -> str:
+        if second < 0:
+            return f"{length},{text},{first + 1},,0\r\n"
+        return f"{length},{text},{first + 1},{second + 1},1\r\n"
 
 
 def _index(
@@ -375,12 +377,7 @@ class GapReport(_FactorColumns):
         return list(self._rows(GapRow))
 
     def to_csv(self, out: TextIO) -> None:
-        # no field needs quoting, so the csv module's lines are built directly
-        out.write("L,factor,occurrences,max_gap\r\n")
-        for length, texts, count, gap in self._texts():
-            out.write("".join([
-                f"{length},{text},{c},{g}\r\n" for text, c, g in zip(texts, count, gap)
-            ]))
+        self._csv(out, "L,factor,occurrences,max_gap\r\n", "{},{},{},{}\r\n".format)
 
 
 def max_gap_report(

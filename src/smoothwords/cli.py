@@ -107,14 +107,22 @@ def _alphabet(args) -> Alphabet:
 
 def _word_reader(args) -> Callable[[], Iterator[np.ndarray]]:
     """A function that reads the ``--input`` or ``--word`` word afresh in
-    pieces."""
-    if getattr(args, "input", None):
+    pieces; an empty ``--word`` is the empty word."""
+    if args.input:
         path = args.input
         return lambda: data_line_pieces(path)
-    if getattr(args, "word", None):
+    if args.word is not None:
         word = _symbols(args.word).to_array()
         return lambda: iter([word])
     raise _UsageError("provide --word or --input")
+
+
+def _order(args) -> CyclicOrder:
+    """The ``--order`` cycle; a given ``--alphabet`` must hold its letters."""
+    order = CyclicOrder.from_letters(_letters(args.order))
+    if getattr(args, "alphabet", None) and _alphabet(args) != order.alphabet:
+        raise _UsageError("--alphabet disagrees with --order letters")
+    return order
 
 
 def _config_line(args, **extra) -> str:
@@ -303,9 +311,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    order = CyclicOrder.from_letters(_letters(args.order))
-    if args.alphabet and _alphabet(args) != order.alphabet:
-        raise _UsageError("--alphabet disagrees with --order letters")
+    order = _order(args)
     target = _symbols(args.target)
     chain = _letters(args.chain) if args.chain else ()
     _emit_pieces(args, _chain_pieces(chain, target, order, _budget()))
@@ -313,7 +319,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_phi_inverse(args) -> int:
-    order = CyclicOrder.from_letters(_letters(args.order))
+    order = _order(args)
     directive = Word(_symbols(args.u), order.alphabet)
     _emit_pieces(args, _phi_inverse_pieces(directive, order, _budget()))
     return 0
@@ -436,16 +442,9 @@ def _iterate_size(sub, seed: str, t: int, blocks: bool, cap: int) -> int:
     return int(counts.dot(np.array(sizes, dtype=object)))
 
 
-def _built_substitution(args):
-    order = CyclicOrder.from_letters(_letters(args.order))
-    alphabet = order.alphabet
-    if args.alphabet and _alphabet(args) != alphabet:
-        raise _UsageError("--alphabet disagrees with --order letters")
-    return build_substitution(alphabet, order), order
-
-
 def cmd_subst(args) -> int:
-    sub, order = _built_substitution(args)
+    order = _order(args)
+    sub = build_substitution(order.alphabet, order)
     action = args.action
     if action in ("build", "show"):
         with _sink(args, seed=sub.seed) as out:
@@ -455,7 +454,8 @@ def cmd_subst(args) -> int:
             print(sub.rule_table(), file=out)
         return 0
     if action == "iterate":
-        seed, budget = args.seed_symbol or sub.seed, _budget()
+        seed = sub.seed if args.seed_symbol is None else args.seed_symbol
+        budget = _budget()
         size = _iterate_size(sub, seed, args.t, args.blocks, budget)
         if size > budget:
             raise ExpansionBudgetExceeded(f"iterate exceeds budget of {budget} symbols")
@@ -482,11 +482,11 @@ def cmd_subst(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    from .verify import ALL_CHECKS, run_check  # no other command compiles them
+    from .verify import ALL_CHECKS  # no other command compiles them
     failed: dict[str, str] = {}  # the first failing check's name
     lines: list[str | None] = []  # and its lines for --output
     for name, fn in ALL_CHECKS:
-        result = run_check(fn, args.seed)
+        result = fn(args.seed)
         print(result.format_line())
         if not result.passed:
             failed = {"failed": name}

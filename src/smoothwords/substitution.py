@@ -94,8 +94,8 @@ class Substitution:
         if not self.seed:
             self.seed = _find_seed(self.rules)
         # symbol codes, rule images as codes and blocks as letters, in rules order
-        self._code = code = {s: i for i, s in enumerate(self.rules)}
-        self._images = _ragged([[code[s] for s in r] for r in self.rules.values()])
+        self._code = {s: i for i, s in enumerate(self.rules)}
+        self._images = _ragged([_codes(self, r) for r in self.rules.values()])
         self._letters = _ragged([self.blocks[s].expansion for s in self.rules])
 
     @property
@@ -130,33 +130,38 @@ def _find_seed(rules: dict[str, BlockWord]) -> str:
     return ""
 
 
+def _codes(sub: Substitution, bw: Sequence[str]) -> np.ndarray:
+    """The symbol codes of a block word; an unknown name raises ValueError."""
+    try:
+        return np.array([sub._code[sym] for sym in bw], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"unknown block symbol {exc.args[0]}") from None
+
+
+def _names(sub: Substitution, codes: np.ndarray) -> BlockWord:
+    """The block word of symbol codes."""
+    return tuple(np.array(sub.symbols)[codes].tolist())
+
+
 def apply(sub: Substitution, bw: Sequence[str]) -> BlockWord:
     """Homomorphic extension of the rules to block words."""
-    out: list[str] = []
-    for sym in bw:
-        try:
-            out.extend(sub.rules[sym])
-        except KeyError:
-            raise ValueError(f"unknown block symbol {sym}") from None
-    return tuple(out)
+    return _names(sub, _gather(sub._images, _codes(sub, bw)))
 
 
 def iterate(sub: Substitution, seed: str, t: int) -> BlockWord:
     """Apply the substitution ``t`` times to the single symbol ``seed``."""
-    codes = np.concatenate(list(_iterate_codes(sub, seed, t)))
-    return tuple(np.array(sub.symbols)[codes].tolist())
+    return _names(sub, np.concatenate(list(_iterate_codes(sub, seed, t))))
 
 
 def _iterate_codes(sub: Substitution, seed: str, t: int) -> Iterator[np.ndarray]:
     """The symbol codes of :func:`iterate`, level by level in chunks of at
     most _CHUNK symbols, so memory is one chunk per level.  The arguments
     are checked on the call."""
-    if seed not in sub.rules:
-        raise ValueError(f"unknown block symbol {seed}")
+    head = _codes(sub, (seed,))
     if t < 0:
         raise ValueError("t must be non-negative")
     levels = [_Level(partial(_images, sub)) for _ in range(t)]
-    return _drive(levels + [_Level(None, (np.array([sub._code[seed]]),))])
+    return _drive(levels + [_Level(None, (head,))])
 
 
 def _images(sub: Substitution, codes: np.ndarray) -> Iterator[np.ndarray]:
@@ -183,8 +188,8 @@ def iterate_text(
 
 def flatten(sub: Substitution, bw: Sequence[str]) -> Word:
     """Replace each block symbol by its expansion over the alphabet."""
-    codes = np.array([sub._code[sym] for sym in bw], dtype=np.intp)
-    return Word.from_array(_gather(sub._letters, codes), sub.alphabet, validate=False)
+    letters = _gather(sub._letters, _codes(sub, bw))
+    return Word.from_array(letters, sub.alphabet, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +416,7 @@ def verify_substitution_fixpoint(
     seed = sub.seed
     if not seed or sub.rules[seed][0] != seed:
         raise NotProlongable("substitution has no prolongable seed")
-    head = np.array([sub._code[seed]])
+    head = _codes(sub, (seed,))
     while head.size < _HEAD:  # σ^t(seed) = σ(u[:reads]) = u[:head.size]
         reads, head = head.size, _gather(sub._images, head)
         if head.size == reads:

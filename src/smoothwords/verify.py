@@ -5,9 +5,9 @@ backs both the pytest acceptance module and the command-line
 ``verify-all`` run.  Every check body, and every property suite it
 runs, follows one convention: it returns its pass detail, or raises
 ``_Failure`` with the failure detail and a counterexample.  The
-``_check`` decorator names the criterion and turns either outcome into
-the result.  Checks are self-contained and deterministic; the
-randomized property suites take an explicit seed.
+``_check`` decorator names the criterion, times the body and turns
+either outcome into the result.  Checks are self-contained and
+deterministic; the randomized property suites take an explicit seed.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .words import (
     rle_reconstruct,
 )
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_check"]
+__all__ = ["CheckResult", "ALL_CHECKS"]
 
 
 @dataclass
@@ -118,15 +118,18 @@ class _Failure(Exception):
 
 def _check(name: str):
     """Make a check body (seed -> pass detail, or raise ``_Failure``) into
-    the criterion ``name``'s ``seed -> CheckResult`` check."""
+    the criterion ``name``'s ``seed -> CheckResult`` check, which times it."""
 
     def wrap(body: Callable[[int], str]) -> Callable[[int], CheckResult]:
         def check(seed: int = 0) -> CheckResult:
+            start = time.perf_counter()
             try:
-                return CheckResult(name, True, body(seed), 0.0)
+                result = CheckResult(name, True, body(seed), 0.0)
             except _Failure as failure:
                 detail, counterexample = failure.detail, failure.counterexample
-                return CheckResult(name, False, detail, 0.0, counterexample)
+                result = CheckResult(name, False, detail, 0.0, counterexample)
+            result.elapsed = time.perf_counter() - start
+            return result
 
         check.name = name
         return functools.update_wrapper(
@@ -497,10 +500,3 @@ ALL_CHECKS: list[tuple[str, Callable[[int], CheckResult]]] = [
         check_property_suites,
     )
 ]
-
-
-def run_check(fn: Callable[[int], CheckResult], seed: int = 0) -> CheckResult:
-    start = time.perf_counter()
-    result = fn(seed)
-    result.elapsed = time.perf_counter() - start
-    return result

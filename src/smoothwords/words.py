@@ -38,7 +38,6 @@ __all__ = [
     "is_palindrome",
     "parse_symbols",
     "format_symbols",
-    "read_data_line",
     "data_line_pieces",
     "write_words",
     "write_word_pieces",
@@ -86,15 +85,6 @@ class Alphabet:
         r = self.letters[0] % n
         return r if all(x % n == r for x in self.letters) else None
 
-    @property
-    def quotients(self) -> tuple[int, ...] | None:
-        """Per-letter quotients q_i with a_i = n*q_i + r, when r is uniform."""
-        r = self.remainder
-        if r is None:
-            return None
-        n = self.size
-        return tuple((x - r) // n for x in self.letters)
-
     @cached_property
     def dtype(self) -> np.dtype:
         """The smallest unsigned dtype of the letters, int64 from 2³² on,
@@ -119,9 +109,6 @@ class Alphabet:
 
     def __contains__(self, letter: int) -> bool:
         return letter in self.letters
-
-    def index(self, letter: int) -> int:
-        return self.letters.index(letter)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
@@ -383,10 +370,8 @@ def derivative(w: Word) -> Word:
     A prefix-marked word first loses its final run unconditionally (its
     true length is unknown), and the result is returned unmarked.
     """
-    if w.alphabet is None:
-        raise ValueError("derivative needs a word with an alphabet")
-    step = _Derivative(w.alphabet, w.is_prefix)
-    flat = np.concatenate((step.feed(w.to_array()), step.close()))
+    pieces = _derived_pieces(_split(w.to_array()), w.alphabet, w.is_prefix, 1)
+    flat = np.concatenate((np.zeros(0, dtype=np.int64), *pieces))
     return Word.from_array(flat, w.alphabet, validate=False)
 
 
@@ -483,8 +468,11 @@ def _derived_pieces(
     stage starts when letters first reach it; each shortens a nonempty
     word, so no more stages start than the word has letters.  Faults
     surface in the order of :func:`derivative` applied ``times`` times:
-    an earlier stage's first.
+    an earlier stage's first.  A word without an alphabet raises
+    ``ValueError`` when the first piece is asked for.
     """
+    if alphabet is None:
+        raise ValueError("derivative needs a word with an alphabet")
     stages: list[_Derivative] = []
 
     def through(piece: np.ndarray, first: int) -> np.ndarray:
@@ -507,14 +495,13 @@ def differentiability_order(w: Word, k: int) -> bool:
     """Whether the derivative stays defined through ``k`` applications."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    cur = w
-    for _ in range(k):
-        if not cur:
-            return True  # the empty word differentiates forever
-        try:
-            cur = derivative(cur)
-        except NotDifferentiable:
-            return False
+    if not (w and k):
+        return True  # none to take, or the empty word: it differentiates forever
+    try:
+        for _ in _derived_pieces(_split(w.to_array()), w.alphabet, w.is_prefix, k):
+            pass
+    except NotDifferentiable:
+        return False
     return True
 
 
@@ -768,11 +755,6 @@ def data_line_pieces(path: str) -> Iterator[np.ndarray]:
     """
     with open(path, "rb") as handle:
         yield from _symbol_pieces(handle, line=True)
-
-
-def read_data_line(path: str) -> Word:
-    """The first data line of a word file as a Word without an alphabet."""
-    return _join_pieces(data_line_pieces(path))
 
 
 def _symbol_bytes(arr: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines, or
 
 import pytest
 
-from smoothwords.verify import ALL_CHECKS, run_check
+from smoothwords.verify import ALL_CHECKS
 
 _SEED = 0
 
@@ -15,7 +15,7 @@ _SEED = 0
     "name,fn", ALL_CHECKS, ids=[name for name, _ in ALL_CHECKS]
 )
 def test_criterion(name, fn):
-    result = run_check(fn, _SEED)
+    result = fn(_SEED)
     print(result.format_line())
     assert result.name == name
     assert result.passed, result.format_line() + (

@@ -128,6 +128,22 @@ def test_encode_over_letters_other_than_their_ranks(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["3 1 2", "4 2 4"]
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["encode"], ["", ""]),
+        (["encode", "--alphabet", "2,4"], ["", ""]),
+        (["derive", "--alphabet", "1,2"], [""]),
+        (["derive", "--alphabet", "2,4", "--times", "0"], [""]),
+    ],
+)
+def test_an_empty_word_flag_is_the_empty_word(argv, lines, capsys):
+    assert main(argv + ["--word", ""]) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert _header(out[0])["word"] == ""
+    assert out[1:] == lines + [""]
+
+
 def test_derive_rejects_negative_times(capsys):
     argv = ["derive", "--alphabet", "1,2", "--word", "1,2,2,1", "--times", "-1"]
     assert main(argv) == 1
@@ -1009,9 +1025,11 @@ def test_subst_iterate_seed_symbol_streams_its_iterate(capsys):
     argv = ["subst", "iterate", "--order", "6,10,14,2", "--t", "3", "--seed-symbol"]
     assert main(argv + ["B2", "--blocks"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == " ".join(iterate(sub, "B2", 3))
-    assert main(argv + ["Q"]) == 1
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: unknown block symbol Q\n")
+    for bad in ("Q", ""):  # an empty name is a name, not the default seed
+        assert main(argv + [bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown block symbol {bad}\n"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ first.
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -101,3 +102,33 @@ def test_apply_keeps_taking_block_names(letters):
         assert sum(sub.rules[c].count(r) for r in sub.rules) == len(sub.rules[c])
     flat = [a for name in blocks for a in sub.blocks[name].expansion]
     assert set(flat) <= set(order.alphabet.letters)
+
+
+@pytest.mark.parametrize("workload", ["generate", "factor_reports", "expand"])
+def test_every_replay_and_output_check_runs(workload, tmp_path, monkeypatch):
+    # names alone do not show a dropped attribute (``report.rows``,
+    # ``stability.all_stable``, ``sub.blocks``, ...): this makes every
+    # library call of the traced replays and of the output checks at smoke
+    # size, and reads their results as they do
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    names = ("checks", "jobs", "tracing", "workloads")
+    checks, jobs, tracing, workloads = map(importlib.import_module, names)
+    wrap = tracing.Tracer.wrap
+
+    def undone_wrap(tracer, owner, attr, *args):
+        # the replays wrap library functions in spans; the test undoes that
+        if hasattr(owner, attr):
+            monkeypatch.setattr(owner, attr, getattr(owner, attr))
+        wrap(tracer, owner, attr, *args)
+
+    monkeypatch.setattr(tracing.Tracer, "wrap", undone_wrap)
+    outputs = {}
+    for job in workloads.make_jobs(workload, 0, "smoke"):
+        out, spans = tmp_path / f"{job.id}.txt", tmp_path / f"{job.id}.json"
+        argv = [json.dumps(job.to_dict()), str(out), str(spans), json.dumps(outputs)]
+        assert jobs.main(["trace", *argv]) == 0, job.id
+        outputs[job.id] = str(out)
+    ctx = checks.Context(outputs.__getitem__)
+    for job in workloads.make_jobs(workload, 0, "smoke"):
+        assert checks.CHECKS[job.kind](job, outputs[job.id], ctx) is None, job.id
+        assert checks.largest_array_bytes(job, outputs[job.id], ctx) >= 0

@@ -216,8 +216,18 @@ def test_iterate_flatten_displays():
 
 
 def test_apply_rejects_unknown_symbol():
-    with pytest.raises(ValueError):
-        apply(sigma1(), ("A1", "Z9"))
+    # apply, flatten and iterate map names to codes through one checked step
+    sub = sigma1()
+    for bad in ("Z9", "", "a1"):
+        calls = [
+            lambda: apply(sub, ("A1", bad, "Z8")),
+            lambda: flatten(sub, ("B1", bad)),
+            lambda: iterate(sub, bad, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"unknown block symbol {bad}"
 
 
 def test_substitution_validation():
@@ -431,6 +441,27 @@ def test_streamed_verdict_matches_iterate_oracle(family, m):
     reversed_spec = BaseSequenceSpec(sub.alphabet, period[::-1])
     expected = np.array_equal(oracle, kolakoski_prefix(reversed_spec, m).to_array())
     assert verify_substitution_fixpoint(sub, reversed_spec, m) == expected
+
+
+def _rules_apply(sub, bw):
+    """σ by its definition, over the rules dict."""
+    return tuple(name for sym in bw for name in sub.rules[sym])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families(), st.data())
+def test_apply_iterate_flatten_match_the_rules(family, data):
+    sub, _ = family
+    names = st.sampled_from(list(sub.rules))
+    bw = tuple(data.draw(st.lists(names, max_size=40)))
+    assert apply(sub, bw) == _rules_apply(sub, bw)
+    letters = tuple(x for sym in bw for x in sub.blocks[sym].expansion)
+    assert flatten(sub, bw).symbols == letters
+    seed, t = data.draw(names), data.draw(st.integers(0, 3))
+    expected = (seed,)
+    for _ in range(t):
+        expected = _rules_apply(sub, expected)
+    assert iterate(sub, seed, t) == expected
 
 
 @pytest.mark.parametrize("m", [10**6, 4 * 10**6])

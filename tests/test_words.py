@@ -62,11 +62,8 @@ def test_alphabet_arithmetic():
     a = Alphabet((2, 6, 10, 14))
     assert a.size == 4
     assert a.remainder == 2
-    assert a.quotients == (0, 1, 2, 3)
     assert Alphabet((1, 2)).remainder is None
-    assert Alphabet((1, 2)).quotients is None
     assert Alphabet((3, 6, 9)).remainder == 0
-    assert Alphabet((3, 6, 9)).quotients == (1, 2, 3)
 
 
 def test_admits_read_only_words_in_bounded_memory():
@@ -346,6 +343,72 @@ def test_streamed_derivatives_match_the_definition(case, times, is_prefix):
     except NotDifferentiable as exc:
         got = str(exc)
     assert got == expected
+
+
+def _naive_order(symbols, alphabet, is_prefix, k):
+    """Whether ``_naive_derivative`` applies k times, the prefix mark
+    trimming the first; the empty word differentiates forever."""
+    for i in range(k):
+        if not symbols:
+            return True
+        try:
+            symbols = _naive_derivative(symbols, alphabet, is_prefix and i == 0)
+        except NotDifferentiable:
+            return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(cut_words(), st.integers(0, 12), st.booleans(), st.sampled_from([3, 7, 2**16]))
+def test_derivative_drivers_match_repeated_naive_derivatives(case, k, is_prefix, chunk):
+    # smooth prefixes reach the empty word within a few orders; pieces of
+    # 3 or 7 letters put the word's cuts everywhere
+    alphabet, symbols, _ = case
+    w = Word(symbols, alphabet, is_prefix=is_prefix)
+    try:
+        expected = _naive_derivative(symbols, alphabet, is_prefix)
+    except NotDifferentiable as exc:
+        expected = str(exc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_WRITE_CHUNK", chunk)
+        try:
+            got = list(derivative(w))
+        except NotDifferentiable as exc:
+            got = str(exc)
+        assert got == expected
+        order = differentiability_order(w, k)
+        assert order == _naive_order(symbols, alphabet, is_prefix, k)
+        smooth = is_smooth_finite(w)
+        assert smooth == _naive_order(symbols, alphabet, is_prefix, len(symbols))
+
+
+def test_derivative_drivers_keep_their_argument_errors():
+    bare, no_alphabet = Word((1, 2, 2)), "^derivative needs a word with an alphabet$"
+    calls = [
+        lambda: derivative(bare),
+        lambda: derivative(Word(())),
+        lambda: differentiability_order(bare, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=no_alphabet):
+            call()
+    # no derivative to take, or none of the empty word: nothing is checked
+    assert differentiability_order(bare, 0) and differentiability_order(Word(()), 3)
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        differentiability_order(Word((1,), A12), -1)
+
+
+def test_smoothness_check_holds_one_piece():
+    w = kolakoski_prefix(BaseSequenceSpec(A12, (1, 2)), 10**6)
+    tracemalloc.start()
+    try:
+        assert is_smooth_finite(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each order holds one piece's runs: about 2.2 MB at 10^6 letters and
+    # at 10^7; a whole-word driver holds 16 bytes a letter
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
@@ -689,6 +752,12 @@ def test_word_equality_ignores_alphabet_and_mark():
     assert Word((1, 2), A12, is_prefix=True) == (1, 2)
 
 
+def _data_line(path):
+    """The first data line of a word file, joined from its pieces."""
+    pieces = words.data_line_pieces(str(path))
+    return Word(np.concatenate([np.zeros(0, dtype=np.int64), *pieces]))
+
+
 def test_word_file_roundtrip(tmp_path):
     pair = [Word((1, 2, 2)), Word((2,) * 3 + (4,) * 2)]
     buf = io.StringIO()
@@ -697,7 +766,7 @@ def test_word_file_roundtrip(tmp_path):
     path = tmp_path / "words.txt"
     for w, line in zip(pair, ["1 2 2", "2^3 4^2"]):
         path.write_text(f"# header comment\n\n{line}\n1 1\n")
-        assert words.read_data_line(str(path)) == w
+        assert _data_line(path) == w
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +867,7 @@ def test_piece_reader_matches_whole_line_parse(tmp_path_factory, raw, chunk):
         mp.setattr(words, "_PARSE_CHUNK", chunk)
         mp.setattr(words, "DEFAULT_BUDGET", 50)
         expected = _whole_line_parse(line)
-        assert _outcome(lambda: words.read_data_line(str(path))) == expected
+        assert _outcome(lambda: _data_line(path)) == expected
         assert _outcome(lambda: parse_symbols(line)) == expected
 
 
@@ -813,7 +882,7 @@ def test_piece_reader_edge_files(tmp_path):
         (b"\n" + b" " * 600_000 + b"1 2\n3\n", [1, 2]),
     ]:
         path.write_bytes(raw)
-        assert words.read_data_line(str(path)).to_array().tolist() == expected
+        assert _data_line(path).to_array().tolist() == expected
         assert sum(p.size for p in words.data_line_pieces(str(path))) == len(expected)
 
 
@@ -831,7 +900,7 @@ def test_piece_reader_error_texts(tmp_path):
     ]:
         path.write_bytes(raw)
         with pytest.raises(ValueError) as info:
-            words.read_data_line(str(path))
+            _data_line(path)
         assert str(info.value) == message
         assert _whole_line_parse(_first_data_line(raw)) == message
 
@@ -884,7 +953,7 @@ def test_leading_whitespace_keeps_the_whole_line_spans(tmp_path, monkeypatch, ch
         path.write_bytes(b"# c\n\t\n" + line)
         expected = _whole_line_parse(line)
         outcomes.add(isinstance(expected, str))
-        assert _outcome(lambda: words.read_data_line(str(path))) == expected
+        assert _outcome(lambda: _data_line(path)) == expected
     assert outcomes == {True, False}
 
 
@@ -897,6 +966,6 @@ def test_a_span_that_ends_the_text_is_not_cut(tmp_path, monkeypatch):
         path.write_bytes(b"# c\n" + line)
         expected = _whole_line_parse(line)
         messages.add(expected.split(" in token")[0])
-        assert _outcome(lambda: words.read_data_line(str(path))) == expected
+        assert _outcome(lambda: _data_line(path)) == expected
         assert _outcome(lambda: parse_symbols(line)) == expected
     assert messages == {"more than 18 digits", "token too long"}
