@@ -360,7 +360,7 @@ def _naive_order(symbols, alphabet, is_prefix, k):
 
 @settings(max_examples=400, deadline=None)
 @given(cut_words(), st.integers(0, 12), st.booleans(), st.sampled_from([3, 7, 2**16]))
-def test_derivative_drivers_match_repeated_naive_derivatives(case, k, is_prefix, chunk):
+def test_derivative_and_orders_match_repeated_naive_ones(case, k, is_prefix, chunk):
     # smooth prefixes reach the empty word within a few orders; pieces of
     # 3 or 7 letters put the word's cuts everywhere
     alphabet, symbols, _ = case
@@ -382,7 +382,7 @@ def test_derivative_drivers_match_repeated_naive_derivatives(case, k, is_prefix,
         assert smooth == _naive_order(symbols, alphabet, is_prefix, len(symbols))
 
 
-def test_derivative_drivers_keep_their_argument_errors():
+def test_derivative_and_orders_keep_their_argument_errors():
     bare, no_alphabet = Word((1, 2, 2)), "^derivative needs a word with an alphabet$"
     calls = [
         lambda: derivative(bare),
@@ -407,7 +407,7 @@ def test_smoothness_check_holds_one_piece():
     finally:
         tracemalloc.stop()
     # each order holds one piece's runs: about 2.2 MB at 10^6 letters and
-    # at 10^7; a whole-word driver holds 16 bytes a letter
+    # at 10^7; differentiating the whole word at once holds 16 bytes a letter
     assert peak < 4 * 2**20
 
 
