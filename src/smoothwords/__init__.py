@@ -82,7 +82,6 @@ from .words import (
     reverse,
     rle_encode,
     rle_reconstruct,
-    write_words,
 )
 
 __version__ = "0.1.0"

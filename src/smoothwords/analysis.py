@@ -50,7 +50,6 @@ __all__ = [
     "ClosureWitness",
     "EqualRunBlock",
     "letter_counts",
-    "frequency_report",
     "letter_frequencies",
     "is_well_proportioned_prefix",
     "exact_frequency_check",
@@ -103,12 +102,6 @@ class FrequencyReport:
             )
 
 
-def _sample_points(samples: Sequence[int]) -> list[int]:
-    if not samples or min(samples) < 1:
-        raise ValueError("samples must be positive")
-    return sorted(set(int(s) for s in samples))
-
-
 def letter_counts(
     pieces: Iterable[np.ndarray], ks: Sequence[int], size: int
 ) -> tuple[dict[int, np.ndarray], int]:
@@ -136,35 +129,39 @@ def letter_counts(
     return at, done
 
 
-def frequency_report(
-    counts: dict[int, np.ndarray], samples: Sequence[int], alphabet: Alphabet
-) -> FrequencyReport:
-    """The report of :func:`letter_counts` rank counts at the sampled lengths."""
-    ks = _sample_points(samples)
-    n = alphabet.size
-    rows = []
-    for k in ks:
-        if counts[k][1:].sum() != k:
-            raise ValueError("stream contains letters outside the alphabet")
-        for letter, c in zip(alphabet, counts[k][1:].tolist()):
-            rows.append(FrequencyRow(k, letter, c, c / k, abs(c / k - 1.0 / n)))
-    return FrequencyReport(alphabet, tuple(ks), rows)
+def _sample_lengths(samples: Sequence[int], length: int) -> list[int]:
+    """The samples ascending and distinct, or ``[length]`` if there are none."""
+    ks = sorted(set(map(int, samples))) or [length]
+    if ks[-1] > length:
+        raise ValueError(f"sample {ks[-1]} exceeds the length {length}")
+    if ks[0] < 1:
+        raise ValueError("samples must be positive")
+    return ks
 
 
 def letter_frequencies(
-    word: Word, samples: Sequence[int], alphabet: Alphabet
+    word: Word | PieceSource, samples: Sequence[int], alphabet: Alphabet
 ) -> FrequencyReport:
-    """Exact letter counts of a word's prefixes at the sampled lengths:
-    its letters up to the largest sample are read as a :class:`PieceSource`
-    over ``alphabet``, so they are ranked and checked there and counted
-    in pieces of at most 2¹⁶, a slot per letter, not per letter value."""
-    ks = _sample_points(samples)
-    arr = word.to_array()[: ks[-1]]
-    ranks = PieceSource(alphabet, lambda: (arr,)).ranks()
+    """Exact letter counts of a word's prefixes at the sampled lengths, or
+    of the whole word with no samples; a sample past the word, or below 1,
+    raises ``ValueError``.  The letters are read as a :class:`PieceSource`
+    over ``alphabet``: ranked and checked there and counted in pieces of at
+    most 2¹⁶, a slot per letter.  A ``Word`` is read only up to its largest
+    sample."""
+    ks = sorted(set(map(int, samples)))
+    if isinstance(word, PieceSource):
+        pieces = word.read()
+    else:
+        pieces = (word.to_array()[: _sample_lengths(ks, len(word))[-1]],)
+    ranks = PieceSource(alphabet, lambda: pieces).ranks()
     counts, length = letter_counts(ranks, ks, alphabet.size + 1)
-    if length < ks[-1]:
-        raise ValueError("word shorter than the largest sample")
-    return frequency_report(counts, ks, alphabet)
+    ks = _sample_lengths(ks, length)
+    n = alphabet.size
+    rows = []
+    for k in ks:
+        for letter, c in zip(alphabet, counts[k][1:].tolist()):
+            rows.append(FrequencyRow(k, letter, c, c / k, abs(c / k - 1.0 / n)))
+    return FrequencyReport(alphabet, tuple(ks), rows)
 
 
 def is_well_proportioned_prefix(bases: Word) -> bool:

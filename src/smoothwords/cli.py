@@ -95,20 +95,20 @@ def _letters(text: str) -> tuple[int, ...]:
 
 def _alphabet(args) -> Alphabet:
     """The ``--alphabet`` letters, else the letters of the base sequence."""
-    if getattr(args, "alphabet", None):
+    if getattr(args, "alphabet", None) is not None:
         letters = _letters(args.alphabet)
     else:
         base = (getattr(args, "base_preperiod", ""), getattr(args, "base_period", ""))
         letters = _letters(",".join(base))
-    if not letters:
-        raise _UsageError("--alphabet is required")
+        if not letters:
+            raise _UsageError("--alphabet is required")
     return Alphabet(tuple(sorted(set(letters))))
 
 
 def _word_reader(args) -> Callable[[], Iterator[np.ndarray]]:
     """A function that reads the ``--input`` or ``--word`` word afresh in
     pieces; an empty ``--word`` is the empty word."""
-    if args.input:
+    if args.input is not None:
         path = args.input
         return lambda: data_line_pieces(path)
     if args.word is not None:
@@ -120,9 +120,9 @@ def _word_reader(args) -> Callable[[], Iterator[np.ndarray]]:
 def _order(args) -> CyclicOrder:
     """The ``--order`` cycle; a given ``--alphabet`` must hold its letters."""
     order = CyclicOrder.from_letters(_letters(args.order))
-    if getattr(args, "alphabet", None) and _alphabet(args) != order.alphabet:
-        raise _UsageError("--alphabet disagrees with --order letters")
-    return order
+    if getattr(args, "alphabet", None) is None or _alphabet(args) == order.alphabet:
+        return order
+    raise _UsageError("--alphabet disagrees with --order letters")
 
 
 def _config_line(args, **extra) -> str:
@@ -152,7 +152,7 @@ def _sink(args, **extra) -> Iterator[TextIO]:
     older file unchanged.  Any other path (a device, a FIFO, a directory
     the temporary file cannot go in) is opened and written in place.
     """
-    if not getattr(args, "output", None):
+    if getattr(args, "output", None) is None:
         print(_config_line(args, **extra))
         yield sys.stdout
         return
@@ -177,12 +177,12 @@ def _sink(args, **extra) -> Iterator[TextIO]:
 def _beside(output: str) -> TextIO | None:
     """A temporary file beside ``output``, or None where ``output`` is
     not a regular file or no file can be made in its directory."""
-    if os.path.exists(output) and not os.path.isfile(output):
+    path = os.path.realpath(output)  # the working directory for ""
+    if os.path.exists(path) and not os.path.isfile(path):
         return None
-    folder = os.path.dirname(os.path.realpath(output))
     try:
         return tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", newline="", dir=folder, delete=False
+            "w", encoding="utf-8", newline="", dir=os.path.dirname(path), delete=False
         )
     except OSError:
         return None
@@ -205,7 +205,7 @@ def _mismatch(message: str) -> int:
 
 
 def _check_stdout(args, size: int) -> None:
-    if size > STDOUT_SYMBOL_LIMIT and not getattr(args, "output", None):
+    if size > STDOUT_SYMBOL_LIMIT and getattr(args, "output", None) is None:
         raise _UsageError(
             f"{size} symbols exceed the stdout limit of "
             f"{STDOUT_SYMBOL_LIMIT}; pass --output FILE"
@@ -222,7 +222,7 @@ def _emit_pieces(
     within ``limit`` symbols in all and counted through past it, so a
     budget error comes before the stdout limit's.
     """
-    if not getattr(args, "output", None):
+    if getattr(args, "output", None) is None:
         held, size = [], 0
         for pieces in lines:
             held.append([])
@@ -249,7 +249,7 @@ def _base_spec(args, alphabet: Alphabet) -> BaseSequenceSpec:
 def _source(args, alphabet: Alphabet, needed=lambda m: m) -> PieceSource:
     """The ``--input`` word, else the first ``needed(--length)`` letters
     of the fixpoint, read in pieces each time they are needed."""
-    if args.input:
+    if args.input is not None:
         path = args.input
         return PieceSource(alphabet, lambda: data_line_pieces(path))
     spec, m = _base_spec(args, alphabet), needed(args.length)
@@ -287,7 +287,7 @@ def cmd_generate(args) -> int:
 
 def cmd_encode(args) -> int:
     read, to_letters = _word_reader(args), lambda runs: runs
-    if args.alphabet:  # checked as ranks, whose runs are the letters' runs
+    if args.alphabet is not None:  # checked as ranks, whose runs are the letters' runs
         source = PieceSource(_alphabet(args), read)
         read, to_letters = source.ranks, np.array((0, *source.alphabet)).take
     # one read for each line; stdout holds the code, as it has no limit here
@@ -325,31 +325,19 @@ def cmd_phi_inverse(args) -> int:
     return 0
 
 
-def _sample_list(args) -> list[int]:
-    """The ``--samples`` lengths as given; none without the flag."""
-    try:
-        return [int(s) for s in args.samples.split(",")] if args.samples else []
-    except ValueError:
-        raise _UsageError(f"cannot parse --samples from {args.samples!r}") from None
-
-
-def _samples(args, length: int) -> list[int]:
-    """The ``--samples`` lengths, else the whole length, ascending; all in 1..length."""
-    samples = _sample_list(args) or [length]
-    if max(samples) > length:
-        raise _UsageError(f"sample {max(samples)} exceeds the length {length}")
-    return analysis._sample_points(samples)
-
-
 def cmd_freq(args) -> int:
     if args.tol is not None and not args.tol >= 0:  # NaN passes every check
         raise _UsageError(f"--tol must be a non-negative number, got {args.tol}")
     alphabet = _alphabet(args)
-    # from the fixpoint, only the letters up to the largest sample
-    source = _source(args, alphabet, lambda m: _samples(args, m)[-1])
-    ks = sorted(set(_sample_list(args)))
-    counts, length = analysis.letter_counts(source.ranks(), ks, alphabet.size + 1)
-    report = analysis.frequency_report(counts, _samples(args, length), alphabet)
+    samples = [] if args.samples is None else args.samples.split(",")
+    try:
+        samples = [int(s) for s in samples]
+    except ValueError:
+        raise _UsageError(f"cannot parse --samples from {args.samples!r}") from None
+    # from the fixpoint, only the letters up to the largest sample, which is
+    # checked against --length before any letter is generated
+    source = _source(args, alphabet, lambda m: analysis._sample_lengths(samples, m)[-1])
+    report = analysis.letter_frequencies(source, samples, alphabet)
     with _sink(args) as out:
         report.to_csv(out)
     if args.tol is not None and report.max_deviation() > args.tol:
@@ -401,7 +389,7 @@ def cmd_closure(args) -> int:
     elif args.op == "complement":
         op = Permutation.complement(alphabet)
     elif args.op == "perm":
-        if not args.map:
+        if args.map is None:
             raise _UsageError("--map is required with --op perm")
         try:
             mapping = dict(map(int, pair.split(":")) for pair in args.map.split(","))
@@ -492,7 +480,7 @@ def cmd_verify_all(args) -> int:
             failed = {"failed": name}
             lines = [result.format_line(), result.counterexample]
             break
-    if args.output:  # written on every run, so no older failure lingers
+    if args.output is not None:  # written on every run, so no older failure lingers
         with open(args.output, "w", encoding="utf-8") as handle:
             for line in filter(None, [_config_line(args, **failed), *lines]):
                 print(line, file=handle)

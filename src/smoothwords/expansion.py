@@ -27,6 +27,7 @@ from .words import (
     Alphabet,
     RunDecomposition,
     Word,
+    _joined,
     _run_arrays,
     rle_reconstruct,
 )
@@ -119,7 +120,7 @@ def pseudo_inverse(
         raise ExpansionBudgetExceeded(
             f"expansion of {total} symbols exceeds budget {budget}"
         )
-    return _joined(_chain_chunks((alpha,), exps, order), order)
+    return _joined(_chain_chunks((alpha,), exps, order), order.alphabet)
 
 
 def pseudo_inverse_chain(
@@ -138,7 +139,7 @@ def pseudo_inverse_chain(
     if not letters:
         _check_exponents(u)
         return u
-    return _joined(_chain_pieces(letters, u, order, budget), order)
+    return _joined(_chain_pieces(letters, u, order, budget), order.alphabet)
 
 
 def pseudo_inverse_with_base(u: Word, v: Word) -> Word:
@@ -278,13 +279,6 @@ def _chain_pieces(
     return _budgeted(_chain_chunks(p, exps, order), budget) if p else iter((exps,))
 
 
-def _joined(chunks: Iterable[np.ndarray], order: CyclicOrder) -> Word:
-    """One int64 word over the order's alphabet of the letter chunks."""
-    chunks = list(chunks)
-    flat = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return Word.from_array(flat, order.alphabet, validate=False)
-
-
 def _budgeted(chunks: Iterator[np.ndarray], budget: int) -> Iterator[np.ndarray]:
     total = 0
     for chunk in chunks:
@@ -325,7 +319,7 @@ def phi_inverse_prefix(
     the prefix relation, so growing directive words trace out prefixes of
     a single smooth infinite word.
     """
-    return _joined(_phi_inverse_pieces(u, order, budget), order)
+    return _joined(_phi_inverse_pieces(u, order, budget), order.alphabet)
 
 
 def _phi_inverse_pieces(

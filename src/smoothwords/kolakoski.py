@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .expansion import _drive, _expansion, _Level
-from .words import _WRITE_CHUNK, Alphabet, Word, _run_arrays
+from .words import _WRITE_CHUNK, Alphabet, Word, _joined, _run_arrays
 
 __all__ = [
     "BaseSequenceSpec",
@@ -141,11 +141,7 @@ class KolakoskiStream:
         """The next ``m`` letters; prefix-marked when they start the word."""
         if m < 1:
             raise ValueError("m must be positive")
-        is_prefix = self.position == 0
-        out = np.concatenate(list(self._advance(m)), dtype=np.int64)
-        return Word.from_array(
-            out, self.spec.alphabet, is_prefix=is_prefix, validate=False
-        )
+        return _joined(self._advance(m), self.spec.alphabet, self.position == 0)
 
     def pieces(self, m: int) -> Iterator[np.ndarray]:
         """The next ``m`` letters in fresh arrays of at most 2¹⁶ letters,

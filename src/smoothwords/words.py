@@ -39,7 +39,6 @@ __all__ = [
     "parse_symbols",
     "format_symbols",
     "data_line_pieces",
-    "write_words",
     "write_word_pieces",
 ]
 
@@ -253,6 +252,25 @@ class Word:
         return f"Word({body})"
 
 
+def _joined(
+    pieces: Iterable[np.ndarray],
+    alphabet: Alphabet | None = None,
+    is_prefix: bool = False,
+) -> Word:
+    """One int64 word of integer pieces, each held in its narrowest dtype
+    until the join; a piece one byte wide or at its narrowest is not copied."""
+    held = [np.empty(0, dtype=np.int64)]
+    for piece in pieces:
+        if piece.dtype.itemsize > 1 and piece.size:
+            lo, hi = int(piece.min()), int(piece.max())
+            narrow = np.min_scalar_type(hi if lo >= 0 else min(lo, -hi - 1))
+            if narrow.itemsize < piece.dtype.itemsize:
+                piece = piece.astype(narrow)
+        held.append(piece)
+    flat = np.concatenate(held, dtype=np.int64)
+    return Word.from_array(flat, alphabet, is_prefix=is_prefix, validate=False)
+
+
 @dataclass(frozen=True)
 class RunDecomposition:
     """Run-length coding of a word: exponents (run lengths) and bases
@@ -371,8 +389,7 @@ def derivative(w: Word) -> Word:
     true length is unknown), and the result is returned unmarked.
     """
     pieces = _derived_pieces(_split(w.to_array()), w.alphabet, w.is_prefix, 1)
-    flat = np.concatenate((np.zeros(0, dtype=np.int64), *pieces))
-    return Word.from_array(flat, w.alphabet, validate=False)
+    return _joined(pieces, w.alphabet)
 
 
 class _Runs:
@@ -717,17 +734,6 @@ def _symbol_pieces(handle: BinaryIO, line: bool) -> Iterator[np.ndarray]:
         del buf[:size], piece  # the next span is parsed without this piece
 
 
-def _join_pieces(pieces: Iterable[np.ndarray]) -> Word:
-    """One word of the pieces, each held in its narrowest dtype until then."""
-    held = [np.empty(0, dtype=np.int64)]
-    for piece in pieces:
-        if piece.size:
-            top = max(-int(piece.min()), int(piece.max()))
-            piece = piece.astype(np.min_scalar_type(-top - 1))
-        held.append(piece)
-    return Word.from_array(np.concatenate(held, dtype=np.int64), validate=False)
-
-
 def parse_symbols(text: str | bytes) -> Word:
     """Parse a word line, text or ASCII bytes, into a Word without an alphabet.
 
@@ -743,7 +749,7 @@ def parse_symbols(text: str | bytes) -> Word:
     True
     """
     raw = text.encode() if isinstance(text, str) else text
-    return _join_pieces(_symbol_pieces(io.BytesIO(raw), line=False))
+    return _joined(_symbol_pieces(io.BytesIO(raw), line=False))
 
 
 def data_line_pieces(path: str) -> Iterator[np.ndarray]:
@@ -837,13 +843,3 @@ def write_word_pieces(pieces: Iterable[np.ndarray], out) -> None:
     """
     out.writelines(_text_pieces(pieces))
     out.write("\n")
-
-
-def write_words(words: Iterable[Word], out) -> None:
-    """Write words one per line in flat form, newline-terminated.
-
-    Each word is written in pieces of bounded size, so its whole text
-    never exists at once.
-    """
-    for w in words:
-        write_word_pieces([Word(w).to_array()], out)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 
@@ -26,11 +27,10 @@ from smoothwords import (
     phi_inverse_palindrome_check,
     recurrence_report,
     rle_encode,
-    write_words,
 )
 from smoothwords.analysis import letter_counts
 from smoothwords.cli import main
-from smoothwords.words import _WRITE_CHUNK
+from smoothwords.words import _WRITE_CHUNK, write_word_pieces
 
 A12 = Alphabet((1, 2))
 A24 = Alphabet((2, 4))
@@ -63,7 +63,7 @@ def test_letter_frequencies_exhausted_stream(tmp_path, capsys):
     path.write_text("2 4\n")
     argv = ["freq", "--alphabet", "2,4", "--input", str(path), "--samples", "3"]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "sample 3 exceeds the length 2\n"
+    assert capsys.readouterr().err == "error: sample 3 exceeds the length 2\n"
 
 
 def test_letter_frequencies_csv_columns():
@@ -104,7 +104,7 @@ def test_letter_frequencies_agree_across_pieces(m, tmp_path, capsys):
     letter_frequencies(word, samples, A369).to_csv(expected)
     path = tmp_path / "word.txt"
     with open(path, "w") as handle:
-        write_words([word], handle)
+        write_word_pieces([word.to_array()], handle)
     # the cursor and the word's file, read as the CLI reads them
     sources = [
         ["--base-period", "3,6,9", "--length", str(m)],
@@ -115,6 +115,70 @@ def test_letter_frequencies_agree_across_pieces(m, tmp_path, capsys):
         assert main(argv) == 0
         csv = capsys.readouterr().out.splitlines()[1:]
         assert csv == expected.getvalue().splitlines()
+
+
+def _frequency_oracle(arr, samples, alphabet):
+    """(k, letter, count) rows of a prefix ``np.bincount`` per sample, or
+    the error text: the whole word with no samples, a sample past the
+    word before one below 1."""
+    ks = sorted(set(samples)) or [arr.size]
+    if ks[-1] > arr.size:
+        return f"sample {ks[-1]} exceeds the length {arr.size}"
+    if ks[0] < 1:
+        return "samples must be positive"
+    counts = [np.bincount(arr[:k], minlength=alphabet.largest + 1) for k in ks]
+    return [(k, a, int(c[a])) for k, c in zip(ks, counts) for a in alphabet]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.data())
+def test_letter_frequencies_match_prefix_bincounts(tmp_path_factory, m, data):
+    spec = BaseSequenceSpec(A369, (3, 6, 9))
+    word = kolakoski_prefix(spec, m) if m else Word((), A369)
+    arr = word.to_array()
+    # the word cut at random, empty pieces included
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=6)))
+    pieces = np.split(arr, cuts)
+    ends = [int(c) for c in itertools.accumulate(map(len, pieces))]
+    sample = st.sampled_from(ends) | st.integers(-2, m + 2)
+    samples = data.draw(st.lists(sample, max_size=6))  # unsorted, repeated
+    expected = _frequency_oracle(arr, samples, A369)
+    source = PieceSource(A369, lambda: iter(pieces))
+    for w in (word, source):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                letter_frequencies(w, samples, A369)
+            assert str(info.value) == expected
+            continue
+        report = letter_frequencies(w, samples, A369)
+        assert [(r.k, r.letter, r.count) for r in report.rows] == expected
+        for r in report.rows:
+            assert (r.ratio, r.deviation) == (r.count / r.k, abs(r.count / r.k - 1 / 3))
+    # through the CLI, from the cursor and from the word's file
+    path = tmp_path_factory.mktemp("freq") / "word.txt"
+    with open(path, "w") as handle:
+        write_word_pieces([arr], handle)
+    flags = [f"--samples={','.join(map(str, samples))}"] if samples else []
+    for source in (
+        ["--base-period", "3,6,9", "--length", str(m)],
+        ["--alphabet", "3,6,9", "--input", str(path)],
+    ):
+        code, out, err = _run(["freq", *source, *flags])
+        if isinstance(expected, str):
+            assert (code, out, err) == (1, "", f"error: {expected}\n")
+            continue
+        csv = io.StringIO()
+        letter_frequencies(word, samples, A369).to_csv(csv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == csv.getvalue().splitlines()
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_frequency_convergence_small_scale():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -23,9 +24,8 @@ from smoothwords import (
     letter_frequencies,
     rle_encode,
     words,
-    write_words,
 )
-from smoothwords import cli
+from smoothwords import cli, verify
 from smoothwords.cli import main
 from smoothwords.expansion import CyclicOrder, phi_inverse_prefix, pseudo_inverse_chain
 from smoothwords.substitution import build_substitution, flatten, iterate
@@ -142,6 +142,100 @@ def test_an_empty_word_flag_is_the_empty_word(argv, lines, capsys):
     out = capsys.readouterr().out.split("\n")
     assert _header(out[0])["word"] == ""
     assert out[1:] == lines + [""]
+
+
+_NO_FILE = "error: [Errno 2] No such file or directory: ''\n"
+_TWO_LETTERS = "error: alphabet needs at least two letters\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["encode", "--word", "1,2", "--input", ""], _NO_FILE),
+        (["generate", "--base-period", "1,2", "--length", "5", "--output", ""], _NO_FILE),
+        (["freq", "--base-period", "1,2", "--alphabet", ""], _TWO_LETTERS),
+        (["recur", "--base-period", "1,2", "--input", ""], _NO_FILE),
+        (["expand", "--order", "1,2", "--target", "1,2", "--alphabet", ""], _TWO_LETTERS),
+        (["freq", "--base-period", "1,2", "--samples", ""], "cannot parse --samples from ''\n"),
+    ],
+)
+def test_an_empty_flag_value_is_a_value(argv, err, capsys, tmp_path, monkeypatch):
+    # an empty value is checked as a value, not taken for a missing flag
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+# a minimal valid command line for each subcommand, one that reads each
+# flag the walk below gives an empty value
+_MINIMAL = {
+    "generate": ["--base-period", "1,2", "--length", "10"],
+    "encode": ["--word", "1,2"],
+    "derive": ["--alphabet", "1,2", "--word", "1,2,2,1"],
+    "expand": ["--order", "1,2", "--target", "1,2"],
+    "phi-inverse": ["--order", "1,2", "--u", "1,2"],
+    "freq": ["--base-period", "1,2", "--length", "100"],
+    "recur": ["--base-period", "1,2", "--length", "100", "--l-max", "4"],
+    "gaps": ["--base-period", "1,2", "--length", "100", "--l-max", "4"],
+    "closure": [
+        "--base-period", "1,2", "--length", "300", "--l-max", "4",
+        "--op", "perm", "--map", "1:2,2:1",
+    ],
+    "subst": ["iterate", "--order", "6,10,14,2"],
+    "verify-all": [],
+}
+# flags for which the empty word is a value
+_EMPTY_IS_A_VALUE = {"--word", "--target"}
+
+
+def _flags_without_default():
+    """(subcommand, flag) for every optional flag whose default is None."""
+    (commands,) = [
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return [
+        (command, action.option_strings[-1])
+        for command, parser in commands.items()
+        for action in parser._actions
+        if action.option_strings and action.default is None
+    ]
+
+
+@pytest.fixture
+def one_check(monkeypatch):
+    # verify-all runs its first check only, so its flag cases stay quick
+    monkeypatch.setattr(verify, "ALL_CHECKS", verify.ALL_CHECKS[:1])
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL))
+def test_minimal_command_lines_pass(command, one_check, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *_MINIMAL[command]]) == 0
+
+
+@pytest.mark.parametrize("command, flag", _flags_without_default())
+def test_an_empty_value_reaches_its_flag_check(
+    command, flag, one_check, capsys, tmp_path, monkeypatch
+):
+    # a flag added later that takes "" for a missing value fails here
+    monkeypatch.chdir(tmp_path)
+    argv = _MINIMAL[command]
+    if flag in argv:  # replace the flag's value
+        at = argv.index(flag)
+        argv = argv[:at] + argv[at + 2 :]
+    expected = 0 if flag in _EMPTY_IS_A_VALUE else 1
+    assert main([command, *argv, flag, ""]) == expected
+
+
+def test_the_flag_walk_finds_the_flags_without_default():
+    found = set(_flags_without_default())
+    for flag in ("--input", "--alphabet", "--output", "--samples"):
+        assert ("freq", flag) in found
+    assert {("verify-all", "--output"), ("closure", "--map"), ("encode", "--word")} <= found
+    assert {command for command, _ in found} == set(_MINIMAL)
 
 
 def test_derive_rejects_negative_times(capsys):
@@ -474,7 +568,7 @@ def test_verdicts_compare_factors_at_their_smallest_size(
             value = str(tmp_path / "word.txt")
             w = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), m)
             with open(value, "w") as handle:
-                write_words([w], handle)
+                words.write_word_pieces([w.to_array()], handle)
         return main(argv + ["--base-period", "1,2", "--l-max", "4", size, value])
 
     assert run(smallest) in (0, 2)
@@ -783,7 +877,7 @@ def test_factor_reports_read_word_files_as_they_read_the_cursor(
     word_file = tmp_path / "word.txt"
     with open(word_file, "w") as handle:
         spec = BaseSequenceSpec(Alphabet((2, 4)), (2, 4))
-        write_words([kolakoski_prefix(spec, m)], handle)
+        words.write_word_pieces([kolakoski_prefix(spec, m).to_array()], handle)
     # short parser spans: the file comes in pieces of 64 letters
     monkeypatch.setattr(words, "_PARSE_CHUNK", 128)
     cursor = main(argv + ["--base-period", "2,4", "--length", str(m)])
@@ -830,7 +924,7 @@ def test_freq_input_matches_letter_frequencies_at_piece_ends(
     word_file = tmp_path / "word.txt"
     with open(word_file, "w") as handle:
         handle.write("# header\n")
-        write_words([word], handle)
+        words.write_word_pieces([word.to_array()], handle)
     edges = [k * (chunk // 2) + d for k in (1, 2, 3) for d in (-1, 0, 1)]
     samples = sorted({1, n, *edges})
     monkeypatch.setattr(words, "_PARSE_CHUNK", chunk)
@@ -850,7 +944,7 @@ def test_freq_input_errors(tmp_path, capsys):
     word_file.write_text("1 2 2 1\n")
     argv = ["freq", "--alphabet", "1,2", "--input", str(word_file)]
     assert main(argv + ["--samples", "2,5"]) == 1
-    assert capsys.readouterr().err == "sample 5 exceeds the length 4\n"
+    assert capsys.readouterr().err == "error: sample 5 exceeds the length 4\n"
     word_file.write_text("1 2 " * 100_000 + "3 1\n")
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: word contains symbols outside its alphabet\n"
@@ -867,7 +961,7 @@ def test_input_pieces_are_ranked_once(tmp_path, capsys, monkeypatch, command):
     word = kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 3 * 2**17 + 9)
     word_file = tmp_path / "word.txt"
     with open(word_file, "w") as handle:
-        write_words([word], handle)
+        words.write_word_pieces([word.to_array()], handle)
     sizes = [p.size for p in words.data_line_pieces(str(word_file))]
     parts = sum(-(-size // words._WRITE_CHUNK) for size in sizes)
     assert max(sizes) > words._WRITE_CHUNK
@@ -937,7 +1031,7 @@ def _both_ways(argv):
 
 def _word_text(word):
     buf = io.StringIO()
-    write_words([word], buf)
+    words.write_word_pieces([word.to_array()], buf)
     return buf.getvalue()
 
 

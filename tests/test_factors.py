@@ -17,9 +17,8 @@ from smoothwords import (
     max_gap_report,
     recurrence_report,
     words,
-    write_words,
 )
-from smoothwords.words import data_line_pieces
+from smoothwords.words import data_line_pieces, write_word_pieces
 
 
 def test_index_matches_naive_on_random_words():
@@ -382,7 +381,7 @@ def test_word_file_source_matches_naive_scan(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("source") / "word.txt"
     with open(path, "w") as handle:
         handle.write("# a comment line\n")
-        write_words([Word(arr)], handle)
+        write_word_pieces([arr], handle)
     source = PieceSource(alphabet, lambda: data_line_pieces(str(path)))
     with pytest.MonkeyPatch.context() as patch:
         # parser spans of 16 bytes: 5 to 8 letters a piece

@@ -27,7 +27,6 @@ from smoothwords import (
     reverse,
     rle_encode,
     rle_reconstruct,
-    write_words,
 )
 
 A12 = Alphabet((1, 2))
@@ -398,6 +397,48 @@ def test_derivative_and_orders_keep_their_argument_errors():
         differentiability_order(Word((1,), A12), -1)
 
 
+def test_derivative_holds_its_pieces_narrow():
+    # the derivative's pieces wait for the join one byte a letter, so the
+    # peak is the int64 result and little more
+    w = kolakoski_prefix(BaseSequenceSpec(A12, (1, 2)), 10**6)
+    tracemalloc.start()
+    try:
+        d = derivative(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * d.to_array().nbytes
+
+
+_WIDTHS = {
+    np.uint8: st.integers(0, 2**8 - 1),
+    np.uint16: st.integers(0, 2**16 - 1),
+    np.uint32: st.integers(0, 2**32 - 1),
+    # negative letters, as the parser yields them
+    np.int64: st.integers(-(2**63), 2**63 - 1),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(list(_WIDTHS)).flatmap(
+            lambda t: st.lists(_WIDTHS[t], max_size=6).map(lambda v: np.array(v, t))
+        ),
+        max_size=5,
+    ),
+    st.booleans(),
+)
+def test_joined_makes_one_int64_word_of_any_pieces(pieces, is_prefix):
+    expected = [int(v) for piece in pieces for v in piece.tolist()]
+    w = words._joined(iter(pieces))
+    assert w.to_array().dtype == np.int64
+    assert w == expected and w.alphabet is None and not w.is_prefix
+    w = words._joined(iter(pieces), A12, is_prefix)
+    assert w == expected and w.alphabet is A12 and w.is_prefix == is_prefix
+    assert w.to_array().dtype == np.int64 and not w.to_array().flags.writeable
+
+
 def test_smoothness_check_holds_one_piece():
     w = kolakoski_prefix(BaseSequenceSpec(A12, (1, 2)), 10**6)
     tracemalloc.start()
@@ -646,7 +687,8 @@ def test_format_matches_str_oracle(values, chunk):
         assert format_symbols(Word(arr)) == expected
         assert format_symbols(tuple(values)) == expected
         buf = io.StringIO()
-        write_words([Word(arr), Word(())], buf)
+        words.write_word_pieces([arr], buf)
+        words.write_word_pieces([], buf)
         assert buf.getvalue() == expected + "\n\n"
     if all(abs(v) < 10**18 for v in values):
         assert parse_symbols(expected) == values
@@ -700,7 +742,7 @@ def test_text_roundtrip_across_write_chunks(extra):
         assert text == _oracle_format(arr.tolist())
         assert parse_symbols(text) == Word(arr)
         buf = io.StringIO()
-        write_words([Word(arr)], buf)
+        words.write_word_pieces([arr], buf)
         assert buf.getvalue() == text + "\n"
 
 
@@ -761,7 +803,8 @@ def _data_line(path):
 def test_word_file_roundtrip(tmp_path):
     pair = [Word((1, 2, 2)), Word((2,) * 3 + (4,) * 2)]
     buf = io.StringIO()
-    write_words(pair, buf)
+    for w in pair:
+        words.write_word_pieces([w.to_array()], buf)
     assert buf.getvalue() == "1 2 2\n2 2 2 4 4\n"
     path = tmp_path / "words.txt"
     for w, line in zip(pair, ["1 2 2", "2^3 4^2"]):
@@ -910,7 +953,7 @@ def test_piece_reader_holds_one_block(tmp_path):
     arr = np.random.default_rng(5).integers(1, 4, size=4 * 10**6)
     with open(path, "w") as handle:
         handle.write("# header\n")
-        write_words([Word(arr)], handle)
+        words.write_word_pieces([arr], handle)
     tracemalloc.start()
     try:
         total = 0
