@@ -132,10 +132,10 @@ def letter_counts(
 def _sample_lengths(samples: Sequence[int], length: int) -> list[int]:
     """The samples ascending and distinct, or ``[length]`` if there are none."""
     ks = sorted(set(map(int, samples))) or [length]
-    if ks[-1] > length:
-        raise ValueError(f"sample {ks[-1]} exceeds the length {length}")
     if ks[0] < 1:
         raise ValueError("samples must be positive")
+    if ks[-1] > length:
+        raise ValueError(f"sample {ks[-1]} exceeds the length {length}")
     return ks
 
 
@@ -143,12 +143,15 @@ def letter_frequencies(
     word: Word | PieceSource, samples: Sequence[int], alphabet: Alphabet
 ) -> FrequencyReport:
     """Exact letter counts of a word's prefixes at the sampled lengths, or
-    of the whole word with no samples; a sample past the word, or below 1,
-    raises ``ValueError``.  The letters are read as a :class:`PieceSource`
+    of the whole word with no samples; a sample below 1 raises
+    ``ValueError`` before any letter is read, and one past the word once
+    its length is known.  The letters are read as a :class:`PieceSource`
     over ``alphabet``: ranked and checked there and counted in pieces of at
     most 2¹⁶, a slot per letter.  A ``Word`` is read only up to its largest
     sample."""
     ks = sorted(set(map(int, samples)))
+    if ks and ks[0] < 1:
+        raise ValueError("samples must be positive")
     if isinstance(word, PieceSource):
         pieces = word.read()
     else:
@@ -312,11 +315,9 @@ def _index(
     w: Word | PieceSource, l_max: int, index: FactorIndex | None, least: int, why: str
 ) -> FactorIndex:
     """``index``, else the index of ``w``; raises ``why`` if the word is
-    shorter than ``least``.  A source's length is known once the index
-    is built; a source shorter than ``l_max`` fails the build itself."""
+    shorter than ``least``.  The length is known once the index is built;
+    a word shorter than ``l_max`` fails the build itself."""
     if index is None:
-        if not isinstance(w, PieceSource) and len(w) < least:
-            raise ValueError(why)
         index = FactorIndex(w, l_max)
     if len(index) < least:
         raise ValueError(why)
@@ -472,12 +473,12 @@ def closure_check(
     if op == "reversal":
         label, image = "reversal", lambda ranks: ranks[:, ::-1]
     elif isinstance(op, Permutation):
-        letters = idx.letters.tolist()
-        rank = {a: r for r, a in enumerate(letters, 1)}
         # rank 0: no image in the alphabet, so the factor is a miss, and
-        # building its witness raises for a letter outside the domain
-        table = [rank.get(op.mapping.get(a), 0) for a in letters]
-        label, image = op.label(), np.array([0, *table]).__getitem__
+        # building its witness raises for a letter outside the domain; an
+        # image past int64 is no letter, and is kept out of the array
+        images = [op.mapping.get(a, 0) for a in idx.alphabet]
+        images = np.array([0, *(b if abs(b) < 1 << 63 else 0 for b in images)])
+        label, image = op.label(), idx.alphabet.ranks(images).__getitem__
     else:
         raise ValueError("op must be 'reversal' or a Permutation")
     lo, hi = _middle_third(len(idx))

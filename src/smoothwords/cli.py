@@ -238,24 +238,25 @@ def _emit_pieces(
             write_word_pieces(pieces, out)
 
 
-def _base_spec(args, alphabet: Alphabet) -> BaseSequenceSpec:
+def _base_spec(args) -> BaseSequenceSpec:
+    """The fixpoint's base, checked before the alphabet that defaults to it."""
     if not getattr(args, "base_period", None):
         raise _UsageError("--base-period is required")
     period = _letters(args.base_period)
     preperiod = _letters(args.base_preperiod) if args.base_preperiod else ()
-    return BaseSequenceSpec(alphabet, period, preperiod)
+    return BaseSequenceSpec(_alphabet(args), period, preperiod)
 
 
-def _source(args, alphabet: Alphabet, needed=lambda m: m) -> PieceSource:
+def _source(args, needed=lambda m: m) -> PieceSource:
     """The ``--input`` word, else the first ``needed(--length)`` letters
     of the fixpoint, read in pieces each time they are needed."""
     if args.input is not None:
         path = args.input
-        return PieceSource(alphabet, lambda: data_line_pieces(path))
-    spec, m = _base_spec(args, alphabet), needed(args.length)
+        return PieceSource(_alphabet(args), lambda: data_line_pieces(path))
+    spec, m = _base_spec(args), needed(args.length)
     if m < 1:
         raise ValueError("m must be positive")
-    return PieceSource(alphabet, lambda: kolakoski_stream(spec).pieces(m))
+    return PieceSource(spec.alphabet, lambda: kolakoski_stream(spec).pieces(m))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +275,7 @@ def _stream_stats(spec: BaseSequenceSpec, m: int) -> dict[str, int]:
 
 
 def cmd_generate(args) -> int:
-    alphabet = _alphabet(args)
-    spec = _base_spec(args, alphabet)
+    spec = _base_spec(args)
     if args.length < 1:
         raise ValueError("m must be positive")
     _check_stdout(args, args.length)
@@ -328,7 +328,6 @@ def cmd_phi_inverse(args) -> int:
 def cmd_freq(args) -> int:
     if args.tol is not None and not args.tol >= 0:  # NaN passes every check
         raise _UsageError(f"--tol must be a non-negative number, got {args.tol}")
-    alphabet = _alphabet(args)
     samples = [] if args.samples is None else args.samples.split(",")
     try:
         samples = [int(s) for s in samples]
@@ -336,8 +335,8 @@ def cmd_freq(args) -> int:
         raise _UsageError(f"cannot parse --samples from {args.samples!r}") from None
     # from the fixpoint, only the letters up to the largest sample, which is
     # checked against --length before any letter is generated
-    source = _source(args, alphabet, lambda m: analysis._sample_lengths(samples, m)[-1])
-    report = analysis.letter_frequencies(source, samples, alphabet)
+    source = _source(args, lambda m: analysis._sample_lengths(samples, m)[-1])
+    report = analysis.letter_frequencies(source, samples, source.alphabet)
     with _sink(args) as out:
         report.to_csv(out)
     if args.tol is not None and report.max_deviation() > args.tol:
@@ -349,7 +348,7 @@ def cmd_freq(args) -> int:
 
 
 def cmd_recur(args) -> int:
-    source = _source(args, _alphabet(args))
+    source = _source(args)
     report = analysis.recurrence_report(source, args.l_max, scan_len=args.scan_len)
     positions = _starts(min(report.scan_len, report.word_length), args.l_max)
     with _sink(args, positions=positions, factors=report.factor_count) as out:
@@ -364,7 +363,7 @@ def cmd_recur(args) -> int:
 
 
 def cmd_gaps(args) -> int:
-    source = _source(args, _alphabet(args))
+    source = _source(args)
     index = FactorIndex(source, args.l_max)
     report = analysis.max_gap_report(source, args.l_max, index=index)
     positions = _starts(report.word_length, args.l_max)
@@ -382,12 +381,11 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    alphabet = _alphabet(args)
-    source = _source(args, alphabet)
+    source = _source(args)
     if args.op == "reversal":
         op: str | Permutation = "reversal"
     elif args.op == "complement":
-        op = Permutation.complement(alphabet)
+        op = Permutation.complement(source.alphabet)
     elif args.op == "perm":
         if args.map is None:
             raise _UsageError("--map is required with --op perm")
@@ -473,17 +471,18 @@ def cmd_verify_all(args) -> int:
     from .verify import ALL_CHECKS  # no other command compiles them
     failed: dict[str, str] = {}  # the first failing check's name
     lines: list[str | None] = []  # and its lines for --output
-    for name, fn in ALL_CHECKS:
-        result = fn(args.seed)
-        print(result.format_line())
-        if not result.passed:
-            failed = {"failed": name}
-            lines = [result.format_line(), result.counterexample]
-            break
-    if args.output is not None:  # written on every run, so no older failure lingers
-        with open(args.output, "w", encoding="utf-8") as handle:
-            for line in filter(None, [_config_line(args, **failed), *lines]):
-                print(line, file=handle)
+    # opened first, so a bad path fails before any check, and rewritten each run
+    output = os.devnull if args.output is None else args.output
+    with open(output, "w", encoding="utf-8") as handle:
+        for name, fn in ALL_CHECKS:
+            result = fn(args.seed)
+            print(result.format_line())
+            if not result.passed:
+                failed = {"failed": name}
+                lines = [result.format_line(), result.counterexample]
+                break
+        for line in filter(None, [_config_line(args, **failed), *lines]):
+            print(line, file=handle)
     if failed and result.counterexample:
         print(f"counterexample: {result.counterexample}")
     return 2 if failed else 0

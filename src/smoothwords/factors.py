@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .words import Alphabet, Word, _rank_map, _split
+from .words import Alphabet, Word, _split
 
 __all__ = ["FactorGroups", "FactorIndex", "NaiveFactorScan", "PieceSource"]
 
@@ -184,28 +184,24 @@ class FactorIndex:
     letters (``factors``), its first start in a window (``window``) and
     its maximal gaps (``max_gaps``).
 
-    ``word`` is a :class:`PieceSource`, a Word (with an alphabet, read as
-    a source over it) or an integer array, whose distinct letters rank
-    1..b (``letters``).  The word is padded with rank 0, so a position
-    near the end sorts below every factor it is a proper prefix of, in a
-    fine group of its own.
+    ``word`` is a :class:`PieceSource`, or a Word with an alphabet, read
+    as a source over it; the ``letters`` of its ``alphabet`` rank 1..b.
+    The word is padded with rank 0, so a position near the end sorts
+    below every factor it is a proper prefix of, in a fine group of its
+    own.
     """
 
-    def __init__(self, word: Word | np.ndarray | PieceSource, l_max: int):
+    def __init__(self, word: Word | PieceSource, l_max: int):
         if isinstance(word, Word) and word.alphabet:
             arr = word.to_array()
             word = PieceSource(word.alphabet, lambda: (arr,))
-        if isinstance(word, PieceSource):
-            letters, self._ranks = np.array(word.alphabet.letters), word.ranks
-        else:
-            arr = _word_array(word)
-            letters = np.unique(arr)
-            rank = _rank_map(letters.astype(np.int64))
-            self._ranks = lambda: map(rank, _split(arr))
+        if not isinstance(word, PieceSource):
+            raise ValueError("word must be a PieceSource or a Word with an alphabet")
+        self.alphabet, self._ranks = word.alphabet, word.ranks
         if l_max < 1:
             raise ValueError("l_max must be positive")
         self.l_max = l_max
-        self.letters = letters
+        self.letters = letters = np.array(self.alphabet.letters)
         base = self._base = letters.size + 1  # rank 0 is the padding
         self._rank_dtype = np.min_scalar_type(letters.size)
         # key columns: each packs the next ``per`` ranks as an exact

@@ -116,10 +116,10 @@ class Alphabet:
 def _rank_map(letters: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """:attr:`Alphabet.ranks` for the sorted distinct int64 ``letters``."""
     dtype = np.min_scalar_type(letters.size)
-    if letters.size and letters[0] >= 1 and letters[-1] < 1 << 16:
+    if not letters.size or letters[0] >= 1 and letters[-1] < 1 << 16:
         # slot a holds a's rank; clipping sends negatives to slot 0 and
         # values past the last letter to the final slot, both 0
-        table = np.zeros(int(letters[-1]) + 2, dtype=dtype)
+        table = np.zeros(int(letters.max(initial=0)) + 2, dtype=dtype)
         table[letters] = np.arange(1, letters.size + 1)
         return partial(table.take, mode="clip")
     return partial(_searched_ranks, letters, dtype)
@@ -540,15 +540,13 @@ def reverse(w: Word) -> Word:
 
 
 def apply_permutation(w: Word, sigma: Permutation) -> Word:
-    keys = np.array(sorted(sigma.mapping), dtype=np.int64)
+    keys = sorted(sigma.mapping)
     arr = w.to_array()
-    at = keys.searchsorted(arr)
-    inside = at < keys.size
-    inside[inside] = keys[at[inside]] == arr[inside]
-    if not inside.all():
-        sigma(int(arr[inside.argmin()]))  # raises: the symbol is outside the domain
-    images = np.array([sigma.mapping[k] for k in keys.tolist()], dtype=np.int64)
-    return Word.from_array(images[at], w.alphabet)
+    ranks = _rank_map(np.array(keys, dtype=np.int64))(arr)
+    if not ranks.all():
+        sigma(int(arr[ranks.argmin()]))  # raises: the symbol is outside the domain
+    images = np.array([0, *map(sigma.mapping.get, keys)], dtype=np.int64)
+    return Word.from_array(images[ranks], w.alphabet)
 
 
 def is_palindrome(w: Word) -> bool:

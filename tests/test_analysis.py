@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smoothwords import (
@@ -32,7 +32,10 @@ from smoothwords.analysis import letter_counts
 from smoothwords.cli import main
 from smoothwords.words import _WRITE_CHUNK, write_word_pieces
 
+from strategies import alphabet_words
+
 A12 = Alphabet((1, 2))
+A123 = Alphabet((1, 2, 3))
 A24 = Alphabet((2, 4))
 A369 = Alphabet((3, 6, 9))
 
@@ -119,13 +122,13 @@ def test_letter_frequencies_agree_across_pieces(m, tmp_path, capsys):
 
 def _frequency_oracle(arr, samples, alphabet):
     """(k, letter, count) rows of a prefix ``np.bincount`` per sample, or
-    the error text: the whole word with no samples, a sample past the
-    word before one below 1."""
+    the error text: the whole word with no samples, a sample below 1
+    before one past the word."""
     ks = sorted(set(samples)) or [arr.size]
-    if ks[-1] > arr.size:
-        return f"sample {ks[-1]} exceeds the length {arr.size}"
     if ks[0] < 1:
         return "samples must be positive"
+    if ks[-1] > arr.size:
+        return f"sample {ks[-1]} exceeds the length {arr.size}"
     counts = [np.bincount(arr[:k], minlength=alphabet.largest + 1) for k in ks]
     return [(k, a, int(c[a])) for k, c in zip(ks, counts) for a in alphabet]
 
@@ -332,31 +335,32 @@ def _naive_gap_stability(arr, l_max):
 def test_gap_stability_matches_naive_scans():
     rng = np.random.default_rng(7)
     words = [rng.integers(1, 4, size=int(rng.integers(12, 200))) for _ in range(40)]
+    words = [Word(arr, A123) for arr in words]
     words += [
-        kolakoski_prefix(BaseSequenceSpec(A12, (1, 2)), 2000).to_array(),
-        kolakoski_prefix(BaseSequenceSpec(A369, (3, 6, 9)), 3000).to_array(),
+        kolakoski_prefix(BaseSequenceSpec(A12, (1, 2)), 2000),
+        kolakoski_prefix(BaseSequenceSpec(A369, (3, 6, 9)), 3000),
     ]
     moved = 0
-    for arr in words:
-        l_max = min(6, arr.size // 2)
-        stability = gap_stability_check(Word(arr.tolist()), l_max)
-        compared, mismatches = _naive_gap_stability(arr, l_max)
+    for w in words:
+        l_max = min(6, len(w) // 2)
+        stability = gap_stability_check(w, l_max)
+        compared, mismatches = _naive_gap_stability(w.to_array(), l_max)
         assert stability.compared == compared
         assert stability.mismatches == mismatches
         moved += bool(mismatches)
     assert moved  # some inputs do move a gap
 
 
-def test_gap_stability_reuses_a_given_index():
-    rng = np.random.default_rng(11)
-    for arr in (
-        rng.integers(1, 4, size=300),
-        kolakoski_prefix(BaseSequenceSpec(A12, (1, 2)), 4000).to_array(),
-    ):
-        w = Word(arr)
-        index = FactorIndex(w, 8)
-        assert gap_stability_check(w, 8, index=index) == gap_stability_check(w, 8)
-    assert gap_stability_check(w, 8, index=index).compared > 0
+@settings(max_examples=60, deadline=None)
+@given(alphabet_words())
+def test_gap_stability_reuses_a_given_index(case):
+    word, arr, l_max = case
+    l_max = min(l_max, arr.size // 2)
+    assume(l_max >= 1)
+    index = FactorIndex(word, l_max)
+    stability = gap_stability_check(word, l_max, index=index)
+    assert stability == gap_stability_check(word, l_max)
+    assert stability.compared > 0
 
 
 def test_gap_report_csv():

@@ -157,6 +157,9 @@ _TWO_LETTERS = "error: alphabet needs at least two letters\n"
         (["recur", "--base-period", "1,2", "--input", ""], _NO_FILE),
         (["expand", "--order", "1,2", "--target", "1,2", "--alphabet", ""], _TWO_LETTERS),
         (["freq", "--base-period", "1,2", "--samples", ""], "cannot parse --samples from ''\n"),
+        (["generate", "--base-period", "", "--length", "10"], "--base-period is required\n"),
+        (["freq", "--base-period", "", "--length", "10"], "--base-period is required\n"),
+        (["recur", "--base-period", "", "--input", "F"], "--alphabet is required\n"),
     ],
 )
 def test_an_empty_flag_value_is_a_value(argv, err, capsys, tmp_path, monkeypatch):
@@ -948,6 +951,11 @@ def test_freq_input_errors(tmp_path, capsys):
     word_file.write_text("1 2 " * 100_000 + "3 1\n")
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: word contains symbols outside its alphabet\n"
+    # a sample below 1 fails before any letter is read, so before the file's errors
+    for path in (word_file, tmp_path / "missing.txt"):
+        bad = ["freq", "--alphabet", "1,2", "--input", str(path), "--samples", "0,5"]
+        assert main(bad) == 1
+        assert capsys.readouterr().err == "error: samples must be positive\n"
     word_file.write_text("# nothing\n")
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: samples must be positive\n"

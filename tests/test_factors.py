@@ -20,6 +20,11 @@ from smoothwords import (
 )
 from smoothwords.words import data_line_pieces, write_word_pieces
 
+from strategies import alphabet_words, cut
+
+A12 = Alphabet((1, 2))
+A123 = Alphabet((1, 2, 3))
+
 
 def test_index_matches_naive_on_random_words():
     rng = np.random.default_rng(0)
@@ -27,7 +32,7 @@ def test_index_matches_naive_on_random_words():
         n = int(rng.integers(10, 300))
         arr = rng.integers(1, 4, size=n)
         l_max = int(rng.integers(1, min(10, n) + 1))
-        idx = FactorIndex(arr, l_max)
+        idx = FactorIndex(Word(arr, A123), l_max)
         ref = NaiveFactorScan(arr, l_max)
         for length in range(1, l_max + 1):
             groups = idx.groups(length)
@@ -49,40 +54,11 @@ def _factor_tuples(idx, length, groups=None):
     return [tuple(f) for f in idx.factors(length, groups).tolist()]
 
 
-SMOOTH_PREFIXES = (
-    kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 300),
-    kolakoski_prefix(BaseSequenceSpec(Alphabet((3, 6, 9)), (9, 3, 6)), 300),
-)
-
-
-@st.composite
-def words_and_l_max(draw):
-    """Random words over alphabets with 0, negative and large letters, or
-    over up to 300 letters from the whole int64 range (a key column then
-    holds a few letters and the last one is partial), or smooth
-    prefixes, with l_max anywhere in 1..len(w)."""
-    kind = draw(st.sampled_from(["few", "many", "smooth"]))
-    if kind != "smooth":
-        pool = draw(st.sampled_from([(1, 2, 3), (-3, 0, 7, 10**6), (0, 1), (-1,)]))
-        if kind == "many":
-            wide = st.integers(-(2**63), 2**63 - 1)
-            pool = draw(st.lists(wide, min_size=1, max_size=300, unique=True))
-        letters = st.sampled_from(pool)
-        arr = np.array(draw(st.lists(letters, min_size=1, max_size=300)))
-    else:
-        word = draw(st.sampled_from(SMOOTH_PREFIXES))
-        arr = word.to_array()[: draw(st.integers(1, len(word)))]
-    n = arr.size
-    powers = [1 << k for k in range(n.bit_length()) if 1 << k <= n]
-    l_max = draw(st.one_of(st.integers(1, n), st.sampled_from(powers + [n])))
-    return arr, l_max
-
-
 @settings(max_examples=150, deadline=None)
-@given(words_and_l_max())
+@given(alphabet_words())
 def test_index_matches_naive_scan(case):
-    arr, l_max = case
-    idx = FactorIndex(arr, l_max)
+    word, arr, l_max = case
+    idx = FactorIndex(word, l_max)
     ref = NaiveFactorScan(arr, l_max)
     for length in range(1, l_max + 1):
         factors = sorted(ref.factor_set(length))
@@ -110,13 +86,13 @@ def _first_in_window(ref, length, lo, hi):
 
 
 @settings(max_examples=150, deadline=None)
-@given(words_and_l_max(), st.data())
+@given(alphabet_words(), st.data())
 def test_window_matches_naive_scan(case, data):
     # windows may be empty, reversed or reach past either end
-    arr, l_max = case
+    word, arr, l_max = case
     bound = st.integers(-3, arr.size + 3)
     lo, hi = data.draw(bound), data.draw(bound)
-    idx = FactorIndex(arr, l_max)
+    idx = FactorIndex(word, l_max)
     ref = NaiveFactorScan(arr, l_max)
     for length in range(1, l_max + 1):
         expected = _first_in_window(ref, length, lo, hi)
@@ -128,19 +104,18 @@ def test_window_matches_naive_scan(case, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(words_and_l_max())
+@given(alphabet_words())
 def test_closure_middle_third_matches_naive_scan(case):
-    arr, l_max = case
+    w, arr, l_max = case
     n = arr.size
     assume(n >= 3)
     l_max = min(l_max, n // 3)
-    w = Word(arr)
     ref = NaiveFactorScan(arr, l_max)
-    # swapping each letter with one absent from the word misses every
+    # swapping each letter with one outside the alphabet misses every
     # factor, so the misses are the whole middle-third factor list
-    letters = set(arr.tolist())
-    shift = max(letters) - min(letters) + 1
-    away = {a: a + shift for a in letters}
+    letters = w.alphabet.letters
+    outside = [a for a in range(1, 2 * len(letters) + 1) if a not in letters]
+    away = dict(zip(letters, outside))
     away = Permutation({**away, **{b: a for a, b in away.items()}})
     listed = []
     for length in range(1, l_max + 1):
@@ -154,12 +129,11 @@ def test_closure_middle_third_matches_naive_scan(case):
         for factor, pos in listed
         if factor[::-1] not in ref.factor_set(len(factor))
     ]
-    misses = closure_check(w, "reversal", l_max, index=FactorIndex(arr, l_max))
+    misses = closure_check(w, "reversal", l_max, index=FactorIndex(w, l_max))
     assert [(m.factor, m.factor_position) for m in misses] == reversal
-    # a rotation of the word's own letters: images in the alphabet, some
-    # of them factors of the word and some not
-    ordered = sorted(letters)
-    rotate = Permutation(dict(zip(ordered, ordered[1:] + ordered[:1])))
+    # a rotation of the alphabet: images in the alphabet, some of them
+    # factors of the word and some not
+    rotate = Permutation(dict(zip(letters, letters[1:] + letters[:1])))
     rotated = [
         (factor, tuple(map(rotate, factor)), pos)
         for factor, pos in listed
@@ -174,18 +148,31 @@ def test_closure_raises_only_for_letters_outside_the_domain_it_scans():
     swap = Permutation({1: 2, 2: 1})
     arr = np.tile([1, 2, 2, 1], 15)
     arr[[0, 59]] = 3  # outside every middle-third factor
-    assert closure_check(Word(arr), swap, 4) == []
+    assert closure_check(Word(arr, A123), swap, 4) == []
     for pos in (30, 41):  # 41 is only in factors that start before 40
         inside = arr.copy()
         inside[pos] = 3
         with pytest.raises(ValueError, match="symbol 3 outside the permutation"):
-            closure_check(Word(inside), swap, 4)
+            closure_check(Word(inside, A123), swap, 4)
+
+
+def test_closure_images_past_int64_are_misses():
+    # 60 letters: the middle third holds the factors starting in [20, 40)
+    big = 2**70
+    swap = Permutation({1: big, big: 1, 2: 2})
+    misses = closure_check(Word(np.tile([1, 2, 2, 1], 15), A12), swap, 2)
+    assert [(m.factor, m.image) for m in misses] == [
+        ((1,), (big,)),
+        ((1, 1), (big, big)),
+        ((1, 2), (big, 2)),
+        ((2, 1), (2, big)),
+    ]
 
 
 @settings(max_examples=100, deadline=None)
-@given(words_and_l_max())
+@given(alphabet_words())
 def test_gap_stability_half_prefix_matches_naive_scan(case):
-    arr, l_max = case
+    word, arr, l_max = case
     half = arr.size // 2
     assume(half >= 1)
     l_max = min(l_max, half)
@@ -198,15 +185,15 @@ def test_gap_stability_half_prefix_matches_naive_scan(case):
             a, b = half_ref.max_gap(factor), full_ref.max_gap(factor)
             if a != b:
                 mismatches.append((length, factor, a, b))
-    stability = gap_stability_check(Word(arr), l_max)
+    stability = gap_stability_check(word, l_max)
     assert stability.compared == compared
     assert stability.mismatches == mismatches
 
 
 @settings(max_examples=100, deadline=None)
-@given(words_and_l_max(), st.data())
+@given(alphabet_words(), st.data())
 def test_recurrence_scan_matches_naive_scan(case, data):
-    arr, l_max = case
+    word, arr, l_max = case
     assume(arr.size >= 2)
     l_max = min(l_max, arr.size // 2)
     scan_len = data.draw(st.integers(l_max, arr.size))
@@ -218,7 +205,7 @@ def test_recurrence_scan_matches_naive_scan(case, data):
             if occ[0] + length <= scan_len:
                 second = occ[1] + 1 if len(occ) > 1 else None
                 expected.append((length, factor, occ[0] + 1, second))
-    report = recurrence_report(Word(arr), l_max, scan_len=scan_len)
+    report = recurrence_report(word, l_max, scan_len=scan_len)
     assert [(r.length, r.factor, r.first, r.second) for r in report.rows] == expected
     missed = [(length, f) for length, f, _, second in expected if second is None]
     assert [(r.length, r.factor) for r in report.non_recurrent] == missed
@@ -242,8 +229,8 @@ def test_groups_are_in_lexicographic_factor_order():
     words = [
         kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2)), (1, 2)), 3000),
         kolakoski_prefix(BaseSequenceSpec(Alphabet((1, 2, 3)), (3, 1, 2)), 3000),
-        rng.integers(1, 4, size=800),
-        rng.integers(1, 10, size=500),
+        Word(rng.integers(1, 4, size=800), A123),
+        Word(rng.integers(1, 10, size=500), Alphabet(tuple(range(1, 10)))),
     ]
     for w in words:
         idx = FactorIndex(w, 13)
@@ -262,39 +249,59 @@ def test_factor_count_never_exceeds_window():
 
 
 def test_window_queries():
-    arr = np.array([1, 2, 2, 1, 1, 2, 1, 2, 2])
-    idx = FactorIndex(arr, 4)
+    idx = FactorIndex(Word((1, 2, 2, 1, 1, 2, 1, 2, 2), A12), 4)
     window, _ = idx.window(2, 0, 3)
     assert set(_factor_tuples(idx, 2, window)) == {(1, 2), (2, 2), (2, 1)}
 
 
+_NOT_A_SOURCE = "^word must be a PieceSource or a Word with an alphabet$"
+
+
 @pytest.mark.parametrize("scanner", [FactorIndex, NaiveFactorScan])
 def test_non_integer_words_are_rejected(scanner):
-    with pytest.raises(ValueError, match="integer dtype"):
-        scanner(np.array([1.5, 1.2, 2.0]), 1)
-    with pytest.raises(ValueError, match="integer dtype"):
-        scanner(np.array([True, False]), 1)
-    with pytest.raises(ValueError, match="1-D"):
-        scanner(np.array([[1, 2], [2, 1]]), 1)
-    with pytest.raises(ValueError, match="1-D"):
-        scanner(np.int64(3), 1)
-    with pytest.raises(ValueError, match="int64"):
-        scanner(np.array([2**63, 1, 2**63, 5], dtype=np.uint64), 1)
-
-    def distinct(arr):
-        index = scanner(arr, 1)
+    # the oracle scans integer arrays; the index takes no array at all
+    cases = [
+        (np.array([1.5, 1.2, 2.0]), "integer dtype"),
+        (np.array([True, False]), "integer dtype"),
+        (np.array([[1, 2], [2, 1]]), "1-D"),
+        (np.int64(3), "1-D"),
+        (np.array([2**63, 1, 2**63, 5], dtype=np.uint64), "int64"),
+        (np.array([2**63 - 1, 1], dtype=np.uint64), None),
+        (np.array([1, 2, 2], dtype=np.uint8), None),
+    ]
+    for arr, why in cases:
         if scanner is FactorIndex:
-            return index.groups(1).group_count
-        return index.distinct_count(1)
+            why = _NOT_A_SOURCE
+        if why is None:
+            assert scanner(arr, 1).distinct_count(1) == 2
+        else:
+            with pytest.raises(ValueError, match=why):
+                scanner(arr, 1)
 
-    assert distinct(np.array([2**63 - 1, 1], dtype=np.uint64)) == 2
-    assert distinct(np.array([1, 2, 2], dtype=np.uint8)) == 2
+
+_REPORTS = {
+    "index": FactorIndex,
+    "recur": recurrence_report,
+    "gaps": max_gap_report,
+    "stability": gap_stability_check,
+    "closure": lambda w, l_max: closure_check(w, "reversal", l_max),
+}
+
+
+@pytest.mark.parametrize("report", _REPORTS.values(), ids=_REPORTS.keys())
+def test_the_factor_layer_reads_only_an_alphabet_word(report):
+    # long and short words alike: the input is checked before its length
+    for letters in ((1, 2, 2, 1) * 10, (1, 2)):
+        for word in (np.array(letters), Word(letters), list(letters)):
+            with pytest.raises(ValueError, match=_NOT_A_SOURCE):
+                report(word, 3)
+        report(Word(letters * 5, A12), 3)
 
 
 def test_length_bounds():
-    with pytest.raises(ValueError):
-        FactorIndex(np.array([1, 2, 1]), 5)
-    idx = FactorIndex(np.array([1, 2, 2, 1, 1, 2, 1, 2, 2, 1]), 3)
+    with pytest.raises(ValueError, match="^word shorter than l_max$"):
+        FactorIndex(Word((1, 2, 1), A12), 5)
+    idx = FactorIndex(Word((1, 2, 2, 1, 1, 2, 1, 2, 2, 1), A12), 3)
     queries = [
         idx.groups,
         idx.max_gaps,
@@ -311,12 +318,6 @@ def test_length_bounds():
 
 # ---------------------------------------------------------------------------
 # piece sources: the word is read in pieces, as often as a query needs
-
-
-def _cut(arr, offsets):
-    """``arr`` in pieces that end at the given offsets."""
-    edges = [0, *sorted(set(offsets)), arr.size]
-    return [arr[a:b] for a, b in zip(edges, edges[1:])]
 
 
 def _check_against_naive(idx, arr, l_max, lo, hi):
@@ -366,7 +367,7 @@ def piece_sources(draw):
 @given(piece_sources())
 def test_piece_source_matches_naive_scan(case):
     alphabet, arr, offsets, chunk, l_max, lo, hi = case
-    source = PieceSource(alphabet, lambda: _cut(arr, offsets))
+    source = PieceSource(alphabet, lambda: cut(arr, offsets))
     with pytest.MonkeyPatch.context() as patch:
         # index pieces of a few positions: a cut at every offset mod chunk
         patch.setattr(words, "_WRITE_CHUNK", chunk)

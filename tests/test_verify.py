@@ -292,6 +292,21 @@ def test_verify_all_output_written_on_every_run(tmp_path, capsys, monkeypatch):
     assert out_file.read_text() == "# smoothwords command=verify-all seed=5\n"
 
 
+@pytest.mark.parametrize("output", ["", "."])
+def test_verify_all_output_that_cannot_be_written_fails_first(
+    output, tmp_path, capsys, monkeypatch
+):
+    def never(seed):
+        raise AssertionError("no check runs before --output is opened")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "ALL_CHECKS", [("1-never", never)])
+    assert main(["verify-all", "--output", output]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno")
+
+
 def test_prefix_monotonicity_expands_each_directive_word_once(monkeypatch):
     calls = []
 

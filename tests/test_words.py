@@ -490,6 +490,15 @@ def test_permutation_rejects_unknown_symbol():
         apply_permutation(Word((1, 3)), comp)
 
 
+def test_apply_permutation_on_letters_ranked_by_search():
+    # a letter from 2¹⁶ on: the domain is searched, not tabled
+    big = 2**40
+    sigma = Permutation({1: big, big: 1})
+    assert apply_permutation(Word((big, 1, big)), sigma) == (1, big, 1)
+    with pytest.raises(ValueError, match=f"symbol {big + 1} outside"):
+        apply_permutation(Word((1, big + 1)), sigma)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(1, 12), max_size=40),
