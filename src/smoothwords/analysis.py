@@ -254,7 +254,7 @@ class _FactorColumns:
         csv module's lines are built directly."""
         out.write(header)
         for length, letters, a, b in self._lengths():
-            text = _symbol_bytes(letters.reshape(-1))
+            text = np.frombuffer(_symbol_bytes(letters.reshape(-1)), dtype=np.uint8)
             # every length-th space ends a factor
             text[np.flatnonzero(text == ord(" "))[length - 1 :: length]] = ord("\n")
             texts = text.tobytes().decode("ascii").split("\n")[:-1]
@@ -474,10 +474,8 @@ def closure_check(
         label, image = "reversal", lambda ranks: ranks[:, ::-1]
     elif isinstance(op, Permutation):
         # rank 0: no image in the alphabet, so the factor is a miss, and
-        # building its witness raises for a letter outside the domain; an
-        # image past int64 is no letter, and is kept out of the array
-        images = [op.mapping.get(a, 0) for a in idx.alphabet]
-        images = np.array([0, *(b if abs(b) < 1 << 63 else 0 for b in images)])
+        # building its witness raises for a letter outside the domain
+        images = np.array([0, *(op.mapping.get(a, 0) for a in idx.alphabet)])
         label, image = op.label(), idx.alphabet.ranks(images).__getitem__
     else:
         raise ValueError("op must be 'reversal' or a Permutation")

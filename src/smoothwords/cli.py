@@ -390,8 +390,10 @@ def cmd_closure(args) -> int:
         if args.map is None:
             raise _UsageError("--map is required with --op perm")
         try:
-            mapping = dict(map(int, pair.split(":")) for pair in args.map.split(","))
-        except ValueError:
+            # each letter is one word-text number, as in every other word flag
+            pairs = (map(_letters, pair.split(":")) for pair in args.map.split(","))
+            mapping = {a: b for (a,), (b,) in pairs}
+        except (ValueError, _UsageError):
             raise _UsageError(f"cannot parse --map from {args.map!r}") from None
         op = Permutation(mapping)
     else:  # pragma: no cover - argparse constrains choices

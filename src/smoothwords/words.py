@@ -293,12 +293,14 @@ class RunDecomposition:
 
 
 class Permutation:
-    """A bijection on an alphabet's letters, applied symbol-wise to words."""
+    """A bijection on letters that fit int64, applied symbol-wise to words."""
 
     def __init__(self, mapping: dict[int, int]):
         self.mapping = dict(mapping)
         if set(self.mapping) != set(self.mapping.values()):
             raise ValueError("mapping is not a bijection on its domain")
+        if any(not -(1 << 63) <= a < 1 << 63 for a in self.mapping):
+            raise ValueError("permutation letters must fit int64")
 
     @classmethod
     def complement(cls, alphabet: Alphabet) -> "Permutation":
@@ -562,7 +564,7 @@ def is_palindrome(w: Word) -> bool:
 # Output formats one piece of at most _WRITE_CHUNK symbols at a time, in any
 # integer dtype, so a word given in pieces (a generator's, one byte a letter
 # up to letter 255) is written without being held.  Input goes through one
-# piece reader, _symbol_pieces, which reads at most _PARSE_CHUNK bytes (64 KiB)
+# piece reader, _symbol_pieces, which reads at most _PARSE_CHUNK bytes (32 KiB)
 # at a time.  In a word file it reads line by line, never past a line's end:
 # it skips blank and "#" lines in bounded parts, holding no line whole, and
 # then parses the first data line only.  Each span it tokenises is the next
@@ -574,18 +576,23 @@ def is_palindrome(w: Word) -> bool:
 # to parse has the rest of its line scanned for one first.
 
 # text bytes read and tokenised per step; more than the longest valid token
-# (39 bytes), so a span too long to hold a space is one invalid token; a
-# span's temporaries take about 24 bytes per text byte
-_PARSE_CHUNK = 2**16
+# (39 bytes), so a span too long to hold a space is one invalid token.  A
+# span's temporaries take about 20 bytes per text byte (32 for run tokens);
+# at 32 KiB glibc keeps them on the heap from span to span, where 64 KiB
+# spans were mapped or trimmed and faulted in again (40,500 against 5,400
+# minor faults reading 5e6 one-digit letters)
+_PARSE_CHUNK = 2**15
 _MAX_DIGITS = 18  # every 18-digit number fits in int64
 
-# byte classes of the text format; class 0 marks a byte no token may hold
-_SPACE, _DIGIT, _CARET, _SIGN = 1, 2, 3, 4
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+# byte classes of the text format; the sign, caret and bad-byte rules
+# look only at bytes of a class above _DIGIT
+_SPACE, _DIGIT, _CARET, _SIGN, _BAD = range(5)
+_BYTE_CLASS = np.full(256, _BAD, dtype=np.uint8)
 _BYTE_CLASS[list(b" \t\n\r\v\f")] = _SPACE
 _BYTE_CLASS[list(b"0123456789")] = _DIGIT
 _BYTE_CLASS[ord("^")] = _CARET
 _BYTE_CLASS[list(b"+-")] = _SIGN
+_CLASS_TABLE = _BYTE_CLASS.tobytes()  # the classes as a bytes.translate table
 _NOT_ASCII = "word text must be ASCII"
 
 
@@ -601,29 +608,29 @@ def _token_error(data: np.ndarray, at: int, why: str) -> ValueError:
 
 def _parse_span(data: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Symbols of a text span that starts and ends between tokens."""
-    # padded classes: c[i + 1] is the class of data[i], with a space at
-    # either end, so every byte has a left and a right neighbour
-    c = np.empty(classes.size + 2, dtype=np.uint8)
-    c[0] = c[-1] = _SPACE
-    c[1:-1] = classes
-    left, here, right = c[:-2], c[1:-1], c[2:]
-    digit = here == _DIGIT
-    # a sign opens a number after a space or caret; a caret joins a
-    # base's last digit to an exponent's first digit or sign
-    bad = here == 0
-    bad |= (here == _SIGN) & (
-        (right != _DIGIT) | ((left != _SPACE) & (left != _CARET))
-    )
-    bad |= (here == _CARET) & (
-        (left != _DIGIT) | ((right != _DIGIT) & (right != _SIGN))
-    )
-    if bad.any():
-        raise _token_error(data, int(bad.argmax()), "invalid text")
-    starts = np.flatnonzero(digit & (left != _DIGIT))
-    ends = np.flatnonzero(digit & (right != _DIGIT)) + 1
-    lengths = ends - starts
+    # edges[0::2] are the numbers' starts, edges[1::2] their ends
+    digit = np.zeros(data.size + 2, dtype=bool)
+    np.equal(classes, _DIGIT, out=digit[1:-1])
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    special = np.flatnonzero(classes > _DIGIT)
+    if special.size:
+        # c[i + 1] is the class of byte i, with a space at either end; a
+        # sign opens a number after a space or caret, and a caret joins a
+        # base's last digit to an exponent's first digit or sign
+        c = np.empty(classes.size + 2, dtype=np.uint8)
+        c[0] = c[-1] = _SPACE
+        c[1:-1] = classes
+        left, here, right = c[special], c[special + 1], c[special + 2]
+        sign, caret = here == _SIGN, here == _CARET
+        bad = here == _BAD
+        bad |= sign & ((right != _DIGIT) | ((left != _SPACE) & (left != _CARET)))
+        bad |= caret & ((left != _DIGIT) | ((right != _DIGIT) & (right != _SIGN)))
+        if bad.any():
+            raise _token_error(data, int(special[bad.argmax()]), "invalid text")
     if not starts.size:
         return np.empty(0, dtype=np.int64)
+    lengths = ends - starts
     width = int(lengths.max())
     if width > _MAX_DIGITS:
         at = int(starts[lengths.argmax()])
@@ -632,17 +639,20 @@ def _parse_span(data: np.ndarray, classes: np.ndarray) -> np.ndarray:
     for k in range(1, width):
         longer = np.flatnonzero(lengths > k)
         values[longer] = values[longer] * 10 + (data[starts[longer] + k] - ord("0"))
-    # c[starts] is the class before each number; a sign implies starts >= 1
-    signed = c[starts] == _SIGN
-    np.negative(values, out=values, where=signed & (data[starts - 1] == ord("-")))
-    exponent = np.where(signed, c[starts - 1], c[starts]) == _CARET
-    if not exponent.any():
+    if not special.size:
         return values
-    chained = exponent & (c[ends + 1] == _CARET)
-    if chained.any():
-        at = int(starts[chained.argmax()])
+    # each sign sits just before the number it opens
+    signs = special[sign]
+    opened = np.searchsorted(starts, signs[data[signs] == ord("-")] + 1)
+    values[opened] = -values[opened]
+    # each caret ends its base, and the exponent is the next number
+    runs = np.searchsorted(ends, special[caret]) + 1
+    if not runs.size:
+        return values
+    chained = np.flatnonzero(np.diff(runs) == 1)  # an exponent is a base
+    if chained.size:
+        at = int(starts[runs[chained[0]]])
         raise _token_error(data, at, "more than one caret")
-    runs = np.flatnonzero(exponent)
     if (values[runs] < 0).any():
         at = int(starts[runs[(values[runs] < 0).argmax()]])
         raise _token_error(data, at, "negative exponent")
@@ -655,8 +665,8 @@ def _parse_span(data: np.ndarray, classes: np.ndarray) -> np.ndarray:
     # a run's base is the number just before its exponent
     repeats = np.ones(values.size, dtype=np.int64)
     repeats[runs - 1] = values[runs]
-    base = ~exponent
-    return np.repeat(values[base], repeats[base])
+    repeats[runs] = 0
+    return np.repeat(values, repeats)
 
 
 def _data_part(readline: Callable[[int], bytes]) -> bytes:
@@ -710,15 +720,14 @@ def _symbol_pieces(handle: BinaryIO, line: bool) -> Iterator[np.ndarray]:
         try:
             if not buf.isascii():
                 raise ValueError(_NOT_ASCII)
-            classes = _BYTE_CLASS[data]
+            classes = buf[: data.size].translate(_CLASS_TABLE)
             if not last:
                 # end the span just after its last space, so no token is cut
-                space = classes == _SPACE
-                back = int(space[::-1].argmax())
-                if not space[-1 - back]:
+                size = classes.rfind(_SPACE) + 1
+                if not size:
                     raise _token_error(data, 0, "token too long")
-                data, classes = data[: data.size - back], classes[: data.size - back]
-            piece = _parse_span(data, classes)
+                data, classes = data[:size], classes[:size]
+            piece = _parse_span(data, np.frombuffer(classes, dtype=np.uint8))
         except ValueError:
             # a non-ASCII byte later in the text or line is reported first
             if not all(b.isascii() for b in chain([buf[data.size :]], rest)):
@@ -740,7 +749,7 @@ def parse_symbols(text: str | bytes) -> Word:
     number of at most 18 ASCII digits with an optional ``+`` or ``-``
     sign, or a run ``b^e`` of two such numbers, which repeats ``b``
     ``e >= 0`` times.  Any other text raises ``ValueError``, and so do
-    runs of more than ``DEFAULT_BUDGET`` symbols within one 64 KiB span
+    runs of more than ``DEFAULT_BUDGET`` symbols within one 32 KiB span
     of the text.
 
     >>> parse_symbols("2^3 4^2 1") == (2, 2, 2, 4, 4, 1)
@@ -754,40 +763,51 @@ def data_line_pieces(path: str) -> Iterator[np.ndarray]:
     """Symbols of a word file's first data line, in pieces of bounded size.
 
     Blank lines and ``#`` comment lines before it are skipped; the file
-    is read in 64 KiB blocks, so neither it nor the line is held whole.
+    is read in 32 KiB blocks, so neither it nor the line is held whole.
     A file without a data line gives no pieces (the empty word).
     """
     with open(path, "rb") as handle:
         yield from _symbol_pieces(handle, line=True)
 
 
-def _symbol_bytes(arr: np.ndarray) -> np.ndarray:
-    """ASCII decimal bytes of a nonempty integer array, a space after each."""
-    negative = arr < 0
-    signed = bool(negative.any())
+# text of each byte value, NUL-padded to four bytes: b"7 \0\0" to b"255 "
+_BYTE_TEXT = np.frombuffer(
+    b"".join(f"{v} ".encode().ljust(4, b"\0") for v in range(256)), dtype=np.uint32
+)
+
+
+def _symbol_bytes(arr: np.ndarray) -> bytearray:
+    """ASCII decimal bytes of a nonempty integer array, a space after each,
+    in a new bytearray."""
+    signed = arr.dtype.kind == "i" and bool(arr.min() < 0)
     if signed:
+        negative = arr < 0
         # uint64 negation gives |v|, also for the smallest int64
         u = arr.astype(np.int64, copy=False).view(np.uint64)
         arr = np.where(negative, -u, u)
     top = int(arr.max())
     width = len(str(top))
-    mag = arr.astype(np.min_scalar_type(top))
-    # one row per symbol: [sign] digits (leading zeros) space
-    out = np.empty((mag.size, signed + width + 1), dtype=np.uint8)
+    mag = arr.astype(np.min_scalar_type(top), copy=False)
+    # rows of unequal width are padded with NULs, which one pass deletes
+    padded = signed or width > 1 and int(mag.min()) < 10 ** (width - 1)
+    if padded and mag.dtype == np.uint8 and not signed:
+        buf = bytearray(4 * mag.size)
+        np.take(_BYTE_TEXT, mag, out=np.frombuffer(buf, dtype=np.uint32), mode="clip")
+        return buf.translate(None, b"\0")
+    # one row per symbol: sign or NUL, digits or leading NULs, space
+    buf = bytearray(mag.size * (signed + width + 1))
+    out = np.frombuffer(buf, dtype=np.uint8).reshape(mag.size, -1)
     out[:, -1] = ord(" ")
-    rest = mag
-    for col in range(signed + width - 1, signed - 1, -1):
-        rest, out[:, col] = np.divmod(rest, 10)
-    out[:, signed:-1] += ord("0")
-    if not signed and (width == 1 or mag.min() >= 10 ** (width - 1)):
-        return out.reshape(-1)
-    keep = np.ones(out.shape, dtype=bool)
-    for k in range(1, width):
-        np.greater_equal(mag, 10**k, out=keep[:, signed + width - 1 - k])
     if signed:
-        out[:, 0] = ord("-")
-        keep[:, 0] = negative
-    return out[keep]
+        out[negative, 0] = ord("-")
+    rest = mag
+    for k in range(width):
+        rest, digit = np.divmod(rest, 10)
+        digit += ord("0")
+        if k and padded:
+            digit *= mag >= 10**k  # leading zeros are NULs
+        out[:, -2 - k] = digit
+    return buf.translate(None, b"\0") if padded else buf
 
 
 def _split(arr: Sequence) -> Iterator[Sequence]:
@@ -796,12 +816,15 @@ def _split(arr: Sequence) -> Iterator[Sequence]:
 
 
 def _text_pieces(pieces: Iterable[np.ndarray]) -> Iterator[str]:
-    """Flat text of a word given as integer pieces, one string per slice."""
+    """Flat text of a word given as integer pieces: each slice's text,
+    and the space between slices, as strings."""
     sep = ""
     for piece in pieces:
         for part in _split(piece):
-            # each part's last space is dropped and put before the next
-            yield sep + str(_symbol_bytes(part)[:-1].data, "ascii")
+            # each part's last space is dropped and put before the next;
+            # yielding it alone spares a copy of the part's text
+            yield sep
+            yield str(memoryview(_symbol_bytes(part))[:-1], "ascii")
             sep = " "
 
 
@@ -812,7 +835,7 @@ def _slice_text(items: Sequence) -> str:
     if all(t is int or issubclass(t, np.integer) for t in types):
         arr = np.asarray(items)
         if arr.dtype.kind in "iu":
-            return str(_symbol_bytes(arr)[:-1].data, "ascii")
+            return str(memoryview(_symbol_bytes(arr))[:-1], "ascii")
     return " ".join([str(s) for s in items])
 
 

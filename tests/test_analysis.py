@@ -299,6 +299,27 @@ def test_recurrence_csv():
     assert buf.getvalue().splitlines()[0] == "L,factor,first,second,recurrent"
 
 
+@pytest.mark.parametrize("period", [(6, 10, 14, 2), (2, 6)])
+def test_recurrence_csv_factor_texts_match_str(period, capsys):
+    # one- and two-digit letters (and one-digit only): each length's
+    # factor texts come from one byte-kernel call, whose bytes the CSV
+    # writer edits in place
+    alphabet = Alphabet(tuple(sorted(period)))
+    n = 3_000
+    report = recurrence_report(
+        kolakoski_prefix(BaseSequenceSpec(alphabet, period), n), 5, scan_len=500
+    )
+    buf = io.StringIO()
+    report.to_csv(buf)
+    lines = buf.getvalue().splitlines()[1:]
+    assert len(lines) == len(report.rows) > 20
+    for line, row in zip(lines, report.rows):
+        assert line.split(",")[:2] == [str(row.length), " ".join(map(str, row.factor))]
+    argv = ["recur", "--base-period", ",".join(map(str, period)), "--length", str(n)]
+    assert main(argv + ["--l-max", "5", "--scan-len", "500"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == lines
+
+
 def test_max_gap_single_letters_bounded_on_two_letter_alphabet():
     w = kolakoski_prefix(BaseSequenceSpec(A24, (2, 4)), 10**5)
     report = max_gap_report(w, 1)

@@ -420,6 +420,19 @@ def test_closure_map_parse_errors_name_the_flag(mapping, capsys):
     assert capsys.readouterr().err == f"cannot parse --map from {mapping!r}\n"
 
 
+@pytest.mark.parametrize("big", [10**18, 2**63 - 1, 2**70])
+def test_closure_map_letters_have_at_most_18_digits(big, capsys):
+    argv = ["closure", "--base-period", "1,2", "--length", "300", "--l-max", "4"]
+    mapping = f"1:{big},{big}:1,2:2"
+    assert main(argv + ["--op", "perm", "--map", mapping]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot parse --map from {mapping!r}\n"
+    mapping = f"1:{10**18 - 1},{10**18 - 1}:1,2:2"
+    assert main(argv + ["--op", "perm", "--map", mapping]) == 0
+    assert capsys.readouterr().out.count("absent") > 0
+
+
 def test_recur_exit_codes(tmp_path, capsys):
     out = tmp_path / "recur.csv"
     code = main(

@@ -490,6 +490,15 @@ def test_permutation_rejects_unknown_symbol():
         apply_permutation(Word((1, 3)), comp)
 
 
+def test_permutation_letters_fit_int64():
+    big, least = 2**63 - 1, -(2**63)
+    sigma = Permutation({1: big, big: least, least: 1, 2: 2})
+    assert apply_permutation(Word((1, 2, big)), sigma) == (big, 2, least)
+    for mapping in ({1: 2**70, 2**70: 1, 2: 2}, {least - 1: 1, 1: least - 1}):
+        with pytest.raises(ValueError, match="permutation letters must fit int64"):
+            Permutation(mapping)
+
+
 def test_apply_permutation_on_letters_ranked_by_search():
     # a letter from 2¹⁶ on: the domain is searched, not tabled
     big = 2**40
@@ -678,6 +687,55 @@ def test_parse_matches_tuple_oracle_across_spans(text):
         _check_parse_matches_oracle(text * 4)
 
 
+@st.composite
+def _span_edge_texts(draw):
+    """Texts in 64-byte spans with a token that starts or ends with a
+    sign, caret or invalid byte: at the first byte of the second span,
+    ending just before the first span's last byte (a space), ending at the
+    first span's last byte (so the span is cut before it), or ending the
+    text."""
+    token = draw(
+        st.one_of(
+            _number(st.integers(0, 10**6)).filter(lambda t: t[0] in "+-"),
+            st.sampled_from(["1^", "^2", "1^2^3", "--1", "1-", "a", "2^-1", "+", "^",
+                             "-", "1+2", "1^+-2", "x7", "7x", "2^+3", "3^-0", "5^2"]),
+        )
+    )
+    where = draw(st.sampled_from(["first", "last", "cut", "end"]))
+    end = draw(st.integers(64, 80))
+    gap = {"first": 64, "last": 63 - len(token), "cut": 64 - len(token), "end": end}[where]
+    filler = "1 " * (gap // 2) + " " * (gap % 2)
+    rest = "" if where == "end" else " " + draw(_text_of(_valid_tokens))
+    return filler + token + rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(_span_edge_texts())
+def test_parse_matches_tuple_oracle_at_span_edges(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_PARSE_CHUNK", 64)
+        _check_parse_matches_oracle(text)
+
+
+@pytest.mark.parametrize("second", [2**15 - 6, 2**15 - 5, 2**15 - 4, 2**15])
+def test_run_budget_holds_per_32_kib_span(tmp_path, monkeypatch, second):
+    # two 30-letter runs pass a budget of 50 only in different spans; the
+    # second shares the first span when a space follows it within the span
+    assert words._PARSE_CHUNK == 2**15
+    monkeypatch.setattr(words, "DEFAULT_BUDGET", 50)
+    first = second - 5
+    text = "1 " * (first // 2) + " " * (first % 2) + "9^30 9^30 1\n"
+    path = tmp_path / "word.txt"
+    path.write_text(text)
+    if second + 4 < 2**15:
+        for read in (lambda: parse_symbols(text), lambda: _data_line(path)):
+            with pytest.raises(ValueError, match="runs past 50 symbols in token '9\\^30'"):
+                read()
+    else:
+        expected = (1,) * (first // 2) + (9,) * 60 + (1,)
+        assert parse_symbols(text) == _data_line(path) == expected
+
+
 _int64 = st.one_of(
     st.integers(0, 20),
     st.integers(-(2**63), 2**63 - 1),
@@ -703,8 +761,40 @@ def test_format_matches_str_oracle(values, chunk):
         assert parse_symbols(expected) == values
 
 
+_INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def _integer_arrays(draw):
+    """Arrays of every integer dtype: extremes, negatives, mixed widths."""
+    dtype = draw(st.sampled_from(_INT_DTYPES))
+    info = np.iinfo(dtype)
+    edges = [v for v in (0, 1, 9, 10, 99, 100, 255, 256, -1, -9, -10) if info.min <= v <= info.max]
+    value = st.one_of(
+        st.integers(int(info.min), int(info.max)),
+        st.sampled_from([int(info.min), int(info.max), *edges]),
+        st.integers(0, 20),
+    )
+    return np.array(draw(st.lists(value, max_size=50)), dtype=dtype)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_integer_arrays())
+def test_format_kernel_matches_str_join(arr):
+    expected = " ".join(map(str, arr.tolist()))
+    assert format_symbols(arr) == expected
+    assert format_symbols(arr.tolist()) == expected
+    if arr.size:
+        text = words._symbol_bytes(arr)
+        assert bytes(text) == (expected + " ").encode()
+        text[0] = ord(" ")  # a writable buffer, which the CSV writer edits
+
+
 def test_format_of_narrow_and_unsigned_arrays():
     assert format_symbols(np.array([0, 7, 255], dtype=np.uint8)) == "0 7 255"
+    every = np.random.default_rng(3).permutation(256)  # each one-byte value
+    for dtype in (np.uint8, np.int16, np.int64):
+        assert format_symbols(every.astype(dtype)) == " ".join(map(str, every.tolist()))
     assert format_symbols(np.array([2**64 - 1], dtype=np.uint64)) == str(2**64 - 1)
     assert format_symbols(np.array([-128, 5], dtype=np.int8)) == "-128 5"
 
@@ -976,8 +1066,8 @@ def test_piece_reader_holds_one_block(tmp_path):
 
 
 def test_piece_reader_span_temporaries_stay_small(tmp_path):
-    # a span's temporaries take about 24 bytes per text byte, so the peak
-    # follows the span size: 256 KiB spans traced about 8.7 MB here
+    # a span's temporaries take about 20 bytes per text byte, so the peak
+    # follows the span size: 256 KiB spans traced about 6.8 MB here
     path = tmp_path / "word.txt"
     path.write_bytes(b"1 3 " * 10**6 + b"\n")
     tracemalloc.start()
