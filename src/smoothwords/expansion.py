@@ -116,9 +116,10 @@ def pseudo_inverse(
     """
     order.position(alpha)  # validates membership
     exps = _check_exponents(u)
-    if (total := int(exps.sum())) > budget:  # before anything is expanded
+    # before anything is expanded; a float sum cannot wrap past int64
+    if (total := exps.sum(dtype=np.float64)) > budget:
         raise ExpansionBudgetExceeded(
-            f"expansion of {total} symbols exceeds budget {budget}"
+            f"expansion of {total:.0f} symbols exceeds budget {budget}"
         )
     return _joined(_chain_chunks((alpha,), exps, order), order.alphabet)
 

@@ -6,9 +6,9 @@ Each start position gets an exact key: its next l_max letters, ranked
 factor order.  The distinct keys are the *fine groups*: the distinct
 factors of length l_max, plus a singleton per position too close to the
 end to start one.  The index keeps only them, in order, with their
-first and second start, size, and capped LCP with the previous key
-(equal leading digits).  Factors are decoded from the digits as 2-D
-arrays of letter ranks, and looked up as keys packed from such arrays.
+first and second start and size.  Factors are decoded from the digits
+as 2-D arrays of letter ranks, and looked up as keys packed from such
+arrays.
 
 The index is built from one read of the word, in pieces of at most 2¹⁶
 positions that carry l_max - 1 letters over from the next.  Each piece
@@ -18,12 +18,12 @@ searching problems I", 1980): a stable sort of the pair, then a min /
 min-of-others / sum reduction over equal keys.  No per-letter array
 outlives its piece.
 
-The groups of a shorter length L are LCP intervals too, so they are
-runs of adjacent fine groups: a fine group starts a new group where its
-LCP with the previous one is below L, and a singleton whose start is
-past n - L is dropped (Abouelhoda, Kurtz & Ohlebusch, "Replacing suffix
-trees with enhanced suffix arrays", 2004).  Each length is a merge of
-O(#fine groups) entries, in lexicographic factor order.
+The groups of a shorter length L are LCP intervals (Abouelhoda, Kurtz &
+Ohlebusch, "Replacing suffix trees with enhanced suffix arrays", 2004),
+so they are runs of adjacent fine groups: the runs of fine keys equal
+in their first L digits, once the singletons that start past n - L are
+dropped.  Each length is a merge of O(#fine groups) entries, in
+lexicographic factor order.
 
 Queries about positions read the word again, piece by piece, and look
 each key up among the fine keys: first starts in a window, and maximal
@@ -158,17 +158,14 @@ def _fold_gaps(ids, start: int, cut: int, last, gap, half) -> None:
     """Fold the starts ``start, start + 1, ...`` with group ``ids`` into
     each group's last start and largest gap, and ``half``: its largest
     gap between starts before ``cut``."""
-    # one value sort orders the offsets in the piece by group, then offset
-    shift = ids.size.bit_length()
-    dtype = np.uint32 if last.size << shift <= 1 << 32 else np.uint64
-    packed = ids.astype(dtype) << shift | np.arange(ids.size, dtype=dtype)
-    packed.sort()
-    ids, off = packed >> shift, packed & dtype((1 << shift) - 1)
+    # offsets come in order, so a stable sort by group gives (group, offset)
+    off = np.argsort(ids, kind="stable")
+    ids = ids[off]
     heads = np.flatnonzero(_changes(ids))
     tails = np.append(heads[1:], ids.size) - 1
     g = ids[heads]
     step = np.empty(ids.size, dtype=np.int64)
-    np.subtract(off[1:], off[:-1], out=step[1:], casting="unsafe")
+    np.subtract(off[1:], off[:-1], out=step[1:])
     prev = last[g]
     step[heads] = np.where(prev >= 0, off[heads] + start - prev, 0)
     gap[g] = np.maximum(gap[g], np.maximum.reduceat(step, heads))
@@ -182,7 +179,9 @@ class FactorIndex:
     """Exact factor groups and occurrence statistics for lengths 1..l_max:
     per group its first and second start and count (``groups``), its
     letters (``factors``), its first start in a window (``window``) and
-    its maximal gaps (``max_gaps``).
+    its maximal gaps (``max_gaps``).  It holds the sorted fine keys and
+    their statistics only: a length L's groups are the runs of the keys
+    it keeps that are equal in their first L digits.
 
     ``word`` is a :class:`PieceSource`, or a Word with an alphabet, read
     as a source over it; the ``letters`` of its ``alphabet`` rank 1..b.
@@ -239,14 +238,6 @@ class FactorIndex:
         while stack:
             run = _merge_runs(stack.pop()[1], run)
         self._keys, self._stats = run
-        # the capped LCP with the previous key: equal leading digits
-        self._lcp = np.zeros(self._keys.size, dtype=np.min_scalar_type(l_max))
-        same = np.ones(self._keys.size - 1, dtype=bool)
-        for j in range(l_max):
-            c, place = self._place(j)
-            lead = _column(self._keys, c) // place  # its digits up to letter j
-            same &= lead[1:] == lead[:-1]
-            self._lcp[1:] += same
 
     def __len__(self) -> int:
         return self._n
@@ -325,21 +316,27 @@ class FactorIndex:
         self._check(length)
         # a fine group starting past n - L is a near-end singleton
         members = np.flatnonzero(self._stats[0] < self.starts(length))
-        new = self._lcp[members] < length
-        new[0] = True
-        return members, new
+        return members, _changes(self._cut(self._keys[members], length))
 
     def _place(self, j: int) -> tuple[int, int]:
         """The key column that holds letter j (from 0) of a factor, and
         its place value there, as ``_pack`` lays keys out: the one map of
-        letters to digits that the LCP, decoding and lookups share."""
+        letters to digits that decoding, lookups and grouping (by a key's
+        first L digits, as ``_cut`` keeps them) share."""
         c, e = divmod(j, self._per)
         return c, self._base ** (self._digits[c] - 1 - e)
 
+    def _cut(self, keys: np.ndarray, length: int) -> np.ndarray:
+        """``keys`` with every digit past the first ``length`` 0."""
+        end, place = self._place(length - 1)
+        cols = [_column(keys, c) for c in range(end)]
+        return self._record([*cols, _column(keys, end) // place * place])
+
     def _heads(self, length: int) -> np.ndarray:
-        """The key of each group of one length: its least fine key."""
+        """The key of each group of one length: its first ``length``
+        digits, the rest 0."""
         members, new = self._merge(length)
-        return self._keys[members[new]]
+        return self._cut(self._keys[members[new]], length)
 
     def ranks(self, length: int, groups: np.ndarray | None = None) -> np.ndarray:
         """The letter ranks of each group's factor (of every group, or of
@@ -361,18 +358,14 @@ class FactorIndex:
         """Whether each row of ``ranks`` (as :meth:`ranks` gives them; a 0,
         for a letter outside the alphabet, matches no group) is a factor."""
         length = ranks.shape[1]
-        heads = self._heads(length)
-        # the group keys and the rows as keys, all digits past ``length`` 0
-        end, place = self._place(length - 1)
-        cut = [_column(heads, c) for c in range(end)]
-        cut = self._record([*cut, _column(heads, end) // place * place])
-        cols = [np.zeros(len(ranks), dtype=np.uint64) for _ in range(end + 1)]
+        heads = self._heads(length)  # and the rows as keys of as many digits
+        cols = [np.zeros(len(ranks), dtype=np.uint64) for _ in self._digits]
         for j in range(length):
             c, place = self._place(j)
             cols[c] += ranks[:, j].astype(np.uint64) * place
         keys = self._record(cols)
-        at = np.minimum(np.searchsorted(cut, keys), cut.size - 1)
-        return cut[at] == keys
+        at = np.minimum(np.searchsorted(heads, keys), heads.size - 1)
+        return heads[at] == keys
 
     def _first_from(self, lo: int, hi: int) -> np.ndarray:
         """Per fine group, its least start in [lo, hi) (n if none)."""

@@ -68,6 +68,8 @@ class Alphabet:
             raise ValueError("letters must be positive integers")
         if any(a >= b for a, b in zip(letters, letters[1:])):
             raise ValueError("letters must be strictly increasing")
+        if letters[-1] >= 1 << 63:
+            raise ValueError("alphabet letters must fit int64")
 
     @property
     def size(self) -> int:
@@ -87,8 +89,7 @@ class Alphabet:
     @cached_property
     def dtype(self) -> np.dtype:
         """The smallest unsigned dtype of the letters, int64 from 2³² on,
-        as numpy repeats no uint64 counts; letters past int64 raise
-        ``OverflowError``."""
+        as numpy repeats no uint64 counts."""
         largest = np.int64(self.largest)
         return np.min_scalar_type(largest) if largest < 1 << 32 else np.dtype(np.int64)
 

@@ -145,6 +145,19 @@ def test_pseudo_inverse_budget_checked_before_expanding():
     assert peak < 2**16
 
 
+@pytest.mark.parametrize("exps", [(2**62,) * 3, (10**18 - 1,) * 10])
+def test_pseudo_inverse_budget_check_sums_past_int64(exps):
+    # the int64 sum of these wraps below the budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionBudgetExceeded):
+            pseudo_inverse(1, Word(exps), ORDER_12, budget=10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 def test_with_base_examples():
     assert pseudo_inverse_with_base(Word((2, 3)), Word((1, 2))) == (1, 1, 2, 2, 2)
     assert pseudo_inverse_with_base(Word((1,)), Word((7,))) == (7,)

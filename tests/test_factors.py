@@ -224,6 +224,19 @@ def test_index_matches_naive_on_smooth_prefix():
             assert max_gap[g] == ref.max_gap(factor)
 
 
+def test_gaps_past_65536_groups_of_one_length():
+    # ids of more than 2^16 groups are uint32, which numpy sorts stably by
+    # merging, not by radix
+    arr = np.random.default_rng(5).integers(1, 5, size=70_000)
+    idx = FactorIndex(Word(arr, Alphabet((1, 2, 3, 4))), 10)
+    ref, half = NaiveFactorScan(arr, 10), NaiveFactorScan(arr[:35_000], 10)
+    factors = _factor_tuples(idx, 10)
+    assert len(factors) > 1 << 16
+    max_gap, half_max_gap = idx.max_gaps(10)
+    assert max_gap.tolist() == [ref.max_gap(f) for f in factors]
+    assert half_max_gap.tolist() == [half.max_gap(f) for f in factors]
+
+
 def test_groups_are_in_lexicographic_factor_order():
     # reports list rows in group order and rely on it being sorted
     rng = np.random.default_rng(1)

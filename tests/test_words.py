@@ -55,6 +55,9 @@ def test_alphabet_validation():
         Alphabet((0, 1))
     with pytest.raises(ValueError):
         Alphabet((3,))
+    assert Alphabet((1, 2**63 - 1)).dtype == np.int64
+    with pytest.raises(ValueError, match="alphabet letters must fit int64"):
+        Alphabet((1, 2**70))
 
 
 def test_alphabet_arithmetic():
